@@ -9,20 +9,14 @@ is computable and checkable at desk scale.
 """
 
 from .cantor import (
-    CubePair,
-    Location,
     SequencePack,
     VertexWord,
     all_words,
     center,
-    constant_suffix_lengths,
-    cubes,
     dyadic_cube,
     dyadic_preimage,
     geometric_sequence,
     harmonic_sequence,
-    is_dyadic_boundary_candidate,
-    locate,
 )
 from .errors import (
     ConstructionError,
@@ -75,7 +69,6 @@ __all__ = [
     "ConstructionError",
     "CoverReport",
     "CoverageError",
-    "CubePair",
     "DepthError",
     "DerivativeInfo",
     "DomainError",
@@ -83,7 +76,6 @@ __all__ = [
     "GaugeSpec",
     "GradientPower",
     "HypothesisViolatedError",
-    "Location",
     "LowerProbeReport",
     "NoRootError",
     "NormReport",
@@ -102,8 +94,6 @@ __all__ = [
     "build",
     "canonical_cover",
     "center",
-    "constant_suffix_lengths",
-    "cubes",
     "dyadic_cube",
     "dyadic_preimage",
     "eval_h",
@@ -113,9 +103,7 @@ __all__ = [
     "harmonic_sequence",
     "hausdorff_lower_probe",
     "hausdorff_upper_sum",
-    "is_dyadic_boundary_candidate",
     "lebesgue_level",
-    "locate",
     "null_measure_sequence",
     "pushforward_check",
     "random_cover",

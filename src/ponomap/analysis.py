@@ -534,7 +534,6 @@ class PushforwardReport:
     expected: Fraction
     ratios: tuple[Fraction, ...]
     exact: bool
-    method: str
 
     def to_dict(self) -> dict:
         return {
@@ -543,18 +542,20 @@ class PushforwardReport:
             "k": self.k,
             "expected": str(self.expected),
             "exact": self.exact,
-            "method": self.method,
         }
 
 
-def pushforward_check(pack: SequencePack, h: GaugeSpec, k: int, j: int,
-                      enumerate_limit: int = 2 ** 20) -> PushforwardReport:
+_PUSHFORWARD_WORDS = 2 ** 20  # largest depth-k population enumerated
+
+
+def pushforward_check(pack: SequencePack, h: GaugeSpec, k: int,
+                      j: int) -> PushforwardReport:
     """Share of the depth-k cover sum carried by each depth-j word.
 
     All depth-k cubes carry the same gauge value, so each share is the
     exact rational (descendants of the word) / 2^(nk) and must equal
-    2^(-jn).  Descendants are counted by exhaustive enumeration when the
-    depth-k population is small, by the subtree formula otherwise.
+    2^(-jn).  Descendants are counted by exhaustive enumeration of the
+    depth-k words, of which there may be at most 2^20.
     """
     if h.n != pack.n:
         raise ValueError("gauge dimension does not match the pack")
@@ -562,20 +563,17 @@ def pushforward_check(pack: SequencePack, h: GaugeSpec, k: int, j: int,
         raise DepthError("need 0 <= j <= k <= K")
     n = pack.n
     total = 2 ** (n * k)
+    if total > _PUSHFORWARD_WORDS:
+        raise DepthError(f"{total} depth-{k} words exceed the enumeration cap "
+                         f"{_PUSHFORWARD_WORDS}")
     expected = Fraction(1, 2 ** (n * j))
-    if total <= enumerate_limit:
-        method = "enumeration"
-        counts: dict[tuple, int] = {}
-        for word in all_words(n, k):
-            key = word.signs[:j]
-            counts[key] = counts.get(key, 0) + 1
-        ratios = tuple(
-            Fraction(counts.get(w.signs, 0), total) for w in all_words(n, j)
-        )
-    else:
-        method = "subtree-formula"
-        share = Fraction(descendant_count(j, k, n), total)
-        ratios = tuple(share for _ in range(2 ** (n * j)))
+    counts: dict[tuple, int] = {}
+    for word in all_words(n, k):
+        key = word.signs[:j]
+        counts[key] = counts.get(key, 0) + 1
+    ratios = tuple(
+        Fraction(counts.get(w.signs, 0), total) for w in all_words(n, j)
+    )
     exact = all(rho == expected for rho in ratios)
     return PushforwardReport(n=n, j=j, k=k, expected=expected, ratios=ratios,
-                             exact=exact, method=method)
+                             exact=exact)

@@ -14,7 +14,6 @@ depth, or survives to the core cubes at the truncation depth.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -92,6 +91,23 @@ def _ulp_close(x: float, y: float, ulps: int = _ULPS) -> bool:
     return abs(x - y) <= ulps * math.ulp(scale) if scale > 0.0 else x == y
 
 
+def standard_scales(a: Sequence[float]) -> tuple[tuple[float, ...], ...]:
+    """(b, r, rt, alpha, beta) of the standard construction on scales a.
+
+    b_k = (1 + a_k)/2, r_k = 2^-k a_k, rt_k = 2^-k b_k, alpha_k = 1/2 and
+    beta_k = 2^(-k-1), with alpha_0 = beta_0 = nan.  Nothing is validated,
+    so scales that do not nest (a flat head a_k = 1 where tau clamps) still
+    get a table.
+    """
+    K = len(a) - 1
+    b = tuple((1.0 + x) / 2.0 for x in a)
+    r = tuple(math.ldexp(a[k], -k) for k in range(K + 1))
+    rt = tuple(math.ldexp(b[k], -k) for k in range(K + 1))
+    alpha = (math.nan,) + (0.5,) * K
+    beta = (math.nan,) + tuple(math.ldexp(1.0, -k - 1) for k in range(1, K + 1))
+    return b, r, rt, alpha, beta
+
+
 @dataclass(frozen=True)
 class SequencePack:
     """Scales of one construction to depth K.
@@ -125,14 +141,9 @@ class SequencePack:
     def from_standard(cls, n: int, a: Sequence[float]) -> "SequencePack":
         """Pack with b_k = (1 + a_k)/2 and exact gluing coefficients."""
         a = tuple(float(x) for x in a)
-        K = len(a) - 1
-        b = tuple((1.0 + x) / 2.0 for x in a)
-        r = tuple(math.ldexp(a[k], -k) for k in range(K + 1))
-        rt = tuple(math.ldexp(b[k], -k) for k in range(K + 1))
-        alpha = (math.nan,) + (0.5,) * K
-        beta = (math.nan,) + tuple(math.ldexp(1.0, -k - 1) for k in range(1, K + 1))
-        return cls(n=n, K=K, a=a, b=b, r=r, rt=rt, alpha=alpha, beta=beta,
-                   standard=True)
+        b, r, rt, alpha, beta = standard_scales(a)
+        return cls(n=n, K=len(a) - 1, a=a, b=b, r=r, rt=rt, alpha=alpha,
+                   beta=beta, standard=True)
 
     @classmethod
     def from_scales(cls, n: int, a: Sequence[float],
@@ -213,44 +224,14 @@ class SequencePack:
 
 
 @dataclass(frozen=True)
-class CubePair:
-    """Concentric outer/inner cube around one center."""
-
-    center: tuple[float, ...]
-    inner_half_edge: float
-    outer_half_edge: float
-    side: Side
-
-    def __post_init__(self):
-        if not 0.0 < self.inner_half_edge < self.outer_half_edge:
-            raise ConstructionError("need 0 < inner < outer half-edge")
-
-    @property
-    def n(self) -> int:
-        return len(self.center)
-
-    @property
-    def inner_diameter(self) -> float:
-        """Euclidean diameter of the inner cube, 2*sqrt(n)*r."""
-        return 2.0 * math.sqrt(self.n) * self.inner_half_edge
-
-
-@dataclass(frozen=True)
-class Location:
-    """Where a point sits in the hierarchy, up to the probed depth."""
-
-    region: Literal["annulus", "core"]
-    word: VertexWord
-    m: float  # sup distance to the word's center
-
-    @property
-    def depth(self) -> int:
-        return self.word.depth
-
-
-@dataclass(frozen=True)
 class Descent:
-    """Raw state of a hierarchy descent (internal)."""
+    """Where a point sits in the hierarchy, up to the probed depth.
+
+    ``signs`` addresses the annulus at the first depth with ||x - z_v|| > r_k,
+    or the core at the probed depth; ``z`` and ``zt`` are the domain and
+    target centers of that word and ``m`` the sup distance to the center on
+    the driving side.
+    """
 
     region: Literal["annulus", "core"]
     depth: int
@@ -258,6 +239,10 @@ class Descent:
     z: tuple[float, ...]
     zt: tuple[float, ...]
     m: float
+
+    @property
+    def word(self) -> VertexWord:
+        return VertexWord(len(self.z), self.signs)
 
 
 def check_point(x: Sequence[float], n: int) -> tuple[float, ...]:
@@ -317,32 +302,6 @@ def center(word: VertexWord, pack: SequencePack, side: Side = "domain") -> tuple
     return tuple(z)
 
 
-def cubes(word: VertexWord, pack: SequencePack, side: Side = "domain") -> CubePair:
-    """Outer/inner cube pair addressed by the word (depth 1..K)."""
-    k = word.depth
-    if not 1 <= k <= pack.K:
-        raise DepthError(f"cube depth {k} outside 1..{pack.K}")
-    radii = pack.r if side == "domain" else pack.rt
-    return CubePair(
-        center=center(word, pack, side),
-        inner_half_edge=radii[k],
-        outer_half_edge=radii[k - 1] / 2.0,
-        side=side,
-    )
-
-
-def locate(x: Sequence[float], pack: SequencePack, max_depth: int | None = None,
-           side: Side = "domain") -> Location:
-    """Locate x: the annulus word at the first depth with ||x - z_v|| > r_k,
-    or the core word at max_depth.  Inner cubes are closed, so face points
-    keep descending."""
-    if max_depth is None:
-        max_depth = pack.K
-    d = descend(x, pack, max_depth, side)
-    word = VertexWord(pack.n, d.signs[:d.depth])
-    return Location(region=d.region, word=word, m=d.m)
-
-
 def dyadic_cube(word: VertexWord) -> tuple[tuple[float, ...], float]:
     """Binary coding of a word: the level-k dyadic cube (corner, size 2^-k).
 
@@ -391,55 +350,3 @@ def descendant_count(from_depth: int, to_depth: int, n: int) -> int:
     if to_depth < from_depth:
         raise ValueError("to_depth must be >= from_depth")
     return 2 ** (n * (to_depth - from_depth))
-
-
-def constant_suffix_lengths(word: VertexWord) -> tuple[int, ...]:
-    """Per coordinate, the length of the trailing run of one repeated sign."""
-    runs = []
-    for i in range(word.n):
-        run = 0
-        last = None
-        for level in reversed(word.signs):
-            if last is None or level[i] == last:
-                run += 1
-                last = level[i]
-            else:
-                break
-        runs.append(run)
-    return tuple(runs)
-
-
-def is_dyadic_boundary_candidate(word: VertexWord) -> bool:
-    """Finite-depth witness for the exceptional coding set.
-
-    A coded coordinate is an exact dyadic rational iff its sign column is
-    eventually constant, which no finite prefix can decide; the strongest
-    finite witness is a column that is constant over the whole word.  No
-    measure or norm computation depends on resolving the set exactly.
-    """
-    if word.depth == 0:
-        return False
-    return any(run == word.depth for run in constant_suffix_lengths(word))
-
-
-def write_cube_table(pack: SequencePack, depth: int, side: Side, fileobj,
-                     header_comments: Sequence[str] = ()) -> int:
-    """CSV table of all cubes at one depth: word, center, half-edges."""
-    for line in header_comments:
-        fileobj.write(f"# {line}\n")
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(
-        ["depth", "word"]
-        + [f"center{i + 1}" for i in range(pack.n)]
-        + ["inner_half_edge", "outer_half_edge"]
-    )
-    count = 0
-    for word in all_words(pack.n, depth):
-        pair = cubes(word, pack, side)
-        writer.writerow(
-            [depth, str(word)]
-            + [repr(c) for c in pair.center]
-            + [repr(pair.inner_half_edge), repr(pair.outer_half_edge)]
-        )
-        count += 1
-    return count

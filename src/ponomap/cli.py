@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis, render
-from .cantor import SequencePack, geometric_sequence, harmonic_sequence
+from .cantor import SequencePack, geometric_sequence, harmonic_sequence, standard_scales
 from .errors import ConstructionError, PonomapError
 from .gauge import GaugeSpec, eval_h, finite_measure_sequence, null_measure_sequence
 from .mapping import build
@@ -70,6 +70,8 @@ class RunConfig:
 
 
 def parse_eps_grid(text: str, n: int) -> tuple[float, ...]:
+    if not isinstance(text, str):
+        raise ConfigError(f"bad eps grid {text!r}; expected 'lo:hi:count'")
     try:
         lo_s, hi_s, count_s = text.split(":")
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
@@ -118,7 +120,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("seed must be a non-negative integer")
     if not isinstance(data["resolution"], int) or data["resolution"] < 2:
         raise ConfigError("resolution must be an integer >= 2")
-    if not (0.0 < float(data["safety"]) < 1.0):
+    for section in ("sequence", "hausdorff", "verify"):
+        if not isinstance(data[section], dict):
+            raise ConfigError(f"{section} must be a JSON object")
+    try:
+        safety = float(data["safety"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad safety {data['safety']!r}") from exc
+    if not 0.0 < safety < 1.0:
         raise ConfigError("safety must lie in (0, 1)")
     eps = parse_eps_grid(data["eps_grid"], gauge.n)
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -131,7 +140,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         seed=data["seed"],
         eps_grid=eps,
         resolution=data["resolution"],
-        safety=float(data["safety"]),
+        safety=safety,
         hausdorff=data["hausdorff"],
         verify=data["verify"],
         digest=digest,
@@ -147,16 +156,19 @@ def make_scales(cfg: RunConfig) -> tuple[float, ...]:
     if cfg.theorem == 2:
         return null_measure_sequence(cfg.gauge, cfg.depth, safety=cfg.safety)
     seq = cfg.sequence
-    if "values" in seq:
-        vals = tuple(float(v) for v in seq["values"])
-        if len(vals) != cfg.depth + 1:
-            raise ConfigError("sequence values must have length depth+1")
-        return vals
-    kind = seq.get("kind", "harmonic")
-    if kind == "harmonic":
-        return harmonic_sequence(cfg.depth)
-    if kind == "geometric":
-        return geometric_sequence(cfg.depth, float(seq.get("ratio", 0.5)))
+    try:
+        if "values" in seq:
+            vals = tuple(float(v) for v in seq["values"])
+            if len(vals) != cfg.depth + 1:
+                raise ConfigError("sequence values must have length depth+1")
+            return vals
+        kind = seq.get("kind", "harmonic")
+        if kind == "harmonic":
+            return harmonic_sequence(cfg.depth)
+        if kind == "geometric":
+            return geometric_sequence(cfg.depth, float(seq.get("ratio", 0.5)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sequence block: {exc}") from exc
     raise ConfigError(f"unknown sequence kind {kind!r}")
 
 
@@ -181,46 +193,39 @@ def write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
 
 def cmd_sequence(cfg: RunConfig, out: Path) -> int:
     a = make_scales(cfg)
+    b, r, rt, alpha, beta = standard_scales(a)
     n = cfg.gauge.n
     cn = 2.0 * math.sqrt(n)
-    rows = []
-    for k in range(cfg.depth + 1):
-        b = (1.0 + a[k]) / 2.0
-        r = math.ldexp(a[k], -k)
-        rt = math.ldexp(b, -k)
-        alpha = 0.5 if k >= 1 else math.nan
-        beta = math.ldexp(1.0, -k - 1) if k >= 1 else math.nan
-        if k == 0:
-            check = True
-        elif cfg.theorem == 1:
-            check = abs(a[k] ** n * cfg.gauge.tau(r) - 1.0) <= 1e-10
+    ks = range(cfg.depth + 1)
+    check = [True]
+    for k in ks[1:]:
+        if cfg.theorem == 1:
+            check.append(abs(a[k] ** n * cfg.gauge.tau(r[k]) - 1.0) <= 1e-10)
         elif cfg.theorem == 2:
-            check = eval_h(cfg.gauge, cn * r) <= cfg.safety * 2.0 ** (-2 * n * k)
+            check.append(eval_h(cfg.gauge, cn * r[k]) <= cfg.safety * 2.0 ** (-2 * n * k))
         else:
-            check = a[k] < a[k - 1]
-        rows.append((k, a[k], b, r, rt, alpha, beta, check))
+            check.append(a[k] < a[k - 1])
     with open(out / "sequence.csv", "w", newline="") as f:
         for line in provenance(cfg):
             f.write(f"# {line}\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["k", "a", "b", "r", "rt", "alpha", "beta", "check"])
-        for row in rows:
-            k, av, bv, r, rt, alpha, beta, check = row
+        for k in ks:
             writer.writerow([
-                k, repr(av), repr(bv), repr(r), repr(rt),
-                "" if math.isnan(alpha) else repr(alpha),
-                "" if math.isnan(beta) else repr(beta),
-                str(check).lower(),
+                k, repr(a[k]), repr(b[k]), repr(r[k]), repr(rt[k]),
+                "" if math.isnan(alpha[k]) else repr(alpha[k]),
+                "" if math.isnan(beta[k]) else repr(beta[k]),
+                str(check[k]).lower(),
             ])
     write_json(out / "sequence.json", {
-        "k": [row[0] for row in rows],
-        "a": [row[1] for row in rows],
-        "b": [row[2] for row in rows],
-        "r": [row[3] for row in rows],
-        "rt": [row[4] for row in rows],
-        "alpha": [None if math.isnan(row[5]) else row[5] for row in rows],
-        "beta": [None if math.isnan(row[6]) else row[6] for row in rows],
-        "check": [row[7] for row in rows],
+        "k": list(ks),
+        "a": list(a),
+        "b": list(b),
+        "r": list(r),
+        "rt": list(rt),
+        "alpha": [None if math.isnan(v) else v for v in alpha],
+        "beta": [None if math.isnan(v) else v for v in beta],
+        "check": check,
         "theorem": cfg.theorem,
         "gauge": cfg.gauge.to_dict(),
     }, cfg)
@@ -283,8 +288,10 @@ def cmd_eval(cfg: RunConfig, out: Path, points_path: Path) -> int:
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
     pack = make_pack(cfg)
-    scale_kwargs = {k: int(v) for k, v in cfg.verify.items()}
-    scale = VerifyScale(**scale_kwargs)
+    try:
+        scale = VerifyScale(**{k: int(v) for k, v in cfg.verify.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad verify block: {exc}") from exc
     report = run_suite(pack, gauge=cfg.gauge, kind=kind_of(cfg), seed=cfg.seed,
                        scale=scale, safety=cfg.safety)
     write_json(out / "verify.json", report.to_dict(), cfg)
@@ -314,16 +321,19 @@ def cmd_norms(cfg: RunConfig, out: Path) -> int:
 def cmd_hausdorff(cfg: RunConfig, out: Path) -> int:
     a = make_scales(cfg)
     hcfg = cfg.hausdorff
-    depths = [int(d) for d in hcfg.get("depths", [0, 1, 2, 4, 8])]
+    try:
+        depths = [int(d) for d in hcfg.get("depths", [0, 1, 2, 4, 8])]
+        probe_depth = int(hcfg.get("probe_depth", 3))
+        probe_level = int(hcfg.get("probe_level", 5))
+        trials = int(hcfg.get("random_covers", 5))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad hausdorff block: {exc}") from exc
     uppers = []
     for k in depths:
         if k > cfg.depth:
             continue
         uppers.append(analysis.upper_sum_at_scale(cfg.gauge, k, a[k]).to_dict())
     payload = {"upper_sums": uppers, "theorem": cfg.theorem}
-    probe_depth = int(hcfg.get("probe_depth", 3))
-    probe_level = int(hcfg.get("probe_level", 5))
-    trials = int(hcfg.get("random_covers", 5))
     try:
         pack = SequencePack.from_standard(cfg.gauge.n, a)
     except ConstructionError as exc:
@@ -359,7 +369,7 @@ def cmd_render(cfg: RunConfig, out: Path) -> int:
     comments = provenance(cfg)
     samples = render.eval_grid(pmap, res)
     render.write_grid_csv(out / "render_grid.csv", samples, comments)
-    disp = render.displacement_field(pmap, res)
+    disp = render.displacement_field(samples, res)
     render.write_pgm(out / "displacement.pgm", render.grayscale(disp), comments)
     jac = render.jacobian_field(pmap, res)
     render.write_ppm(out / "jacobian.ppm", render.diverging_colors(jac), comments)

@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .cantor import Location, SequencePack, check_point, descend, locate
+from .cantor import Descent, SequencePack, check_point, descend
 from .errors import ConstructionError, RidgeSetError
 
 _RIDGE_RTOL = 1e-12
@@ -84,8 +84,10 @@ class PonomarevMap:
             scale = pack.r[pack.K] / pack.rt[pack.K]
         return tuple(d.z[i] + scale * (y[i] - d.zt[i]) for i in range(pack.n))
 
-    def locate(self, x: Sequence[float], max_depth: int | None = None) -> Location:
-        return locate(x, self.pack, max_depth)
+    def locate(self, x: Sequence[float], max_depth: int | None = None) -> Descent:
+        """Domain descent of x to max_depth (default K).  Inner cubes are
+        closed, so face points keep descending."""
+        return descend(x, self.pack, self.K if max_depth is None else max_depth)
 
     def _annulus_state(self, x: Sequence[float]):
         pack = self.pack
@@ -141,17 +143,6 @@ class PonomarevMap:
         k = d.depth
         alpha, beta = pack.alpha[k], pack.beta[k]
         return alpha * (alpha + beta / d.m) ** (pack.n - 1)
-
-    def max_partial(self, x: Sequence[float]) -> float:
-        """Largest partial-derivative magnitude: alpha + beta/m on annuli,
-        rt_K/r_K on cores (the convention used by all norm reports)."""
-        pack = self.pack
-        x = check_point(x, pack.n)
-        d = descend(x, pack, pack.K, "domain")
-        if d.region == "core":
-            return pack.rt[pack.K] / pack.r[pack.K]
-        k = d.depth
-        return pack.alpha[k] + pack.beta[k] / d.m
 
 
 def build(pack: SequencePack, provenance: str = "") -> PonomarevMap:

@@ -53,9 +53,9 @@ def eval_grid(pmap: PonomarevMap, resolution: int) -> list[GridSample]:
     return out
 
 
-def displacement_field(pmap: PonomarevMap, resolution: int) -> np.ndarray:
-    """Sup-norm displacement |f(x) - x| per pixel."""
-    samples = eval_grid(pmap, resolution)
+def displacement_field(samples: Sequence[GridSample], resolution: int) -> np.ndarray:
+    """Sup-norm displacement |f(x) - x| per pixel of row-major ``eval_grid``
+    samples."""
     field = np.empty((resolution, resolution))
     for idx, s in enumerate(samples):
         field[idx // resolution, idx % resolution] = max(

@@ -209,8 +209,7 @@ def test_acceptance_05a_grand_norm_bound():
     reason="the depth 20->40 tail of the annulus sums is of order a_20 - a_40 "
            "~ 2.3e-2 for the harmonic scale sequence (measured relative change "
            "7.8e-3 at the sup), so the 1e-6 stability target is unreachable for "
-           "any sequence with slower-than-geometric decay; see the decisions "
-           "ledger for the full analysis",
+           "any sequence with slower-than-geometric decay",
 )
 def test_acceptance_05b_grand_norm_depth_stability():
     t0 = time.perf_counter()

@@ -7,6 +7,7 @@ import pytest
 from ponomap import (
     Ball,
     CoverageError,
+    DepthError,
     GaugeSpec,
     GradientPower,
     PowerLaw,
@@ -352,13 +353,13 @@ def test_pushforward_exhaustive():
     for j in range(0, 4):
         for k in range(j, 7):
             rep = pushforward_check(pack, LOG_GAUGE, k, j)
-            assert rep.method == "enumeration"
             assert rep.exact
             assert all(rho == Fraction(1, 4 ** j) for rho in rep.ratios)
 
 
 def test_pushforward_formula_path():
+    # past 2^20 depth-k words the check refuses rather than enumerate
     pack = SequencePack.from_standard(2, harmonic_sequence(12))
-    rep = pushforward_check(pack, LOG_GAUGE, 12, 2, enumerate_limit=1)
-    assert rep.method == "subtree-formula"
-    assert rep.exact
+    with pytest.raises(DepthError):
+        pushforward_check(pack, LOG_GAUGE, 12, 2)
+    assert pushforward_check(pack, LOG_GAUGE, 4, 2).ratios == (Fraction(1, 16),) * 16

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -13,19 +12,12 @@ from ponomap import (
     VertexWord,
     all_words,
     center,
-    cubes,
     dyadic_cube,
     dyadic_preimage,
     geometric_sequence,
     harmonic_sequence,
-    locate,
 )
-from ponomap.cantor import (
-    constant_suffix_lengths,
-    descendant_count,
-    is_dyadic_boundary_candidate,
-    write_cube_table,
-)
+from ponomap.cantor import descend, descendant_count
 
 
 def std_pack(K=10, n=2):
@@ -111,24 +103,10 @@ def test_center_hand_values():
     assert center(w2, pack) == (0.5 - r1 / 2.0, 0.5 + r1 / 2.0)
 
 
-def test_cubes_geometry():
-    pack = std_pack()
-    # depth-1 outer cubes tile (-1,1)^2: centers +-1/2, half-edge 1/2
-    for w in all_words(2, 1):
-        pair = cubes(w, pack)
-        assert pair.outer_half_edge == 0.5
-        assert all(abs(c) == 0.5 for c in pair.center)
-        assert pair.inner_half_edge == pack.r[1]
-        assert pair.inner_half_edge < pair.outer_half_edge
-        assert pair.inner_diameter == 2.0 * math.sqrt(2) * pack.r[1]
-    with pytest.raises(DepthError):
-        cubes(VertexWord(2), pack)
-
-
 def test_locate_boundary_is_depth_one_annulus():
     pack = std_pack()
     for x in [(1.0, 0.3), (-1.0, -0.2), (0.7, 1.0), (1.0, 1.0), (-1.0, 1.0)]:
-        loc = locate(x, pack)
+        loc = descend(x, pack, pack.K)
         assert loc.region == "annulus"
         assert loc.depth == 1
 
@@ -138,7 +116,7 @@ def test_locate_center_is_core():
     for w in [VertexWord.parse("++", 2), VertexWord.parse("+-|-+", 2),
               VertexWord.parse("--|-+|++", 2)]:
         z = center(w, pack)
-        loc = locate(z, pack, max_depth=w.depth)
+        loc = descend(z, pack, w.depth)
         assert loc.region == "core"
         assert loc.word == w
 
@@ -157,7 +135,7 @@ def test_locate_round_trip_random_annulus_points():
         direction = [rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)]
         direction[j] = 1.0 if rng.uniform() > 0.5 else -1.0
         x = tuple(z[i] + radius * direction[i] for i in range(2))
-        loc = locate(x, pack)
+        loc = descend(x, pack, pack.K)
         assert loc.region == "annulus"
         assert loc.word == w
 
@@ -165,9 +143,9 @@ def test_locate_round_trip_random_annulus_points():
 def test_locate_outside_raises():
     pack = std_pack()
     with pytest.raises(DomainError):
-        locate((1.0001, 0.0), pack)
+        descend((1.0001, 0.0), pack, pack.K)
     with pytest.raises(DomainError):
-        locate((math.nan, 0.0), pack)
+        descend((math.nan, 0.0), pack, pack.K)
 
 
 def test_dyadic_cube_hand_values():
@@ -232,18 +210,16 @@ def test_nesting_sampled_corners():
     words = list(all_words(2, 4))
     for _ in range(100):
         w = words[rng.integers(len(words))]
-        pair = cubes(w, pack)
-        parent = cubes(w.prefix(w.depth - 1), pack) if w.depth > 1 else None
-        # inner corners inside outer cube
+        k = w.depth
+        z = center(w, pack)
+        zp = center(w.prefix(k - 1), pack)
+        # inner corners inside the outer cube and inside the parent's inner cube
         for sx in (-1, 1):
             for sy in (-1, 1):
-                corner = (pair.center[0] + sx * pair.inner_half_edge,
-                          pair.center[1] + sy * pair.inner_half_edge)
-                assert all(abs(corner[i] - pair.center[i]) <= pair.outer_half_edge
+                corner = (z[0] + sx * pack.r[k], z[1] + sy * pack.r[k])
+                assert all(abs(corner[i] - z[i]) <= pack.r[k - 1] / 2.0
                            for i in range(2))
-                if parent is not None:
-                    assert all(abs(corner[i] - parent.center[i]) <= parent.inner_half_edge
-                               for i in range(2))
+                assert all(abs(corner[i] - zp[i]) <= pack.r[k - 1] for i in range(2))
 
 
 def test_counting_identity():
@@ -254,30 +230,3 @@ def test_counting_identity():
             got = sum(1 for w in all_words(2, l)
                       if w.signs[:m] == tuple(((-1, -1),) * m))
             assert got == expect == descendant_count(m, l, 2)
-
-
-def test_dyadic_boundary_candidates():
-    all_plus = VertexWord(2, ((1, 1), (1, 1), (1, 1)))
-    assert is_dyadic_boundary_candidate(all_plus)
-    assert constant_suffix_lengths(all_plus) == (3, 3)
-    mixed = VertexWord.parse("+-|-+|+-", 2)
-    assert constant_suffix_lengths(mixed) == (1, 1)
-    assert not is_dyadic_boundary_candidate(mixed)
-    one_column = VertexWord.parse("+-|--|+-", 2)
-    assert constant_suffix_lengths(one_column) == (1, 3)
-    assert is_dyadic_boundary_candidate(one_column)
-    assert not is_dyadic_boundary_candidate(VertexWord(2))
-
-
-def test_cube_table_csv():
-    pack = std_pack(4)
-    buf = io.StringIO()
-    count = write_cube_table(pack, 2, "domain", buf, header_comments=["seed=1"])
-    assert count == 16
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# seed=1"
-    assert lines[1].split(",")[:2] == ["depth", "word"]
-    assert len(lines) == 2 + 16
-    row = lines[2].split(",")
-    assert row[0] == "2"
-    assert float(row[4]) == pack.r[2]

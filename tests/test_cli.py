@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -129,6 +130,34 @@ def test_render_deterministic(config_path, tmp_path):
     assert b"config_digest=" in header and b"seed=" in header
 
 
+# SHA-256 of the artifacts for the ``config_path`` fixture; any change to
+# output bytes must show up here and be re-recorded on purpose
+GOLDEN_SHA256 = {
+    "sequence.csv": "6619312c50a4ab11b702934da3cbbd559d9232f3311d583c14acf5571adf77ba",
+    "sequence.json": "4dec2c8188f3dd0b8abb868a8bcf43bb5d83bdbeb75f0dd2b57190c2cc1e5d2d",
+    "eval.csv": "74e14be89901e1901856533c168aaa06dc0c37ef506344fd64d7728d6d0b6ff5",
+    "render_grid.csv": "fc03a0368c3476c98a26a36bee4f32c2dff348cac2469c46528a709423098bab",
+    "displacement.pgm": "b6fa46cfcc2b5c75127b866937c6b5363acaf6bed411f922986cd2303be0a077",
+    "jacobian.ppm": "70302e29e54e7ed3b711dd5220fd25b0ac7a77ec3c1a951abc3b749bf3b8073d",
+    "grid.pgm": "5865f815554789fdff8a8fe03f0e13b502f7337e0ca2824b89988fb343efdb9b",
+}
+
+
+def test_golden_bytes(config_path, tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("1.0,0.25\n0.0,0.0\n-0.6,0.33\n0.5,0.0\n-0.5,-0.5\n"
+                   "0.123,-0.987\n2.0,0.0\nfoo\n")
+    out = tmp_path / "golden"
+    for command in ("sequence", "eval", "render"):
+        argv = [command, "--config", str(config_path), "--out", str(out)]
+        if command == "eval":
+            argv += ["--points", str(pts)]
+        assert main(argv) == EXIT_OK
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
+
+
 def test_verify_deterministic_bytes(config_path, tmp_path):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     for out in (out1, out2):
@@ -141,18 +170,22 @@ def test_config_errors(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["sequence", "--config", str(missing),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"theorem": 3}))
-    assert main(["sequence", "--config", str(bad),
-                 "--out", str(tmp_path)]) == EXIT_CONFIG
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"bogus": 1}))
-    assert main(["sequence", "--config", str(unknown),
-                 "--out", str(tmp_path)]) == EXIT_CONFIG
-    badgrid = tmp_path / "grid.json"
-    badgrid.write_text(json.dumps({"eps_grid": "0:2:4"}))
-    assert main(["norms", "--config", str(badgrid),
-                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    cases = [
+        ("sequence", {"theorem": 3}),
+        ("sequence", {"bogus": 1}),
+        ("norms", {"eps_grid": "0:2:4"}),
+        ("verify", {"verify": {"nope": 1}}),
+        ("sequence", {"safety": "abc"}),
+        ("sequence", {"theorem": "custom",
+                      "sequence": {"kind": "geometric", "ratio": 2}}),
+        ("hausdorff", {"hausdorff": {"probe_level": "x"}}),
+        ("sequence", {"eps_grid": 5}),
+    ]
+    for i, (command, cfg) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG, cfg
 
 
 def test_numeric_error_exit(tmp_path):

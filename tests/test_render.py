@@ -25,7 +25,7 @@ def test_pixel_grid_includes_boundary():
 def test_identity_pack_renders_flat():
     a = geometric_sequence(6)
     m = build(SequencePack.from_scales(2, a, a))
-    disp = displacement_field(m, 17)
+    disp = displacement_field(eval_grid(m, 17), 17)
     assert np.max(disp) <= 4e-16
     assert np.all(grayscale(disp) == 0)
     jac = jacobian_field(m, 17)
