@@ -169,9 +169,12 @@ def _farthest_corner(c: Sequence[float], z: Sequence[float], r: float) -> float:
                                for ci, zi in zip(c, z)))
 
 
+# tiny relative slack so a circumscribing ball contains its own cube
+_IN_BALL_SLACK = 1.0 + 1e-12
+
+
 def _cube_in_ball(c, z, r, rho) -> bool:
-    # tiny relative slack so a circumscribing ball contains its own cube
-    return _farthest_corner(c, z, r) <= rho * (1.0 + 1e-12)
+    return _farthest_corner(c, z, r) <= rho * _IN_BALL_SLACK
 
 
 def _vertices(n: int):
@@ -181,44 +184,74 @@ def _vertices(n: int):
     return out
 
 
-def _children_with_centers(pack: SequencePack, word_center, depth: int):
-    half = 0.5 * pack.r[depth - 1]
-    for v in _vertices(pack.n):
-        yield v, tuple(word_center[i] + half * v[i] for i in range(pack.n))
+# balls walked together: bounds the (ball, cube) pairs held at once
+_BALL_CHUNK = 64
+# a numpy distance this close (relative) to its threshold is decided again
+# by the fsum test, so every decision equals the scalar one
+_TIE_REL = 1e-13
 
 
-def _ball_frontiers(pack: SequencePack, ball: Ball, max_depth: int):
-    """Per-depth lists of (center,) of cubes intersecting the ball."""
-    frontier = [tuple([0.0] * pack.n)]
-    for d in range(1, max_depth + 1):
-        nxt = []
-        for zc in frontier:
-            for _, child in _children_with_centers(pack, zc, d):
-                if _dist_to_cube(ball.center, child, pack.r[d]) <= ball.radius:
-                    nxt.append(child)
-        yield d, nxt
-        frontier = nxt
+def _decide(value: np.ndarray, limit: np.ndarray, scalar) -> np.ndarray:
+    """value <= limit per pair; near-ties are decided by ``scalar(i)``."""
+    out = value <= limit
+    for i in np.flatnonzero(np.abs(value - limit) <= _TIE_REL * limit):
+        out[i] = scalar(int(i))
+    return out
 
 
-def _contained_blocks(pack: SequencePack, ball: Ball, level: int):
-    """Index blocks [start, stop) of depth-``level`` cubes inside the ball."""
+def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
+    """Walk all (ball, cube) pairs down to depth ``level``, depth by depth.
+
+    A cube is entered when it intersects the ball and its parent was
+    entered and not contained.  Returns, per ball, the first depth with a
+    contained cube (0 if none), the number of cubes entered at that depth
+    and the number of depth-``level`` cubes contained, plus one coverage
+    flag per depth-``level`` cube.
+    """
     n = pack.n
-    blocks: list[tuple[int, int]] = []
-
-    def visit(zc, depth: int, index: int):
-        r = pack.r[depth]
-        if depth >= 1 and _cube_in_ball(ball.center, zc, r, ball.radius):
-            span = descendant_count(depth, level, n)
-            blocks.append((index * span, index * span + span))
-            return
-        if depth == level:
-            return
-        for ci, (v, child) in enumerate(_children_with_centers(pack, zc, depth + 1)):
-            if _dist_to_cube(ball.center, child, pack.r[depth + 1]) <= ball.radius:
-                visit(child, depth + 1, index * 2 ** n + ci)
-
-    visit(tuple([0.0] * n), 0, 0)
-    return blocks
+    fan = 2 ** n
+    verts = np.array(_vertices(n), dtype=float)
+    min_depth = np.zeros(len(cover), dtype=np.int64)
+    intersecting = np.zeros(len(cover), dtype=np.int64)
+    contained = np.zeros(len(cover), dtype=np.int64)
+    covered = np.zeros(2 ** (n * level), dtype=bool)
+    for lo in range(0, len(cover), _BALL_CHUNK):
+        chunk = cover[lo:lo + _BALL_CHUNK]
+        first = min_depth[lo:lo + len(chunk)]
+        count = intersecting[lo:lo + len(chunk)]
+        inner = contained[lo:lo + len(chunk)]
+        centers = np.array([b.center for b in chunk], dtype=float)
+        radius = np.array([b.radius for b in chunk], dtype=float)
+        slack = radius * _IN_BALL_SLACK
+        ball = np.arange(len(chunk))
+        index = np.zeros(len(chunk), dtype=np.int64)
+        z = np.zeros((len(chunk), n))
+        for d in range(1, level + 1):
+            r = pack.r[d]
+            z = (z[:, None, :] + (0.5 * pack.r[d - 1]) * verts).reshape(-1, n)
+            ball = np.repeat(ball, fan)
+            index = (index[:, None] * fan + np.arange(fan)).ravel()
+            diff = np.abs(centers[ball] - z)
+            gap = np.maximum(diff - r, 0.0)
+            hit = _decide(np.sqrt((gap * gap).sum(axis=1)), radius[ball],
+                          lambda i: _dist_to_cube(chunk[ball[i]].center, z[i].tolist(), r)
+                          <= chunk[ball[i]].radius)
+            ball, index, z, diff = ball[hit], index[hit], z[hit], diff[hit]
+            far = diff + r
+            inside = _decide(np.sqrt((far * far).sum(axis=1)), slack[ball],
+                             lambda i: _cube_in_ball(chunk[ball[i]].center, z[i].tolist(), r,
+                                                     chunk[ball[i]].radius))
+            held = np.bincount(ball[inside], minlength=len(chunk))
+            new = (held > 0) & (first == 0)
+            first[new] = d
+            count[new] = np.bincount(ball, minlength=len(chunk))[new]
+            span = descendant_count(d, level, n)
+            inner += held * span
+            covered.reshape(-1, span)[index[inside]] = True
+            ball, index, z = ball[~inside], index[~inside], z[~inside]
+            if not len(ball):
+                break
+    return min_depth, intersecting, contained, covered
 
 
 def canonical_cover(pack: SequencePack, m: int) -> list[Ball]:
@@ -277,39 +310,22 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Sequence[Ball
     n = pack.n
     cn = 2.0 * math.sqrt(n)
     per_cube_level = eval_h(h, cn * pack.r[level])
-    covered: set[int] = set()
-    stats = []
-    max_intersecting = 0
-    for ball in cover:
-        blocks = _contained_blocks(pack, ball, level)
-        contained = 0
-        for start, stop in blocks:
-            contained += stop - start
-            covered.update(range(start, stop))
-        min_depth = None
-        intersecting = 0
-        for d, frontier in _ball_frontiers(pack, ball, level):
-            if any(_cube_in_ball(ball.center, zc, pack.r[d], ball.radius)
-                   for zc in frontier):
-                min_depth = d
-                intersecting = len(frontier)
-                break
-        if intersecting:
-            max_intersecting = max(max_intersecting, intersecting)
-        stats.append(BallProbe(
+    first, count, inner, covered = _probe_walk(pack, cover, level)
+    stats = tuple(
+        BallProbe(
             word=str(ball.word),
             radius=ball.radius,
-            min_contained_depth=min_depth,
-            intersecting_count=intersecting,
-            contained_count=contained,
-            dominated_sum=contained * per_cube_level,
-        ))
-    total_cubes = 2 ** (n * level)
-    if len(covered) != total_cubes:
-        raise CoverageError(
-            f"cover misses {total_cubes - len(covered)} of {total_cubes} "
-            f"depth-{level} cubes"
+            min_contained_depth=d or None,
+            intersecting_count=u,
+            contained_count=c,
+            dominated_sum=c * per_cube_level,
         )
+        for ball, d, u, c in zip(cover, first.tolist(), count.tolist(), inner.tolist())
+    )
+    total_cubes = covered.size
+    missed = total_cubes - int(np.count_nonzero(covered))
+    if missed:
+        raise CoverageError(f"cover misses {missed} of {total_cubes} depth-{level} cubes")
     cover_sum = math.fsum(eval_h(h, 2.0 * b.radius) for b in cover)
     reference = hausdorff_upper_sum(h, pack, level).total
     return LowerProbeReport(
@@ -317,8 +333,8 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Sequence[Ball
         cover_sum=cover_sum,
         reference_upper_sum=reference,
         ratio=cover_sum / reference,
-        balls=tuple(stats),
-        max_intersecting=max_intersecting,
+        balls=stats,
+        max_intersecting=int(count.max(initial=0)),
         counting_bound=4 ** n,
     )
 

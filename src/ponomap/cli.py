@@ -318,16 +318,33 @@ def cmd_norms(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_hausdorff(cfg: RunConfig, out: Path) -> int:
-    a = make_scales(cfg)
-    hcfg = cfg.hausdorff
+def hausdorff_settings(section: dict) -> tuple[list[int], int, int, int]:
+    """(depths, probe_depth, probe_level, random_covers) of a hausdorff
+    section; keys it omits take their DEFAULT_CONFIG values."""
+    defaults = DEFAULT_CONFIG["hausdorff"]
+    unknown = set(section) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown hausdorff fields {sorted(unknown)}")
+    merged = {**defaults, **section}
     try:
-        depths = [int(d) for d in hcfg.get("depths", [0, 1, 2, 4, 8])]
-        probe_depth = int(hcfg.get("probe_depth", 3))
-        probe_level = int(hcfg.get("probe_level", 5))
-        trials = int(hcfg.get("random_covers", 5))
+        depths = [int(d) for d in merged["depths"]]
+        probe_depth = int(merged["probe_depth"])
+        probe_level = int(merged["probe_level"])
+        trials = int(merged["random_covers"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad hausdorff block: {exc}") from exc
+    if any(d < 0 for d in depths):
+        raise ConfigError(f"hausdorff depths must be >= 0, got {depths}")
+    if probe_depth < 1 or probe_level < 1:
+        raise ConfigError("hausdorff probe_depth and probe_level must be >= 1")
+    if trials < 0:
+        raise ConfigError("hausdorff random_covers must be >= 0")
+    return depths, probe_depth, probe_level, trials
+
+
+def cmd_hausdorff(cfg: RunConfig, out: Path) -> int:
+    depths, probe_depth, probe_level, trials = hausdorff_settings(cfg.hausdorff)
+    a = make_scales(cfg)
     uppers = []
     for k in depths:
         if k > cfg.depth:

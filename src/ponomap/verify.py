@@ -9,7 +9,7 @@ everything with unit Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +74,13 @@ class VerifyScale:
     injectivity_pairs: int = 5_000
     mc_samples: int = 200_000
     depth_cap: int = 8
+
+    def __post_init__(self):
+        for f in fields(self):
+            # the Monte Carlo standard error uses ddof=1, so it needs two samples
+            low = 2 if f.name == "mc_samples" else 1
+            if getattr(self, f.name) < low:
+                raise ValueError(f"{f.name} must be >= {low}")
 
 
 def _sup(a: Sequence[float], b: Sequence[float]) -> float:

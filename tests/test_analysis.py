@@ -23,6 +23,7 @@ from ponomap import (
     geometric_sequence,
     grand_norm_report,
     harmonic_sequence,
+    eval_h,
     hausdorff_lower_probe,
     hausdorff_upper_sum,
     lebesgue_level,
@@ -34,7 +35,17 @@ from ponomap import (
     sobolev_depth_profile,
     sobolev_norm,
 )
-from ponomap.analysis import upper_sum_at_scale
+from ponomap import analysis
+from ponomap.analysis import (
+    BallProbe,
+    LowerProbeReport,
+    _cube_in_ball,
+    _dist_to_cube,
+    _farthest_corner,
+    _vertices,
+    upper_sum_at_scale,
+)
+from ponomap.cantor import descendant_count
 
 LOG_TAU = TauSpec(family="iterated_log", iterations=1, exponent=1.0, shift=math.e)
 LOG_GAUGE = GaugeSpec(n=2, tau=LOG_TAU)
@@ -85,8 +96,6 @@ def test_upper_sum_k0_single_cube():
     pack = harmonic_pack()
     rep = hausdorff_upper_sum(LOG_GAUGE, pack, 0)
     assert rep.count == 1
-    from ponomap import eval_h
-
     assert rep.total == eval_h(LOG_GAUGE, 2.0 * math.sqrt(2))
     assert rep.ratio_to_one == rep.total
 
@@ -168,8 +177,6 @@ def test_lower_probe_counts_match_brute_force():
     rng = np.random.default_rng(5)
     cover = random_cover(pack, 2, rng, extra_depth=3)
     rep = hausdorff_lower_probe(LOG_GAUGE, pack, cover, 4)
-    from ponomap.analysis import _cube_in_ball, _dist_to_cube
-
     for ball, probe in zip(cover, rep.balls):
         m = probe.min_contained_depth
         brute_intersect = sum(
@@ -190,6 +197,186 @@ def test_lower_probe_coverage_error():
     small = Ball(word=word, radius=pack.r[1], center=center(word, pack))
     with pytest.raises(CoverageError):
         hausdorff_lower_probe(LOG_GAUGE, pack, [small], 3)
+
+
+# scalar reference walk for the probe: every ball walked from the root by a
+# recursive fsum test of each child, coverage kept as a set of cube indices
+
+
+def _ref_children(pack, zc, depth):
+    half = 0.5 * pack.r[depth - 1]
+    for v in _vertices(pack.n):
+        yield tuple(zc[i] + half * v[i] for i in range(pack.n))
+
+
+def _ref_frontiers(pack, ball, max_depth):
+    """Per-depth lists of the centers of cubes intersecting the ball."""
+    frontier = [(0.0,) * pack.n]
+    for d in range(1, max_depth + 1):
+        frontier = [child for zc in frontier for child in _ref_children(pack, zc, d)
+                    if _dist_to_cube(ball.center, child, pack.r[d]) <= ball.radius]
+        yield d, frontier
+
+
+def _ref_contained_blocks(pack, ball, level):
+    """Index blocks [start, stop) of depth-``level`` cubes inside the ball."""
+    blocks = []
+
+    def visit(zc, depth, index):
+        if depth >= 1 and _cube_in_ball(ball.center, zc, pack.r[depth], ball.radius):
+            span = descendant_count(depth, level, pack.n)
+            blocks.append((index * span, index * span + span))
+            return
+        if depth == level:
+            return
+        for ci, child in enumerate(_ref_children(pack, zc, depth + 1)):
+            if _dist_to_cube(ball.center, child, pack.r[depth + 1]) <= ball.radius:
+                visit(child, depth + 1, index * 2 ** pack.n + ci)
+
+    visit((0.0,) * pack.n, 0, 0)
+    return blocks
+
+
+def reference_lower_probe(h, pack, cover, level):
+    per_cube = eval_h(h, 2.0 * math.sqrt(pack.n) * pack.r[level])
+    covered = set()
+    stats = []
+    for ball in cover:
+        contained = 0
+        for start, stop in _ref_contained_blocks(pack, ball, level):
+            contained += stop - start
+            covered.update(range(start, stop))
+        min_depth, intersecting = None, 0
+        for d, frontier in _ref_frontiers(pack, ball, level):
+            if any(_cube_in_ball(ball.center, zc, pack.r[d], ball.radius)
+                   for zc in frontier):
+                min_depth, intersecting = d, len(frontier)
+                break
+        stats.append(BallProbe(word=str(ball.word), radius=ball.radius,
+                               min_contained_depth=min_depth,
+                               intersecting_count=intersecting,
+                               contained_count=contained,
+                               dominated_sum=contained * per_cube))
+    total = 2 ** (pack.n * level)
+    if len(covered) != total:
+        raise CoverageError(
+            f"cover misses {total - len(covered)} of {total} depth-{level} cubes")
+    cover_sum = math.fsum(eval_h(h, 2.0 * b.radius) for b in cover)
+    reference = hausdorff_upper_sum(h, pack, level).total
+    return LowerProbeReport(
+        level=level,
+        cover_sum=cover_sum,
+        reference_upper_sum=reference,
+        ratio=cover_sum / reference,
+        balls=tuple(stats),
+        max_intersecting=max((b.intersecting_count for b in stats), default=0),
+        counting_bound=4 ** pack.n,
+    )
+
+
+def _probe_outcome(probe, h, pack, cover, level):
+    try:
+        return probe(h, pack, cover, level)
+    except CoverageError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n, cases", [
+    (2, ((1, 3), (2, 5), (4, 6))),
+    (3, ((1, 3), (2, 4), (3, 3))),
+])
+def test_lower_probe_matches_scalar_reference(n, cases):
+    tau = TauSpec(family="log", shift=math.e)
+    gauge = GaugeSpec(n=n, tau=tau)
+    rng = np.random.default_rng(31)
+    packs = [SequencePack.from_standard(n, finite_measure_sequence(tau, n, 8)),
+             SequencePack.from_standard(n, harmonic_sequence(8)),
+             SequencePack.from_standard(n, geometric_sequence(8, 0.4))]
+    for pack in packs:
+        for m, level in cases:
+            canon = canonical_cover(pack, m)
+            covers = [canon, random_cover(pack, m, rng),
+                      canon[1:],  # drops the first cube's ball
+                      [Ball(word=b.word, radius=pack.r[m], center=b.center)
+                       for b in canon]]
+            got = [_probe_outcome(hausdorff_lower_probe, gauge, pack, c, level)
+                   for c in covers]
+            assert got == [_probe_outcome(reference_lower_probe, gauge, pack, c, level)
+                           for c in covers]
+            assert got[2].startswith("cover misses")
+
+
+def _containment_tie(c, z, r):
+    """Smallest radius at which the scalar test puts the cube Q(z, r) inside
+    the ball at c."""
+    rho = _farthest_corner(c, z, r) / analysis._IN_BALL_SLACK
+    while not _cube_in_ball(c, z, r, rho):
+        rho = math.nextafter(rho, math.inf)
+    while _cube_in_ball(c, z, r, math.nextafter(rho, 0.0)):
+        rho = math.nextafter(rho, 0.0)
+    return rho
+
+
+def _tie_balls(pack, m):
+    """Balls in the first depth-m cube on both sides of exact decision ties.
+
+    Each pair is (radius, the next float below it).  The ball at the cube's
+    center is tied with the gap distance to a sibling (across one face and
+    across all coordinates) and with the smallest radius that contains its
+    own cube.  For n >= 3 a ball moved off center is tied with its own cube
+    where the left-to-right float sum of the squares differs from fsum, so
+    a decision taken from that sum alone would differ from the scalar one.
+    """
+    words = list(all_words(pack.n, m))
+    word, r = words[0], pack.r[m]
+    c = center(word, pack)
+    ties = [(c, _dist_to_cube(c, center(words[j], pack), r))
+            for j in (1, 2 ** pack.n - 1)]
+    ties.append((c, _containment_tie(c, c, r)))
+    if pack.n >= 3:
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            off = tuple(zi + r * u for zi, u in zip(c, rng.uniform(-0.25, 0.25, pack.n)))
+            acc = 0.0
+            for oi, zi in zip(off, c):
+                acc += (abs(oi - zi) + r) ** 2
+            if math.sqrt(acc) != _farthest_corner(off, c, r):
+                break
+        else:
+            raise AssertionError("no rounding difference found")
+        ties.append((off, _containment_tie(off, c, r)))
+    return [(Ball(word=word, radius=rho, center=at),
+             Ball(word=word, radius=math.nextafter(rho, 0.0), center=at))
+            for at, rho in ties]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lower_probe_exact_ties(n, monkeypatch):
+    tau = TauSpec(family="log", shift=math.e)
+    gauge = GaugeSpec(n=n, tau=tau)
+    pack = SequencePack.from_standard(n, harmonic_sequence(8))
+    m, level = 2, 4
+    canon = canonical_cover(pack, m)
+    rechecked = {"dist": 0, "in_ball": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            rechecked[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "_dist_to_cube", counted("dist", _dist_to_cube))
+    monkeypatch.setattr(analysis, "_cube_in_ball", counted("in_ball", _cube_in_ball))
+    for at, below in _tie_balls(pack, m):
+        reports = []
+        for ball in (at, below):
+            rep = hausdorff_lower_probe(gauge, pack, canon + [ball], level)
+            assert rep == reference_lower_probe(gauge, pack, canon + [ball], level)
+            reports.append(rep.balls[-1])
+        # one float of radius flips a decision, so the tie is a real one
+        assert reports[0] != reports[1]
+    # the near-tie pairs went to the scalar tests
+    assert rechecked["dist"] > 0 and rechecked["in_ball"] > 0
 
 
 # ---------------------------------------------------------------------------

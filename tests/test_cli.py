@@ -180,6 +180,13 @@ def test_config_errors(tmp_path):
                       "sequence": {"kind": "geometric", "ratio": 2}}),
         ("hausdorff", {"hausdorff": {"probe_level": "x"}}),
         ("sequence", {"eps_grid": 5}),
+        ("hausdorff", {"hausdorff": {"probe_lvl": 2}}),
+        ("hausdorff", {"hausdorff": {"random_covers": -1}}),
+        ("hausdorff", {"hausdorff": {"depths": [-1, 2]}}),
+        ("hausdorff", {"hausdorff": {"probe_level": 0}}),
+        ("hausdorff", {"hausdorff": {"probe_depth": 0}}),
+        ("verify", {"verify": {"mc_samples": -5}}),
+        ("verify", {"verify": {"face_depth": 0}}),
     ]
     for i, (command, cfg) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
