@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cantor import (
     SequencePack,
@@ -42,6 +41,18 @@ from .cantor import (
 from .errors import CoverageError, DepthError, ToleranceError
 from .gauge import GaugeSpec, eval_h
 from .mapping import PonomarevMap
+
+# scipy.integrate.quad, bound by _load_quad on the first quadrature: importing
+# scipy costs more than half a second and only shell_integral needs it
+_quad = None
+
+
+def _load_quad():
+    global _quad
+    from scipy.integrate import quad
+    _quad = quad
+    return quad
+
 
 CONVENTION = "max_partials"
 
@@ -254,6 +265,10 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
     return min_depth, intersecting, contained, covered
 
 
+# levels below a random-cover ball's cube at which its centre is anchored
+ANCHOR_DEPTH = 3
+
+
 def canonical_cover(pack: SequencePack, m: int) -> list[Ball]:
     """Balls circumscribing every depth-m cube."""
     if not 1 <= m <= pack.K:
@@ -266,7 +281,7 @@ def canonical_cover(pack: SequencePack, m: int) -> list[Ball]:
 
 
 def random_cover(pack: SequencePack, m: int, rng: np.random.Generator,
-                 extra_depth: int = 3) -> list[Ball]:
+                 extra_depth: int = ANCHOR_DEPTH) -> list[Ball]:
     """One ball per depth-m cube, anchored at a random deeper cube center.
 
     The radius is the smallest that still contains the depth-m cube, so the
@@ -384,6 +399,7 @@ def shell_integral(phi: Callable[[float], float], r: float, R: float, n: int,
         if q == 0.0:
             return front * phi.coefficient * math.log(R / r)
         return front * phi.coefficient * (R ** q - r ** q) / q
+    quad = _quad or _load_quad()
     result = quad(lambda t: phi(t) * t ** (n - 1), r, R,
                   epsabs=0.0, epsrel=min(rel_tol, 1e-11), limit=200,
                   full_output=True)

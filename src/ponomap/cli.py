@@ -156,6 +156,9 @@ def make_scales(cfg: RunConfig) -> tuple[float, ...]:
     if cfg.theorem == 2:
         return null_measure_sequence(cfg.gauge, cfg.depth, safety=cfg.safety)
     seq = cfg.sequence
+    unknown = set(seq) - {"kind", "ratio", "values"}
+    if unknown:
+        raise ConfigError(f"unknown sequence fields {sorted(unknown)}")
     try:
         if "values" in seq:
             vals = tuple(float(v) for v in seq["values"])
@@ -357,6 +360,13 @@ def cmd_hausdorff(cfg: RunConfig, out: Path) -> int:
         payload["lower_probe"] = {"skipped": str(exc)}
         pack = None
     if pack is not None and probe_level <= pack.K:
+        if probe_depth > probe_level:
+            raise ConfigError(f"hausdorff probe_depth {probe_depth} exceeds probe_level "
+                              f"{probe_level}: no depth-{probe_level} cube fits its balls")
+        if trials and probe_depth + analysis.ANCHOR_DEPTH > pack.K:
+            raise ConfigError(
+                f"hausdorff probe_depth {probe_depth} leaves no room for random_covers: "
+                f"their anchors lie {analysis.ANCHOR_DEPTH} levels deeper, past depth {pack.K}")
         rng = np.random.default_rng(cfg.seed)
         canonical = analysis.hausdorff_lower_probe(
             cfg.gauge, pack, analysis.canonical_cover(pack, probe_depth),

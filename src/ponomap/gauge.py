@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     ConstructionError,
     GaugeRangeError,
@@ -38,9 +40,15 @@ from .errors import (
 TAU_FAMILIES = ("constant", "log", "log_power", "iterated_log", "composed")
 RAW_FAMILIES = ("power", "log_inverse", "exp_inverse")
 
-# coarse scan used to locate the first sign crossing of t^n*tau(pt) - 1
+# coarse log grid used to locate the first sign crossing of t^n*tau(pt) - 1:
+# 256 points per decade over 12 decades, ending at t = 1
 _SCAN_DECADES = 12
-_SCAN_PER_DECADE = 256
+_SCAN_COUNT = _SCAN_DECADES * 256
+_SCAN_GRID = np.array([10.0 ** (-_SCAN_DECADES * (1.0 - i / _SCAN_COUNT))
+                       for i in range(1, _SCAN_COUNT + 1)])
+# grid points whose array-form g is within this of 0 (or NaN) are decided
+# again by the scalar g; the two forms agree to ~1e-15 near the crossing
+_SCAN_MARGIN = 1e-9
 
 
 def _stable_log_arg(shift: float, t: float) -> float:
@@ -117,6 +125,30 @@ class TauSpec:
 
     def __call__(self, t: float) -> float:
         return max(1.0, self.raw_value(t))
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """``__call__`` over an array of t > 0, the clamp at 1 included.
+
+        Same formulas as ``raw_value``; NaN in the clamp propagates instead of
+        reading as 1, and overflow gives inf instead of raising.
+        """
+        if self.family == "constant":
+            raw = np.full(t.shape, self.value)
+        elif self.family == "composed":
+            raw = np.ones(t.shape)
+            for f in self.factors:
+                raw *= f.values(t)
+        else:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                x = math.log(self.shift) + np.log1p(1.0 / (self.shift * t))
+                dead = x <= 0.0
+                for _ in range(self._log_depth() - 1):
+                    x = np.log(np.where(dead, 1.0, x))
+                    dead |= x <= 0.0
+                if self.family != "log":
+                    x = x ** self.exponent
+            raw = np.where(dead, 0.0, x)
+        return np.maximum(1.0, raw)
 
     def clamps_at(self, t: float) -> bool:
         return self.raw_value(t) < 1.0
@@ -328,37 +360,35 @@ def eval_h(spec: GaugeSpec, t: float) -> float:
     return out
 
 
-def _first_crossing_root(tau_fn, p: float, n: int, tol: float,
-                         per_decade: int = _SCAN_PER_DECADE) -> float:
-    """First t in (0, 1] where g(t) = t^n * tau_fn(p t) - 1 crosses to >= 0.
+def _first_crossing_root(tau, p: float, n: int, tol: float) -> float:
+    """First t in (0, 1] where g(t) = t^n * tau(p t) - 1 crosses to >= 0.
 
-    Coarse log-grid scan (``per_decade`` points per decade over
-    ``_SCAN_DECADES`` decades) followed by bisection.  The scan guarantees
-    g < 0 at all grid points below the returned root, which is the strict
+    ``tau`` is called on floats and its ``values`` on arrays.  g is
+    evaluated on the whole scan grid at once; grid points not clearly
+    below 0 are decided again, in grid order, by the scalar g, and the
+    first one at >= 0 closes the bracket for the bisection.  So g < 0 at
+    all grid points below the returned root, which is the strict
     inequality the construction relies on below the crossing.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
 
     def g(t: float) -> float:
-        return t ** n * tau_fn(p * t) - 1.0
+        return t ** n * tau(p * t) - 1.0
 
-    count = _SCAN_DECADES * per_decade
     lo_t = 10.0 ** (-_SCAN_DECADES)
-    prev = lo_t
-    gprev = g(prev)
-    if gprev >= 0.0:
+    if g(lo_t) >= 0.0:
         raise HypothesisViolatedError(
-            f"t^{n}*tau({p}*t) >= 1 already at t={prev:g}; tau grows too fast near 0"
+            f"t^{n}*tau({p}*t) >= 1 already at t={lo_t:g}; tau grows too fast near 0"
         )
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_grid = _SCAN_GRID ** n * tau.values(p * _SCAN_GRID) - 1.0
     bracket = None
-    for i in range(1, count + 1):
-        t = 10.0 ** (-_SCAN_DECADES * (1.0 - i / count))
-        gt = g(t)
-        if gt >= 0.0:
-            bracket = (prev, t)
+    for i in np.flatnonzero(~(g_grid < -_SCAN_MARGIN)).tolist():
+        t = float(_SCAN_GRID[i])
+        if g(t) >= 0.0:
+            bracket = (float(_SCAN_GRID[i - 1]) if i else lo_t, t)
             break
-        prev, gprev = t, gt
     if bracket is None:
         raise NoRootError(f"t^{n}*tau({p}*t) < 1 on all of (0, 1]")
     lo, hi = bracket

@@ -2,9 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ponomap
 from ponomap.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -166,7 +171,7 @@ def test_verify_deterministic_bytes(config_path, tmp_path):
     assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["sequence", "--config", str(missing),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -193,6 +198,43 @@ def test_config_errors(tmp_path):
         path.write_text(json.dumps(cfg))
         assert main([command, "--config", str(path),
                      "--out", str(tmp_path)]) == EXIT_CONFIG, cfg
+    # the error names the offending key
+    named = [
+        ("sequence", {"theorem": "custom",
+                      "sequence": {"kind": "harmonic", "bogus": 1}}, "bogus"),
+        # random covers anchor 3 levels below probe_depth: 3 + 3 > 5
+        ("hausdorff", {"depth": 5}, "probe_depth"),
+        # a depth-4 ball cannot hold a depth-3 cube
+        ("hausdorff", {"hausdorff": {"probe_depth": 4, "probe_level": 3}}, "probe_depth"),
+    ]
+    capsys.readouterr()
+    for i, (command, cfg, key) in enumerate(named):
+        path = tmp_path / f"named{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_CONFIG, cfg
+        assert key in capsys.readouterr().err, cfg
+    # the same geometry is fine where the probe does not run or has no
+    # random covers
+    for i, cfg in enumerate([{"depth": 5, "hausdorff": {"random_covers": 0}},
+                             {"depth": 4},
+                             {"hausdorff": {"probe_depth": 6, "probe_level": 5},
+                              "depth": 4}]):
+        out = tmp_path / f"ok{i}"
+        path = tmp_path / f"ok{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["hausdorff", "--config", str(path), "--out", str(out)]) == EXIT_OK, cfg
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the shell quadrature alone, on its first use
+    code = "import sys, ponomap.cli; sys.exit('scipy' in sys.modules)"
+    src = str(Path(ponomap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_numeric_error_exit(tmp_path):

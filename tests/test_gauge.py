@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from ponomap import (
@@ -15,7 +16,15 @@ from ponomap import (
     null_measure_sequence,
     tau_root,
 )
-from ponomap.gauge import _first_crossing_root, check_gauge_monotone, check_tau_invariants
+from ponomap import gauge
+from ponomap.gauge import (
+    _SCAN_DECADES,
+    _SCAN_GRID,
+    _SCAN_MARGIN,
+    _first_crossing_root,
+    check_gauge_monotone,
+    check_tau_invariants,
+)
 
 LOGLOG = TauSpec(family="iterated_log", iterations=2, exponent=1.0, shift=4.0)
 LOG_E = TauSpec(family="log", shift=math.e)
@@ -27,6 +36,13 @@ FAMILIES = [
     TauSpec(family="iterated_log", iterations=1, exponent=0.5, shift=math.e),
     LOGLOG,
     TauSpec(family="composed", factors=(LOG_E, TauSpec(family="constant", value=1.5))),
+]
+
+# taus whose raw value drops under 1 on the scan arguments: in part (three
+# nested logs of 16 + 1/t), and everywhere, through a log that reaches <= 0
+CLAMPED = [
+    TauSpec(family="iterated_log", iterations=3, exponent=1.0, shift=16.0),
+    TauSpec(family="iterated_log", iterations=4, exponent=0.5, shift=math.e),
 ]
 
 RAW_GAUGES = [
@@ -135,13 +151,132 @@ def test_tau_root_identity_and_strictness():
                 assert t ** 2 * tau(p * t) < 1.0
 
 
+class _ExprTau:
+    """A tau given by one expression that takes floats and arrays alike."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, t):
+        return self.fn(t)
+
+    def values(self, t):
+        return self.fn(t) * np.ones_like(t)
+
+
 def test_tau_root_error_paths():
     with pytest.raises(HypothesisViolatedError):
-        _first_crossing_root(lambda t: 1.0 / t ** 3, 1.0, 2, 1e-12)
+        _first_crossing_root(_ExprTau(lambda t: 1.0 / t ** 3), 1.0, 2, 1e-12)
+    with pytest.raises(HypothesisViolatedError):
+        tau_root(TauSpec(family="constant", value=1e30), 1.0, 2)
     with pytest.raises(NoRootError):
-        _first_crossing_root(lambda t: 0.5, 1.0, 2, 1e-12)
+        _first_crossing_root(_ExprTau(lambda t: 0.5), 1.0, 2, 1e-12)
     with pytest.raises(ValueError):
         tau_root(LOG_E, 0.0, 2)
+
+
+def reference_first_crossing_root(tau_fn, p, n, tol):
+    """Scalar reference for ``_first_crossing_root``: g at every grid point
+    in order up to the first at >= 0, then the same bisection."""
+
+    def g(t):
+        return t ** n * tau_fn(p * t) - 1.0
+
+    count = _SCAN_DECADES * 256
+    prev = 10.0 ** (-_SCAN_DECADES)
+    if g(prev) >= 0.0:
+        raise HypothesisViolatedError("tau grows too fast near 0")
+    bracket = None
+    for i in range(1, count + 1):
+        t = 10.0 ** (-_SCAN_DECADES * (1.0 - i / count))
+        if g(t) >= 0.0:
+            bracket = (prev, t)
+            break
+        prev = t
+    if bracket is None:
+        raise NoRootError("no crossing")
+    lo, hi = bracket
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if g(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    assert abs(g(hi)) <= tol
+    return hi
+
+
+def test_scan_grid_is_the_scalar_grid():
+    count = _SCAN_DECADES * 256
+    assert _SCAN_GRID.tolist() == [10.0 ** (-_SCAN_DECADES * (1.0 - i / count))
+                                   for i in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("tau", FAMILIES + CLAMPED, ids=lambda t: str(t.to_dict()))
+def test_tau_values_match_scalar_on_scan_grid(tau):
+    # the array form of tau and of g against the scalar forms, on every
+    # argument the scan feeds them; the gap must sit far inside the margin
+    worst_tau = worst_g = 0.0
+    for p in (1.0, 0.3, 2.0 ** -20, 2.0 ** -40):
+        x = p * _SCAN_GRID
+        scalar = np.array([tau(float(a)) for a in x])
+        worst_tau = max(worst_tau, float(np.max(np.abs(tau.values(x) - scalar) / scalar)))
+        for n in (2, 3):
+            g_np = _SCAN_GRID ** n * tau.values(x) - 1.0
+            g_sc = np.array([float(t) ** n * tau(p * float(t)) - 1.0 for t in _SCAN_GRID])
+            gap = np.abs(g_np - g_sc) / np.maximum(1.0, np.abs(g_sc))
+            worst_g = max(worst_g, float(np.max(gap)))
+    assert worst_tau <= 4 * 2.0 ** -52
+    assert worst_g <= 1e-14 < _SCAN_MARGIN * 1e-4
+
+
+def test_clamped_taus_clamp_on_scan_grid():
+    for tau in CLAMPED:
+        clamps = np.array([tau.clamps_at(float(t)) for t in _SCAN_GRID])
+        assert clamps.any()
+        assert (tau.values(_SCAN_GRID)[clamps] == 1.0).all()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_roots_equal_reference_scan(n, monkeypatch):
+    for tau in FAMILIES + CLAMPED:
+        for p in (1.0, 0.3, 2.0 ** -33):
+            assert tau_root(tau, p, n) == reference_first_crossing_root(tau, p, n, 1e-12)
+    got = [finite_measure_sequence(tau, n, 40) for tau in FAMILIES + CLAMPED]
+    monkeypatch.setattr(gauge, "_first_crossing_root", reference_first_crossing_root)
+    assert got == [finite_measure_sequence(tau, n, 40) for tau in FAMILIES + CLAMPED]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tau_root_exact_ties_on_grid(n, monkeypatch):
+    # constant tau = 1/t_i^n puts g(t_i) within an ulp of 0; its float
+    # neighbours put it just above and just below.  Where numpy's t^n differs
+    # from the scalar pow in the last bit, the two forms of g can disagree in
+    # sign at such a tie, so those grid points are included.
+    scalar_pow = np.array([float(t) ** n for t in _SCAN_GRID])
+    off_by_ulp = np.flatnonzero(_SCAN_GRID ** n != scalar_pow)[:3].tolist()
+    args = []
+    scalar_call = TauSpec.__call__
+
+    def spy(self, t):
+        args.append(t)
+        return scalar_call(self, t)
+
+    monkeypatch.setattr(TauSpec, "__call__", spy)
+    for i in [5, 1000, 2047, 3070] + off_by_ulp:
+        t_i = float(_SCAN_GRID[i])
+        v = 1.0 / t_i ** n
+        for value in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)):
+            tau = TauSpec(family="constant", value=value)
+            assert abs(t_i ** n * value - 1.0) <= 8 * 2.0 ** -52
+            expected = reference_first_crossing_root(tau, 1.0, n, 1e-12)
+            args.clear()
+            assert tau_root(tau, 1.0, n) == expected
+            # after the check at the grid's low end, the scalar g decides
+            # t_i itself before any bisection step
+            assert args[:2] == [10.0 ** -_SCAN_DECADES, t_i]
 
 
 def test_finite_measure_sequence_identity():
