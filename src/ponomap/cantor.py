@@ -246,11 +246,11 @@ class Descent:
 
 
 def check_point(x: Sequence[float], n: int) -> tuple[float, ...]:
-    pt = tuple(float(c) for c in x)
+    pt = tuple(map(float, x))
     if len(pt) != n:
         raise DomainError(f"expected {n} coordinates, got {len(pt)}")
     for c in pt:
-        if math.isnan(c) or abs(c) > 1.0:
+        if not -1.0 <= c <= 1.0:  # NaN fails the comparison too
             raise DomainError(f"point {pt!r} outside [-1,1]^{n}")
     return pt
 
@@ -268,21 +268,27 @@ def descend(x: Sequence[float], pack: SequencePack, max_depth: int,
     if not 1 <= max_depth <= pack.K:
         raise DepthError(f"max_depth {max_depth} outside 1..{pack.K}")
     x = check_point(x, n)
-    drive = pack.r if side == "domain" else pack.rt
+    r, rt = pack.r, pack.rt
+    drive = r if side == "domain" else rt
     z = [0.0] * n
     zt = [0.0] * n
     signs: list[tuple[int, ...]] = []
     base = z if side == "domain" else zt
-    m = max(abs(c) for c in x)
+    coords = range(n)
+    m = max(map(abs, x))
+    # u = x - base for the current centre: it gives this level's m and the
+    # next level's signs (x - 0.0 is x, so the first level reads x itself)
+    u = x
     for k in range(1, max_depth + 1):
-        v = tuple(1 if x[i] - base[i] > 0.0 else -1 for i in range(n))
-        half = 0.5 * pack.r[k - 1]
-        halft = 0.5 * pack.rt[k - 1]
-        for i in range(n):
+        v = tuple([1 if c > 0.0 else -1 for c in u])
+        half = 0.5 * r[k - 1]
+        halft = 0.5 * rt[k - 1]
+        for i in coords:
             z[i] += half * v[i]
             zt[i] += halft * v[i]
         signs.append(v)
-        m = max(abs(x[i] - base[i]) for i in range(n))
+        u = [x[i] - base[i] for i in coords]
+        m = max(map(abs, u))
         if m > drive[k]:
             return Descent("annulus", k, tuple(signs), tuple(z), tuple(zt), m)
     return Descent("core", max_depth, tuple(signs), tuple(z), tuple(zt), m)

@@ -123,6 +123,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for section in ("sequence", "hausdorff", "verify"):
         if not isinstance(data[section], dict):
             raise ConfigError(f"{section} must be a JSON object")
+    unknown = set(data["sequence"]) - {"kind", "ratio", "values"}
+    if unknown:
+        raise ConfigError(f"unknown sequence fields {sorted(unknown)}")
     try:
         safety = float(data["safety"])
     except (TypeError, ValueError) as exc:
@@ -156,9 +159,6 @@ def make_scales(cfg: RunConfig) -> tuple[float, ...]:
     if cfg.theorem == 2:
         return null_measure_sequence(cfg.gauge, cfg.depth, safety=cfg.safety)
     seq = cfg.sequence
-    unknown = set(seq) - {"kind", "ratio", "values"}
-    if unknown:
-        raise ConfigError(f"unknown sequence fields {sorted(unknown)}")
     try:
         if "values" in seq:
             vals = tuple(float(v) for v in seq["values"])
@@ -273,9 +273,9 @@ def cmd_eval(cfg: RunConfig, out: Path, points_path: Path) -> int:
                 writer.writerow([""] * (3 * n) + ["", f"error: {row}"])
                 continue
             try:
-                y = pmap.eval(row)
-                back = pmap.eval_inverse(y)
                 loc = pmap.locate(row)
+                y = pmap.eval(row, loc)
+                back = pmap.eval_inverse(y)
             except PonomapError as exc:
                 writer.writerow([repr(v) for v in row] + [""] * (2 * n)
                                 + ["", f"error: {exc}"])
@@ -398,7 +398,7 @@ def cmd_render(cfg: RunConfig, out: Path) -> int:
     render.write_grid_csv(out / "render_grid.csv", samples, comments)
     disp = render.displacement_field(samples, res)
     render.write_pgm(out / "displacement.pgm", render.grayscale(disp), comments)
-    jac = render.jacobian_field(pmap, res)
+    jac = render.jacobian_field(samples, res)
     render.write_ppm(out / "jacobian.ppm", render.diverging_colors(jac), comments)
     grid = render.grid_distortion(pmap, res)
     render.write_pgm(out / "grid.pgm", grid, comments)

@@ -59,11 +59,17 @@ class PonomarevMap:
     def K(self) -> int:
         return self.pack.K
 
-    def eval(self, x: Sequence[float]) -> tuple[float, ...]:
-        """f_K(x) for x in the closed cube; identity on the boundary."""
+    def eval(self, x: Sequence[float],
+             located: Descent | None = None) -> tuple[float, ...]:
+        """f_K(x) for x in the closed cube; identity on the boundary.
+
+        ``located``, when given, must be ``self.locate(x)`` for this same x;
+        it replaces the domain descent, so one descent can serve ``eval``,
+        ``jacobian_det`` and ``derivative`` of one point.
+        """
         pack = self.pack
         x = check_point(x, pack.n)
-        d = descend(x, pack, pack.K, "domain")
+        d = descend(x, pack, pack.K, "domain") if located is None else located
         if d.region == "annulus":
             k = d.depth
             scale = (pack.alpha[k] * d.m + pack.beta[k]) / d.m
@@ -84,15 +90,15 @@ class PonomarevMap:
             scale = pack.r[pack.K] / pack.rt[pack.K]
         return tuple(d.z[i] + scale * (y[i] - d.zt[i]) for i in range(pack.n))
 
-    def locate(self, x: Sequence[float], max_depth: int | None = None) -> Descent:
-        """Domain descent of x to max_depth (default K).  Inner cubes are
-        closed, so face points keep descending."""
-        return descend(x, self.pack, self.K if max_depth is None else max_depth)
+    def locate(self, x: Sequence[float]) -> Descent:
+        """Domain descent of x to depth K.  Inner cubes are closed, so face
+        points keep descending."""
+        return descend(x, self.pack, self.K)
 
-    def _annulus_state(self, x: Sequence[float]):
+    def _annulus_state(self, x: Sequence[float], located: Descent | None):
         pack = self.pack
         x = check_point(x, pack.n)
-        d = descend(x, pack, pack.K, "domain")
+        d = descend(x, pack, pack.K, "domain") if located is None else located
         if d.region == "core":
             return x, d, None
         u = [x[i] - d.z[i] for i in range(pack.n)]
@@ -104,7 +110,8 @@ class PonomarevMap:
         active = max(range(pack.n), key=lambda i: abs(u[i]))
         return x, d, (u, active)
 
-    def derivative(self, x: Sequence[float]) -> tuple[np.ndarray, DerivativeInfo]:
+    def derivative(self, x: Sequence[float],
+                   located: Descent | None = None) -> tuple[np.ndarray, DerivativeInfo]:
         """Exact pointwise Jacobian matrix.
 
         On the annulus of depth k with m attained at coordinate j:
@@ -113,10 +120,10 @@ class PonomarevMap:
 
         with u = x - z_v.  On a depth-K core the matrix is (rt_K/r_K) * I.
         Raises RidgeSetError when the sup norm is attained by two coordinates
-        within relative tolerance 1e-12.
+        within relative tolerance 1e-12.  ``located`` is as in ``eval``.
         """
         pack = self.pack
-        x, d, annulus = self._annulus_state(x)
+        x, d, annulus = self._annulus_state(x, located)
         n = pack.n
         if annulus is None:
             scale = pack.rt[pack.K] / pack.r[pack.K]
@@ -133,11 +140,13 @@ class PonomarevMap:
             mat[i, j] -= beta * u[i] * sigma / (m * m)
         return mat, DerivativeInfo(depth=k, region="annulus", active=j)
 
-    def jacobian_det(self, x: Sequence[float]) -> float:
+    def jacobian_det(self, x: Sequence[float],
+                     located: Descent | None = None) -> float:
         """Closed-form determinant: alpha (alpha + beta/m)^(n-1) on annuli,
-        (rt_K/r_K)^n on cores; strictly positive throughout."""
+        (rt_K/r_K)^n on cores; strictly positive throughout.  ``located`` is
+        as in ``eval``."""
         pack = self.pack
-        x, d, annulus = self._annulus_state(x)
+        x, d, annulus = self._annulus_state(x, located)
         if annulus is None:
             return (pack.rt[pack.K] / pack.r[pack.K]) ** pack.n
         k = d.depth

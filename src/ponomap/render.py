@@ -28,6 +28,7 @@ class GridSample:
     y: tuple[float, float]
     depth: int
     region: str
+    jac: float  # Jacobian determinant; NaN on the ridge set
 
 
 def pixel_grid(resolution: int) -> list[float]:
@@ -37,7 +38,8 @@ def pixel_grid(resolution: int) -> list[float]:
 
 
 def eval_grid(pmap: PonomarevMap, resolution: int) -> list[GridSample]:
-    """Row-major samples over the closed cube (n = 2 only)."""
+    """Row-major samples over the closed cube (n = 2 only); one domain
+    descent per pixel serves the image, the location and the Jacobian."""
     if pmap.n != 2:
         raise ValueError("grid rendering supports n = 2 only")
     axis = pixel_grid(resolution)
@@ -47,9 +49,14 @@ def eval_grid(pmap: PonomarevMap, resolution: int) -> list[GridSample]:
         for col in range(resolution):
             x1 = axis[col]
             x = (x1, x2)
-            y = pmap.eval(x)
             loc = pmap.locate(x)
-            out.append(GridSample(x=x, y=y, depth=loc.depth, region=loc.region))
+            y = pmap.eval(x, loc)
+            try:
+                jac = pmap.jacobian_det(x, loc)
+            except RidgeSetError:
+                jac = math.nan
+            out.append(GridSample(x=x, y=y, depth=loc.depth, region=loc.region,
+                                  jac=jac))
     return out
 
 
@@ -64,19 +71,12 @@ def displacement_field(samples: Sequence[GridSample], resolution: int) -> np.nda
     return field
 
 
-def jacobian_field(pmap: PonomarevMap, resolution: int) -> np.ndarray:
-    """Jacobian determinant per pixel; ridge pixels carry NaN."""
-    if pmap.n != 2:
-        raise ValueError("grid rendering supports n = 2 only")
-    axis = pixel_grid(resolution)
+def jacobian_field(samples: Sequence[GridSample], resolution: int) -> np.ndarray:
+    """Jacobian determinant per pixel of row-major ``eval_grid`` samples;
+    ridge pixels carry NaN."""
     field = np.empty((resolution, resolution))
-    for row in range(resolution):
-        for col in range(resolution):
-            x = (axis[col], -axis[row])
-            try:
-                field[row, col] = pmap.jacobian_det(x)
-            except RidgeSetError:
-                field[row, col] = math.nan
+    for idx, s in enumerate(samples):
+        field[idx // resolution, idx % resolution] = s.jac
     return field
 
 

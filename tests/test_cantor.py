@@ -11,13 +11,15 @@ from ponomap import (
     SequencePack,
     VertexWord,
     all_words,
+    build,
     center,
     dyadic_cube,
     dyadic_preimage,
     geometric_sequence,
     harmonic_sequence,
 )
-from ponomap.cantor import descend, descendant_count
+from ponomap.cantor import Descent, check_point, descend, descendant_count
+from tie_points import log_pack, tie_heavy_points
 
 
 def std_pack(K=10, n=2):
@@ -138,6 +140,43 @@ def test_locate_round_trip_random_annulus_points():
         loc = descend(x, pack, pack.K)
         assert loc.region == "annulus"
         assert loc.word == w
+
+
+def reference_descend(x, pack, max_depth, side="domain"):
+    """The descent loop as first written: each level subtracts the centre
+    once for the signs and once more for m."""
+    n = pack.n
+    x = check_point(x, n)
+    drive = pack.r if side == "domain" else pack.rt
+    z = [0.0] * n
+    zt = [0.0] * n
+    signs = []
+    base = z if side == "domain" else zt
+    m = max(abs(c) for c in x)
+    for k in range(1, max_depth + 1):
+        v = tuple(1 if x[i] - base[i] > 0.0 else -1 for i in range(n))
+        half = 0.5 * pack.r[k - 1]
+        halft = 0.5 * pack.rt[k - 1]
+        for i in range(n):
+            z[i] += half * v[i]
+            zt[i] += halft * v[i]
+        signs.append(v)
+        m = max(abs(x[i] - base[i]) for i in range(n))
+        if m > drive[k]:
+            return Descent("annulus", k, tuple(signs), tuple(z), tuple(zt), m)
+    return Descent("core", max_depth, tuple(signs), tuple(z), tuple(zt), m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_descend_matches_reference_on_tie_heavy_points(n):
+    pack = log_pack(n)
+    pts = tie_heavy_points(n, 60, pack)
+    targets = [build(pack).eval(x) for x in pts]
+    for side, points in (("domain", pts), ("target", targets)):
+        for x in points:
+            for depth in (1, 12, pack.K):
+                got = descend(x, pack, depth, side)
+                assert repr(got) == repr(reference_descend(x, pack, depth, side)), x
 
 
 def test_locate_outside_raises():

@@ -11,6 +11,7 @@ import pytest
 
 import ponomap
 from ponomap.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from tie_points import LOG_TAU, log_pack, tie_heavy_points
 
 
 @pytest.fixture
@@ -163,6 +164,34 @@ def test_golden_bytes(config_path, tmp_path):
     assert got == GOLDEN_SHA256
 
 
+# SHA-256 of eval and render artifacts at the K = 40 log gauge on points
+# tied on shared faces at depths 1-12, cell centres and core points, where
+# the descent's ``> 0.0`` tie rule and the ridge set decide the output
+TIE_GOLDEN_SHA256 = {
+    "eval.csv": "df0fa82e65dbe3a76ee9407edeea4b24170bb31eac4241dd69374fe132deae48",
+    "render_grid.csv": "b734f1d8260152e6058b6c0ef808fee9006ec0d3a43b1371542a8e0adcb2e85b",
+    "jacobian.ppm": "8e133143fea6436cdb251741198263b2553a034c40006aebb21b19a1fd61e338",
+}
+
+
+def test_golden_bytes_tie_heavy(tmp_path):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({"gauge": {"n": 2, "tau": LOG_TAU}, "theorem": 1,
+                               "depth": 40, "seed": 3, "resolution": 33}))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("".join(",".join(repr(c) for c in p) + "\n"
+                           for p in tie_heavy_points(3, 40, log_pack(2, 40))))
+    out = tmp_path / "golden"
+    for command in ("eval", "render"):
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "eval":
+            argv += ["--points", str(pts)]
+        assert main(argv) == EXIT_OK
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in TIE_GOLDEN_SHA256}
+    assert got == TIE_GOLDEN_SHA256
+
+
 def test_verify_deterministic_bytes(config_path, tmp_path):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     for out in (out1, out2):
@@ -202,6 +231,10 @@ def test_config_errors(tmp_path, capsys):
     named = [
         ("sequence", {"theorem": "custom",
                       "sequence": {"kind": "harmonic", "bogus": 1}}, "bogus"),
+        # theorems 1 and 2 use no key of the block but still check them
+        ("sequence", {"theorem": 1, "sequence": {"bogus": 1}}, "bogus"),
+        ("sequence", {"theorem": 2, "sequence": {"kind": "harmonic", "bogus": 1}},
+         "bogus"),
         # random covers anchor 3 levels below probe_depth: 3 + 3 > 5
         ("hausdorff", {"depth": 5}, "probe_depth"),
         # a depth-4 ball cannot hold a depth-3 cube
@@ -214,6 +247,12 @@ def test_config_errors(tmp_path, capsys):
         assert main([command, "--config", str(path),
                      "--out", str(tmp_path)]) == EXIT_CONFIG, cfg
         assert key in capsys.readouterr().err, cfg
+    # a theorem-1 config whose sequence block has only known keys still runs
+    path = tmp_path / "ok_sequence.json"
+    path.write_text(json.dumps({"theorem": 1, "sequence": {"kind": "geometric",
+                                                           "ratio": 0.5}}))
+    assert main(["sequence", "--config", str(path),
+                 "--out", str(tmp_path / "ok_sequence")]) == EXIT_OK
     # the same geometry is fine where the probe does not run or has no
     # random covers
     for i, cfg in enumerate([{"depth": 5, "hausdorff": {"random_covers": 0}},

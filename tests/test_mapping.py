@@ -16,6 +16,8 @@ from ponomap import (
     harmonic_sequence,
 )
 
+from tie_points import log_pack, tie_heavy_points
+
 ULP1 = math.ulp(1.0)
 
 
@@ -357,6 +359,38 @@ def test_ridge_set_error():
         m.derivative(x)
     with pytest.raises(RidgeSetError):
         m.jacobian_det(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_located_point_gives_same_results(n):
+    m = build(log_pack(n))
+    for x in tie_heavy_points(n, 60, m.pack):
+        loc = m.locate(x)
+        assert m.eval(x, loc) == m.eval(x)
+        try:
+            det = m.jacobian_det(x)
+        except RidgeSetError:
+            with pytest.raises(RidgeSetError):
+                m.jacobian_det(x, loc)
+            with pytest.raises(RidgeSetError):
+                m.derivative(x, loc)
+            continue
+        assert m.jacobian_det(x, loc) == det
+        mat, info = m.derivative(x)
+        mat_loc, info_loc = m.derivative(x, loc)
+        assert np.array_equal(mat_loc, mat) and info_loc == info
+
+
+def test_located_ridge_point_raises():
+    m = std_map()
+    z = center(VertexWord(2, ((1, 1),)), m.pack)
+    radius = 0.5 * (m.pack.r[1] + m.pack.r[0] / 2.0)
+    x = (z[0] + radius, z[1] + radius)
+    loc = m.locate(x)
+    with pytest.raises(RidgeSetError):
+        m.derivative(x, loc)
+    with pytest.raises(RidgeSetError):
+        m.jacobian_det(x, loc)
 
 
 def test_eval_domain_errors():

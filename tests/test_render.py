@@ -1,7 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from ponomap import SequencePack, build, geometric_sequence, harmonic_sequence
+from ponomap import (
+    RidgeSetError,
+    SequencePack,
+    build,
+    geometric_sequence,
+    harmonic_sequence,
+)
 from ponomap.render import (
     displacement_field,
     diverging_colors,
@@ -13,6 +21,7 @@ from ponomap.render import (
     write_pgm,
     write_ppm,
 )
+from tie_points import log_pack
 
 
 def test_pixel_grid_includes_boundary():
@@ -25,10 +34,11 @@ def test_pixel_grid_includes_boundary():
 def test_identity_pack_renders_flat():
     a = geometric_sequence(6)
     m = build(SequencePack.from_scales(2, a, a))
-    disp = displacement_field(eval_grid(m, 17), 17)
+    samples = eval_grid(m, 17)
+    disp = displacement_field(samples, 17)
     assert np.max(disp) <= 4e-16
     assert np.all(grayscale(disp) == 0)
-    jac = jacobian_field(m, 17)
+    jac = jacobian_field(samples, 17)
     finite = jac[np.isfinite(jac)]
     assert np.allclose(finite, 1.0, atol=1e-12)
     colors = diverging_colors(jac)
@@ -50,7 +60,7 @@ def test_depth_one_core_pixels_match_geometry():
     m = build(pack)
     res = 41
     samples = eval_grid(m, res)
-    jac = jacobian_field(m, res)
+    jac = jacobian_field(samples, res)
     core_value = (pack.b[1] / pack.a[1]) ** 2
     for idx, s in enumerate(samples):
         x1, x2 = s.x
@@ -63,6 +73,33 @@ def test_depth_one_core_pixels_match_geometry():
         if inside:
             y1, y2 = s.y
             assert max(abs(abs(y1) - 0.5), abs(abs(y2) - 0.5)) <= pack.rt[1] * (1 + 1e-12)
+
+
+def pixel_jacobians(m, res):
+    """Per-pixel reference: jacobian_det with its own descent, NaN on ridges."""
+    axis = pixel_grid(res)
+    field = np.empty((res, res))
+    for row in range(res):
+        for col in range(res):
+            try:
+                field[row, col] = m.jacobian_det((axis[col], -axis[row]))
+            except RidgeSetError:
+                field[row, col] = math.nan
+    return field
+
+
+@pytest.mark.parametrize("pack", [
+    SequencePack.from_standard(2, harmonic_sequence(8)),
+    log_pack(2),
+])
+def test_jacobian_field_matches_per_pixel_loop(pack):
+    m = build(pack)
+    res = 33
+    jac = jacobian_field(eval_grid(m, res), res)
+    ref = pixel_jacobians(m, res)
+    assert np.isnan(ref).any()
+    assert np.array_equal(np.isnan(jac), np.isnan(ref))
+    assert np.array_equal(jac, ref, equal_nan=True)
 
 
 def test_grid_distortion_deterministic_and_binary():
