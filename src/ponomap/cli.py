@@ -25,7 +25,8 @@ import numpy as np
 from . import analysis, render
 from .cantor import SequencePack, geometric_sequence, harmonic_sequence, standard_scales
 from .errors import ConstructionError, PonomapError
-from .gauge import GaugeSpec, eval_h, finite_measure_sequence, null_measure_sequence
+from .gauge import (GaugeSpec, eval_h, finite_measure_sequence, from_json,
+                    null_measure_sequence)
 from .mapping import build
 from .verify import VerifyScale, run_suite
 
@@ -54,19 +55,57 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
+class SequenceSection:
+    """The ``sequence`` section; ``make_scales`` reads it under
+    ``"theorem": "custom"`` only, where ``values`` overrides ``kind``."""
+
+    kind: str
+    ratio: float = 0.5
+    values: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("harmonic", "geometric"):
+            raise ValueError(f"unknown sequence kind {self.kind!r}")
+        if not 0.0 < self.ratio < 1.0:
+            raise ValueError("ratio must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
+class HausdorffSection:
+    """The ``hausdorff`` section: depths of the upper cover sums and the
+    geometry of the lower-bound probe."""
+
+    depths: tuple[int, ...]
+    probe_depth: int
+    probe_level: int
+    random_covers: int
+
+    def __post_init__(self):
+        if any(d < 0 for d in self.depths):
+            raise ValueError(f"depths must be >= 0, got {list(self.depths)}")
+        if self.probe_depth < 1 or self.probe_level < 1:
+            raise ValueError("probe_depth and probe_level must be >= 1")
+        if self.random_covers < 0:
+            raise ValueError("random_covers must be >= 0")
+
+
+SECTIONS = {"sequence": SequenceSection, "hausdorff": HausdorffSection,
+            "verify": VerifyScale}
+
+
+@dataclass(frozen=True)
 class RunConfig:
     gauge: GaugeSpec
     theorem: object  # 1, 2 or "custom"
-    sequence: dict
+    sequence: SequenceSection
     depth: int
     seed: int
     eps_grid: tuple[float, ...]
     resolution: int
     safety: float
-    hausdorff: dict
-    verify: dict
+    hausdorff: HausdorffSection
+    verify: VerifyScale
     digest: str
-    resolved: dict
 
 
 def parse_eps_grid(text: str, n: int) -> tuple[float, ...]:
@@ -97,58 +136,46 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config fields {sorted(unknown)}")
         data.update(loaded)
-    if getattr(args, "depth", None) is not None:
-        data["depth"] = args.depth
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
-    if getattr(args, "eps_grid", None) is not None:
-        data["eps_grid"] = args.eps_grid
-    if getattr(args, "resolution", None) is not None:
-        data["resolution"] = args.resolution
-    if getattr(args, "theorem", None) is not None:
-        data["theorem"] = args.theorem
+    for key in ("depth", "seed", "eps_grid", "resolution", "theorem"):
+        if getattr(args, key, None) is not None:
+            data[key] = getattr(args, key)
 
-    try:
-        gauge = GaugeSpec.from_dict(data["gauge"])
-    except ValueError as exc:
-        raise ConfigError(f"bad gauge spec: {exc}") from exc
-    if data["theorem"] not in (1, 2, "custom"):
-        raise ConfigError("theorem must be 1, 2 or 'custom'")
-    if not isinstance(data["depth"], int) or data["depth"] < 1:
-        raise ConfigError("depth must be an integer >= 1")
-    if not isinstance(data["seed"], int) or data["seed"] < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    if not isinstance(data["resolution"], int) or data["resolution"] < 2:
-        raise ConfigError("resolution must be an integer >= 2")
-    for section in ("sequence", "hausdorff", "verify"):
-        if not isinstance(data[section], dict):
-            raise ConfigError(f"{section} must be a JSON object")
-    unknown = set(data["sequence"]) - {"kind", "ratio", "values"}
-    if unknown:
-        raise ConfigError(f"unknown sequence fields {sorted(unknown)}")
-    try:
-        safety = float(data["safety"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad safety {data['safety']!r}") from exc
-    if not 0.0 < safety < 1.0:
-        raise ConfigError("safety must lie in (0, 1)")
+    gauge = parse_section("gauge", data)
+    sections = {name: parse_section(name, data) for name in SECTIONS}
+    theorem = data["theorem"]
+    if type(theorem) not in (int, str) or theorem not in (1, 2, "custom"):
+        raise ConfigError(f"theorem must be 1, 2 or 'custom', got {theorem!r}")
+    for key, low in (("depth", 1), ("seed", 0), ("resolution", 2)):
+        if type(data[key]) is not int or data[key] < low:
+            raise ConfigError(f"{key} must be a JSON integer >= {low}, got {data[key]!r}")
+    safety = data["safety"]
+    if type(safety) is not float or not 0.0 < safety < 1.0:
+        raise ConfigError(f"safety must be a number in (0, 1), got {safety!r}")
     eps = parse_eps_grid(data["eps_grid"], gauge.n)
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
-    return RunConfig(
-        gauge=gauge,
-        theorem=data["theorem"],
-        sequence=data["sequence"],
-        depth=data["depth"],
-        seed=data["seed"],
-        eps_grid=eps,
-        resolution=data["resolution"],
-        safety=safety,
-        hausdorff=data["hausdorff"],
-        verify=data["verify"],
-        digest=digest,
-        resolved=data,
-    )
+    return RunConfig(gauge=gauge, theorem=theorem, depth=data["depth"], seed=data["seed"],
+                     eps_grid=eps, resolution=data["resolution"], safety=safety,
+                     digest=digest, **sections)
+
+
+def parse_section(name: str, data: dict):
+    """Section ``name`` of the merged config ``data`` as its typed value.
+
+    The gauge section is read whole; any other section is a dict whose
+    omitted keys take their ``DEFAULT_CONFIG`` values, then the defaults of
+    its dataclass in ``SECTIONS``.  An unknown key or a value of the wrong
+    type or range is a ConfigError that names the key.
+    """
+    section = data[name]
+    try:
+        if name == "gauge":
+            return GaugeSpec.from_dict(section)
+        if not isinstance(section, dict):
+            raise ValueError("expected a JSON object")
+        return from_json(SECTIONS[name], {**DEFAULT_CONFIG[name], **section})
+    except ValueError as exc:
+        raise ConfigError(f"bad {name} section: {exc}") from exc
 
 
 def make_scales(cfg: RunConfig) -> tuple[float, ...]:
@@ -159,20 +186,13 @@ def make_scales(cfg: RunConfig) -> tuple[float, ...]:
     if cfg.theorem == 2:
         return null_measure_sequence(cfg.gauge, cfg.depth, safety=cfg.safety)
     seq = cfg.sequence
-    try:
-        if "values" in seq:
-            vals = tuple(float(v) for v in seq["values"])
-            if len(vals) != cfg.depth + 1:
-                raise ConfigError("sequence values must have length depth+1")
-            return vals
-        kind = seq.get("kind", "harmonic")
-        if kind == "harmonic":
-            return harmonic_sequence(cfg.depth)
-        if kind == "geometric":
-            return geometric_sequence(cfg.depth, float(seq.get("ratio", 0.5)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sequence block: {exc}") from exc
-    raise ConfigError(f"unknown sequence kind {kind!r}")
+    if seq.values is not None:
+        if len(seq.values) != cfg.depth + 1:
+            raise ConfigError("sequence values must have length depth+1")
+        return seq.values
+    if seq.kind == "harmonic":
+        return harmonic_sequence(cfg.depth)
+    return geometric_sequence(cfg.depth, seq.ratio)
 
 
 def make_pack(cfg: RunConfig) -> SequencePack:
@@ -255,7 +275,7 @@ def read_points(path: Path, n: int) -> list[tuple[float, ...] | str]:
 
 
 def cmd_eval(cfg: RunConfig, out: Path, points_path: Path) -> int:
-    pmap = build(make_pack(cfg), provenance="; ".join(provenance(cfg)))
+    pmap = build(make_pack(cfg))
     n = pmap.n
     rows = read_points(points_path, n)
     with open(out / "eval.csv", "w", newline="") as f:
@@ -290,13 +310,8 @@ def cmd_eval(cfg: RunConfig, out: Path, points_path: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
-    pack = make_pack(cfg)
-    try:
-        scale = VerifyScale(**{k: int(v) for k, v in cfg.verify.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad verify block: {exc}") from exc
-    report = run_suite(pack, gauge=cfg.gauge, kind=kind_of(cfg), seed=cfg.seed,
-                       scale=scale, safety=cfg.safety)
+    report = run_suite(make_pack(cfg), gauge=cfg.gauge, kind=kind_of(cfg), seed=cfg.seed,
+                       scale=cfg.verify, safety=cfg.safety)
     write_json(out / "verify.json", report.to_dict(), cfg)
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
@@ -321,35 +336,11 @@ def cmd_norms(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def hausdorff_settings(section: dict) -> tuple[list[int], int, int, int]:
-    """(depths, probe_depth, probe_level, random_covers) of a hausdorff
-    section; keys it omits take their DEFAULT_CONFIG values."""
-    defaults = DEFAULT_CONFIG["hausdorff"]
-    unknown = set(section) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown hausdorff fields {sorted(unknown)}")
-    merged = {**defaults, **section}
-    try:
-        depths = [int(d) for d in merged["depths"]]
-        probe_depth = int(merged["probe_depth"])
-        probe_level = int(merged["probe_level"])
-        trials = int(merged["random_covers"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad hausdorff block: {exc}") from exc
-    if any(d < 0 for d in depths):
-        raise ConfigError(f"hausdorff depths must be >= 0, got {depths}")
-    if probe_depth < 1 or probe_level < 1:
-        raise ConfigError("hausdorff probe_depth and probe_level must be >= 1")
-    if trials < 0:
-        raise ConfigError("hausdorff random_covers must be >= 0")
-    return depths, probe_depth, probe_level, trials
-
-
 def cmd_hausdorff(cfg: RunConfig, out: Path) -> int:
-    depths, probe_depth, probe_level, trials = hausdorff_settings(cfg.hausdorff)
+    h = cfg.hausdorff
     a = make_scales(cfg)
     uppers = []
-    for k in depths:
+    for k in h.depths:
         if k > cfg.depth:
             continue
         uppers.append(analysis.upper_sum_at_scale(cfg.gauge, k, a[k]).to_dict())
@@ -359,24 +350,24 @@ def cmd_hausdorff(cfg: RunConfig, out: Path) -> int:
     except ConstructionError as exc:
         payload["lower_probe"] = {"skipped": str(exc)}
         pack = None
-    if pack is not None and probe_level <= pack.K:
-        if probe_depth > probe_level:
-            raise ConfigError(f"hausdorff probe_depth {probe_depth} exceeds probe_level "
-                              f"{probe_level}: no depth-{probe_level} cube fits its balls")
-        if trials and probe_depth + analysis.ANCHOR_DEPTH > pack.K:
+    if pack is not None and h.probe_level <= pack.K:
+        if h.probe_depth > h.probe_level:
+            raise ConfigError(f"hausdorff probe_depth {h.probe_depth} exceeds probe_level "
+                              f"{h.probe_level}: no depth-{h.probe_level} cube fits its balls")
+        if h.random_covers and h.probe_depth + analysis.ANCHOR_DEPTH > pack.K:
             raise ConfigError(
-                f"hausdorff probe_depth {probe_depth} leaves no room for random_covers: "
+                f"hausdorff probe_depth {h.probe_depth} leaves no room for random_covers: "
                 f"their anchors lie {analysis.ANCHOR_DEPTH} levels deeper, past depth {pack.K}")
         rng = np.random.default_rng(cfg.seed)
         canonical = analysis.hausdorff_lower_probe(
-            cfg.gauge, pack, analysis.canonical_cover(pack, probe_depth),
-            probe_level)
+            cfg.gauge, pack, analysis.canonical_cover(pack, h.probe_depth),
+            h.probe_level)
         randomized = []
-        for _ in range(trials):
-            cover = analysis.random_cover(pack, probe_depth, rng)
+        for _ in range(h.random_covers):
+            cover = analysis.random_cover(pack, h.probe_depth, rng)
             randomized.append(
                 analysis.hausdorff_lower_probe(cfg.gauge, pack, cover,
-                                               probe_level).to_dict())
+                                               h.probe_level).to_dict())
         payload["lower_probe"] = {
             "canonical": canonical.to_dict(),
             "randomized": randomized,

@@ -25,7 +25,7 @@ inspected via ``TauSpec.clamps_at``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from .errors import (
     NoRootError,
     ToleranceError,
 )
-
-TAU_FAMILIES = ("constant", "log", "log_power", "iterated_log", "composed")
-RAW_FAMILIES = ("power", "log_inverse", "exp_inverse")
 
 # coarse log grid used to locate the first sign crossing of t^n*tau(pt) - 1:
 # 256 points per decade over 12 decades, ending at t = 1
@@ -56,8 +53,84 @@ def _stable_log_arg(shift: float, t: float) -> float:
     return math.log(shift) + math.log1p(1.0 / (shift * t))
 
 
+def from_json(cls, data, keys=None):
+    """``cls(**data)`` for a dataclass ``cls`` and a decoded JSON object.
+
+    Every key must be in ``keys`` (default: the fields of ``cls``), and
+    every field without a default must be given.  Each value must match
+    its field's annotation: ``int`` takes a JSON integer and not
+    true/false, ``float`` any finite JSON number (stored as a float),
+    ``str`` a string, ``tuple[X, ...]`` a list of X, and ``TauSpec`` or
+    ``RawGauge`` an object in its ``to_dict`` form.  Every failure is a
+    ValueError whose message names the key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {data!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    allowed = set(types if keys is None else keys)
+    unknown = set(data) - allowed
+    if unknown:
+        raise ValueError(f"unknown fields {sorted(unknown)}, expected some of {sorted(allowed)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+    if missing:
+        raise ValueError(f"missing fields {sorted(missing)}")
+    kwargs = {}
+    for key, value in data.items():
+        try:
+            kwargs[key] = _json_value(types[key], value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    return cls(**kwargs)
+
+
+_JSON_TYPES = {"int": (int, "integer"), "float": ((int, float), "number"),
+               "str": (str, "string")}
+
+
+def _json_value(kind: str, value):
+    # ``kind`` is a field annotation, a string under ``from __future__
+    # import annotations`` in every module whose dataclasses come here
+    kind = kind.removesuffix(" | None")
+    if kind.startswith("tuple["):  # "tuple[X, ...]"
+        if not isinstance(value, list):
+            raise ValueError(f"expected a JSON list, got {value!r}")
+        return tuple(_json_value(kind[len("tuple["):-len(", ...]")], v) for v in value)
+    nested = {"TauSpec": TauSpec, "RawGauge": RawGauge}.get(kind)
+    if nested is not None:
+        return nested.from_dict(value)
+    types, name = _JSON_TYPES[kind]
+    # Python's json reads NaN and Infinity, which JSON itself has not
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or kind == "float" and not math.isfinite(value)):
+        raise ValueError(f"expected a JSON {name}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
+class _FamilySpec:
+    """JSON form shared by the family specs: ``KEYS`` maps each family to
+    the fields it reads, and only those appear in the dict."""
+
+    KEYS: dict[str, tuple[str, ...]]
+
+    def to_dict(self) -> dict:
+        out = {"family": self.family}
+        for key in self.KEYS[self.family]:
+            value = getattr(self, key)
+            out[key] = [f.to_dict() for f in value] if key == "factors" else value
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        if not isinstance(data, dict) or "family" not in data:
+            raise ValueError(f"{cls.__name__} must be an object with a 'family' field")
+        family = data["family"]
+        if not isinstance(family, str) or family not in cls.KEYS:
+            raise ValueError(f"unknown {cls.__name__} family {family!r}")
+        return from_json(cls, data, ("family", *cls.KEYS[family]))
+
+
 @dataclass(frozen=True)
-class TauSpec:
+class TauSpec(_FamilySpec):
     """Slowly varying factor tau: (0, inf) -> [1, inf), non-increasing.
 
     Families:
@@ -72,15 +145,23 @@ class TauSpec:
     slowly varying multiplier.
     """
 
+    KEYS = {
+        "constant": ("value",),
+        "log": ("shift",),
+        "log_power": ("exponent", "shift"),
+        "iterated_log": ("iterations", "exponent", "shift"),
+        "composed": ("factors",),
+    }
+
     family: str
     value: float = 1.0
     exponent: float = 1.0
     iterations: int = 1
     shift: float = math.e
-    factors: tuple["TauSpec", ...] = field(default=())
+    factors: tuple[TauSpec, ...] = ()
 
     def __post_init__(self):
-        if self.family not in TAU_FAMILIES:
+        if self.family not in self.KEYS:
             raise ValueError(f"unknown tau family {self.family!r}")
         if self.family == "constant" and self.value < 1.0:
             raise ValueError("constant tau requires value >= 1")
@@ -92,7 +173,7 @@ class TauSpec:
             raise ValueError("shift must be >= e")
         if self.family == "composed":
             if not self.factors:
-                raise ValueError("composed tau requires at least one factor")
+                raise ValueError("composed tau requires a non-empty factors list")
         elif self.factors:
             raise ValueError("factors only allowed for the composed family")
 
@@ -162,64 +243,9 @@ class TauSpec:
             return any(f.diverges_at_zero for f in self.factors)
         return self.exponent > 0.0 or self.family == "log"
 
-    def to_dict(self) -> dict:
-        if self.family == "constant":
-            return {"family": "constant", "value": self.value}
-        if self.family == "log":
-            return {"family": "log", "shift": self.shift}
-        if self.family == "log_power":
-            return {"family": "log_power", "exponent": self.exponent, "shift": self.shift}
-        if self.family == "iterated_log":
-            return {
-                "family": "iterated_log",
-                "iterations": self.iterations,
-                "exponent": self.exponent,
-                "shift": self.shift,
-            }
-        return {"family": "composed", "factors": [f.to_dict() for f in self.factors]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TauSpec":
-        if not isinstance(data, dict) or "family" not in data:
-            raise ValueError("tau spec must be an object with a 'family' field")
-        family = data["family"]
-        allowed = {
-            "constant": {"family", "value"},
-            "log": {"family", "shift"},
-            "log_power": {"family", "exponent", "shift"},
-            "iterated_log": {"family", "iterations", "exponent", "shift"},
-            "composed": {"family", "factors"},
-        }
-        if family not in allowed:
-            raise ValueError(f"unknown tau family {family!r}")
-        extra = set(data) - allowed[family]
-        if extra:
-            raise ValueError(f"unexpected tau fields {sorted(extra)} for family {family!r}")
-        if family == "constant":
-            return cls(family="constant", value=float(data.get("value", 1.0)))
-        if family == "log":
-            return cls(family="log", shift=float(data.get("shift", math.e)))
-        if family == "log_power":
-            return cls(
-                family="log_power",
-                exponent=float(data.get("exponent", 1.0)),
-                shift=float(data.get("shift", math.e)),
-            )
-        if family == "iterated_log":
-            return cls(
-                family="iterated_log",
-                iterations=int(data.get("iterations", 1)),
-                exponent=float(data.get("exponent", 1.0)),
-                shift=float(data.get("shift", math.e)),
-            )
-        return cls(
-            family="composed",
-            factors=tuple(cls.from_dict(f) for f in data["factors"]),
-        )
-
 
 @dataclass(frozen=True)
-class RawGauge:
+class RawGauge(_FamilySpec):
     """Direct gauge descriptor, not of the t^n * tau(t) shape.
 
     Families:
@@ -228,6 +254,12 @@ class RawGauge:
       exp_inverse  h(t) = exp(-scale / t)                  (scale > 0)
     """
 
+    KEYS = {
+        "power": ("alpha",),
+        "log_inverse": ("alpha", "exponent", "shift"),
+        "exp_inverse": ("scale",),
+    }
+
     family: str
     alpha: float = 1.0
     exponent: float = 1.0
@@ -235,7 +267,7 @@ class RawGauge:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.family not in RAW_FAMILIES:
+        if self.family not in self.KEYS:
             raise ValueError(f"unknown raw gauge family {self.family!r}")
         if self.family in ("power", "log_inverse") and self.alpha <= 0.0:
             raise ValueError("alpha must be > 0")
@@ -256,45 +288,11 @@ class RawGauge:
             return t ** self.alpha / _stable_log_arg(self.shift, t) ** self.exponent
         return math.exp(-self.scale / t)
 
-    def to_dict(self) -> dict:
-        if self.family == "power":
-            return {"family": "power", "alpha": self.alpha}
-        if self.family == "log_inverse":
-            return {
-                "family": "log_inverse",
-                "alpha": self.alpha,
-                "exponent": self.exponent,
-                "shift": self.shift,
-            }
-        return {"family": "exp_inverse", "scale": self.scale}
-
     @classmethod
     def from_dict(cls, data: dict) -> "RawGauge":
-        if not isinstance(data, dict) or "family" not in data:
-            raise ValueError("raw gauge spec must be an object with a 'family' field")
-        family = data["family"]
-        allowed = {
-            "power": {"family", "alpha"},
-            "log_inverse": {"family", "alpha", "exponent", "shift"},
-            "exp_inverse": {"family", "scale"},
-        }
-        if family not in allowed:
-            raise ValueError(f"unknown raw gauge family {family!r}")
-        extra = set(data) - allowed[family]
-        if extra:
-            raise ValueError(f"unexpected raw gauge fields {sorted(extra)} for {family!r}")
-        if family == "power":
-            if "alpha" not in data:
-                raise ValueError("power gauge requires an 'alpha' field")
-            return cls(family="power", alpha=float(data["alpha"]))
-        if family == "log_inverse":
-            return cls(
-                family="log_inverse",
-                alpha=float(data.get("alpha", 1.0)),
-                exponent=float(data.get("exponent", 1.0)),
-                shift=float(data.get("shift", math.e)),
-            )
-        return cls(family="exp_inverse", scale=float(data.get("scale", 1.0)))
+        if isinstance(data, dict) and data.get("family") == "power" and "alpha" not in data:
+            raise ValueError("power gauge requires an 'alpha' field")
+        return super().from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -311,11 +309,6 @@ class GaugeSpec:
         if (self.tau is None) == (self.raw is None):
             raise ValueError("exactly one of tau or raw must be given")
 
-    def describe(self) -> str:
-        if self.tau is not None:
-            return f"t^{self.n}*tau{self.tau.to_dict()}"
-        return f"raw{self.raw.to_dict()}"
-
     def to_dict(self) -> dict:
         if self.tau is not None:
             return {"n": self.n, "tau": self.tau.to_dict()}
@@ -323,17 +316,7 @@ class GaugeSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaugeSpec":
-        if not isinstance(data, dict) or "n" not in data:
-            raise ValueError("gauge spec must be an object with an 'n' field")
-        extra = set(data) - {"n", "tau", "raw"}
-        if extra:
-            raise ValueError(f"unexpected gauge fields {sorted(extra)}")
-        n = data["n"]
-        if not isinstance(n, int):
-            raise ValueError("n must be an integer")
-        tau = TauSpec.from_dict(data["tau"]) if "tau" in data else None
-        raw = RawGauge.from_dict(data["raw"]) if "raw" in data else None
-        return cls(n=n, tau=tau, raw=raw)
+        return from_json(cls, data)
 
 
 def eval_h(spec: GaugeSpec, t: float) -> float:

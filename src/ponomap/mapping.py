@@ -41,7 +41,6 @@ class PonomarevMap:
 
     pack: SequencePack
     truncation_error: float
-    provenance: str = ""
 
     def __post_init__(self):
         expected = 2.0 * math.sqrt(self.pack.n) * self.pack.rt[self.pack.K]
@@ -154,7 +153,7 @@ class PonomarevMap:
         return alpha * (alpha + beta / d.m) ** (pack.n - 1)
 
 
-def build(pack: SequencePack, provenance: str = "") -> PonomarevMap:
+def build(pack: SequencePack) -> PonomarevMap:
     """Assemble the map for a validated pack.
 
     Re-checks the gluing residuals (a pack mutated after construction fails
@@ -162,4 +161,4 @@ def build(pack: SequencePack, provenance: str = "") -> PonomarevMap:
     """
     pack.validate()
     err = 2.0 * math.sqrt(pack.n) * pack.rt[pack.K]
-    return PonomarevMap(pack=pack, truncation_error=err, provenance=provenance)
+    return PonomarevMap(pack=pack, truncation_error=err)

@@ -239,6 +239,26 @@ def test_config_errors(tmp_path, capsys):
         ("hausdorff", {"depth": 5}, "probe_depth"),
         # a depth-4 ball cannot hold a depth-3 cube
         ("hausdorff", {"hausdorff": {"probe_depth": 4, "probe_level": 3}}, "probe_depth"),
+        # a missing or wrong-typed gauge value is a config error, not a traceback
+        ("sequence", {"gauge": {"n": 2, "tau": {"family": "composed"}}}, "factors"),
+        ("sequence", {"gauge": {"n": 2, "tau": {"family": "composed", "factors": 5}}},
+         "factors"),
+        ("sequence", {"gauge": {"n": 2, "tau": {"family": "log", "shift": None}}}, "shift"),
+        ("sequence", {"gauge": {"n": 2, "raw": {"family": "power", "alpha": [1]}},
+                      "theorem": 2}, "alpha"),
+        # integer keys take JSON integers only, and true/false is not one
+        ("sequence", {"depth": True}, "depth"),
+        ("sequence", {"seed": True}, "seed"),
+        ("verify", {"verify": {"mc_samples": 2.7}}, "mc_samples"),
+        ("hausdorff", {"hausdorff": {"probe_level": 4.9}}, "probe_level"),
+        ("sequence", {"gauge": {"n": 2, "tau": {"family": "iterated_log",
+                                                "iterations": 2.5}}}, "iterations"),
+        # Python's json reads NaN, and a NaN shift would give a_k = 1 at every k
+        ("sequence", {"gauge": {"n": 2, "tau": {"family": "log", "shift": math.nan}}},
+         "shift"),
+        # every section is checked under every command
+        ("sequence", {"verify": {"nope": 1}}, "nope"),
+        ("sequence", {"theorem": 1, "sequence": {"kind": "bogus"}}, "kind"),
     ]
     capsys.readouterr()
     for i, (command, cfg, key) in enumerate(named):

@@ -333,7 +333,7 @@ def test_null_measure_upper_sum_consequence():
 def test_gauge_monotone_on_grids():
     for spec in RAW_GAUGES + [GaugeSpec(n=2, tau=t) for t in FAMILIES]:
         ok, worst = check_gauge_monotone(spec, points=10_000)
-        assert ok, f"{spec.describe()} drops by {worst}"
+        assert ok, f"{spec.to_dict()} drops by {worst}"
 
 
 def test_tau_invariants():
