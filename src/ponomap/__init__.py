@@ -52,14 +52,12 @@ from .analysis import (
     canonical_cover,
     grand_norm_report,
     hausdorff_lower_probe,
-    hausdorff_upper_sum,
     lebesgue_level,
     pushforward_check,
     random_cover,
     shell_integral,
     shell_integral_mc,
     sobolev_depth_profile,
-    sobolev_norm,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +100,6 @@ __all__ = [
     "grand_norm_report",
     "harmonic_sequence",
     "hausdorff_lower_probe",
-    "hausdorff_upper_sum",
     "lebesgue_level",
     "null_measure_sequence",
     "pushforward_check",
@@ -110,6 +107,5 @@ __all__ = [
     "shell_integral",
     "shell_integral_mc",
     "sobolev_depth_profile",
-    "sobolev_norm",
     "tau_root",
 ]

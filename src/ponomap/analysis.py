@@ -38,7 +38,7 @@ from .cantor import (
     center,
     descendant_count,
 )
-from .errors import CoverageError, DepthError, ToleranceError
+from .errors import CoverageError, DepthError, GaugeRangeError, ToleranceError
 from .gauge import GaugeSpec, eval_h
 from .mapping import PonomarevMap
 
@@ -69,15 +69,15 @@ class CoverReport:
     count: int
     per_cube: float
     total: float
-    ratio_to_one: float
 
     def to_dict(self) -> dict:
+        # "ratio_to_one" is the total again, kept so hausdorff.json keeps its keys
         return {
             "depth": self.depth,
             "count": self.count,
             "per_cube": self.per_cube,
             "total": self.total,
-            "ratio_to_one": self.ratio_to_one,
+            "ratio_to_one": self.total,
         }
 
 
@@ -141,29 +141,24 @@ def lebesgue_level(pack: SequencePack, k: int, side: Literal["domain", "target"]
 
 
 def upper_sum_at_scale(h: GaugeSpec, k: int, a_k: float) -> CoverReport:
-    """Cover sum 2^(nk) * h(2 sqrt(n) 2^-k a_k) from a bare scale value.
+    """Cover sum 2^(nk) * h(2 sqrt(n) r_k) over all depth-k cubes, r_k = 2^-k a_k.
 
-    Useful for sequences whose flat head (clamped tau factors give a_k = 1
-    for small k) does not form a valid pack.
+    Takes the bare scale value, so sequences whose flat head (clamped tau
+    factors give a_k = 1 for small k) does not form a valid pack still get
+    their sums.  Raises GaugeRangeError when the sum leaves binary64.
     """
     if k < 0:
         raise DepthError("depth must be >= 0")
     n = h.n
-    cn = 2.0 * math.sqrt(n)
-    per = eval_h(h, cn * math.ldexp(a_k, -k))
+    per = eval_h(h, 2.0 * math.sqrt(n) * math.ldexp(a_k, -k))
     count = 2 ** (n * k)
-    total = float(count) * per
-    return CoverReport(depth=k, count=count, per_cube=per, total=total,
-                       ratio_to_one=total)
-
-
-def hausdorff_upper_sum(h: GaugeSpec, pack: SequencePack, k: int) -> CoverReport:
-    """Cover sum over all depth-k cubes: 2^(nk) * h(2 sqrt(n) r_k)."""
-    if h.n != pack.n:
-        raise ValueError("gauge dimension does not match the pack")
-    if not 0 <= k <= pack.K:
-        raise DepthError(f"depth {k} outside 0..{pack.K}")
-    return upper_sum_at_scale(h, k, pack.a[k])
+    try:
+        total = float(count) * per
+    except OverflowError:  # the count 2^(nk) alone passes the largest float
+        total = math.inf
+    if math.isinf(total):
+        raise GaugeRangeError(f"cover sum 2^({n}*{k}) * h overflows binary64 at depth {k}")
+    return CoverReport(depth=k, count=count, per_cube=per, total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +181,6 @@ _IN_BALL_SLACK = 1.0 + 1e-12
 
 def _cube_in_ball(c, z, r, rho) -> bool:
     return _farthest_corner(c, z, r) <= rho * _IN_BALL_SLACK
-
-
-def _vertices(n: int):
-    out = []
-    for bits in range(2 ** n):
-        out.append(tuple(1 if (bits >> (n - 1 - i)) & 1 else -1 for i in range(n)))
-    return out
 
 
 # balls walked together: bounds the (ball, cube) pairs held at once
@@ -221,7 +209,7 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
     """
     n = pack.n
     fan = 2 ** n
-    verts = np.array(_vertices(n), dtype=float)
+    verts = np.array([w.signs[0] for w in all_words(n, 1)], dtype=float)
     min_depth = np.zeros(len(cover), dtype=np.int64)
     intersecting = np.zeros(len(cover), dtype=np.int64)
     contained = np.zeros(len(cover), dtype=np.int64)
@@ -292,7 +280,7 @@ def random_cover(pack: SequencePack, m: int, rng: np.random.Generator,
         raise DepthError(f"depth {m} outside 1..{pack.K}")
     if m + extra_depth > pack.K:
         raise DepthError("extra_depth exceeds the pack depth")
-    verts = _vertices(pack.n)
+    verts = [w.signs[0] for w in all_words(pack.n, 1)]
     sqrt_n = math.sqrt(pack.n)
     out = []
     for word in all_words(pack.n, m):
@@ -322,9 +310,7 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Sequence[Ball
         raise ValueError("gauge dimension does not match the pack")
     if not 1 <= level <= pack.K:
         raise DepthError(f"level {level} outside 1..{pack.K}")
-    n = pack.n
-    cn = 2.0 * math.sqrt(n)
-    per_cube_level = eval_h(h, cn * pack.r[level])
+    reference = upper_sum_at_scale(h, level, pack.a[level])
     first, count, inner, covered = _probe_walk(pack, cover, level)
     stats = tuple(
         BallProbe(
@@ -333,7 +319,7 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Sequence[Ball
             min_contained_depth=d or None,
             intersecting_count=u,
             contained_count=c,
-            dominated_sum=c * per_cube_level,
+            dominated_sum=c * reference.per_cube,
         )
         for ball, d, u, c in zip(cover, first.tolist(), count.tolist(), inner.tolist())
     )
@@ -342,15 +328,14 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Sequence[Ball
     if missed:
         raise CoverageError(f"cover misses {missed} of {total_cubes} depth-{level} cubes")
     cover_sum = math.fsum(eval_h(h, 2.0 * b.radius) for b in cover)
-    reference = hausdorff_upper_sum(h, pack, level).total
     return LowerProbeReport(
         level=level,
         cover_sum=cover_sum,
-        reference_upper_sum=reference,
-        ratio=cover_sum / reference,
+        reference_upper_sum=reference.total,
+        ratio=cover_sum / reference.total,
         balls=stats,
         max_intersecting=int(count.max(initial=0)),
-        counting_bound=4 ** n,
+        counting_bound=4 ** pack.n,
     )
 
 
@@ -444,8 +429,7 @@ class NormReport:
 
     values[i] = eps_i * int |Df_K|^(n - eps_i) including the depth-K core
     term; bounds[i] is the analytic telescoping bound
-    bound_constant * (a_0^eps - a_K^eps) + core.  partial_sums[i][k-1] is
-    the cumulative annulus contribution through depth k (monotone in k).
+    n 2^n (a_0^eps - a_K^eps) + core.
     """
 
     eps: tuple[float, ...]
@@ -454,8 +438,6 @@ class NormReport:
     sup: float
     convention: str
     depth: int
-    bound_constant: float
-    partial_sums: tuple[tuple[float, ...], ...]
 
     def to_dict(self) -> dict:
         return {
@@ -509,18 +491,10 @@ def grand_norm_report(pmap: PonomarevMap, eps_grid: Sequence[float] | None = Non
     const = n * 2.0 ** n
     values = []
     bounds = []
-    partials = []
     for e in eps_grid:
-        terms = _annulus_terms(pack, n - e)
-        running = []
-        acc = 0.0
-        for t in terms:
-            acc = math.fsum((acc, t))
-            running.append(e * acc)
-        core = e * _core_term(pack, n - e)
-        values.append(e * math.fsum(terms) + core)
+        values.append(e * math.fsum(_annulus_terms(pack, n - e))
+                      + e * _core_term(pack, n - e))
         bounds.append(const * (1.0 - aK ** e) + e * 2.0 ** n * aK ** e * bK ** (n - e))
-        partials.append(tuple(running))
     return NormReport(
         eps=eps_grid,
         values=tuple(values),
@@ -528,8 +502,6 @@ def grand_norm_report(pmap: PonomarevMap, eps_grid: Sequence[float] | None = Non
         sup=max(values),
         convention=CONVENTION,
         depth=pack.K,
-        bound_constant=const,
-        partial_sums=tuple(partials),
     )
 
 
@@ -548,33 +520,18 @@ def sobolev_depth_profile(pmap: PonomarevMap, p: float) -> tuple[tuple[float, ..
     return tuple(running), _core_term(pack, p)
 
 
-def sobolev_norm(pmap: PonomarevMap, p: float) -> float:
-    """int |Df_K|^p over the cube (annuli through depth K plus the cores)."""
-    partials, core = sobolev_depth_profile(pmap, p)
-    return partials[-1] + core
-
-
 # ---------------------------------------------------------------------------
 # pushforward / coding checks
 
 
 @dataclass(frozen=True)
 class PushforwardReport:
-    n: int
-    j: int
-    k: int
+    """``ratios``: the share of the depth-k cover sum under each depth-j
+    word, in word order; ``exact`` when each equals ``expected``."""
+
     expected: Fraction
     ratios: tuple[Fraction, ...]
     exact: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "j": self.j,
-            "k": self.k,
-            "expected": str(self.expected),
-            "exact": self.exact,
-        }
 
 
 _PUSHFORWARD_WORDS = 2 ** 20  # largest depth-k population enumerated
@@ -607,5 +564,4 @@ def pushforward_check(pack: SequencePack, h: GaugeSpec, k: int,
         Fraction(counts.get(w.signs, 0), total) for w in all_words(n, j)
     )
     exact = all(rho == expected for rho in ratios)
-    return PushforwardReport(n=n, j=j, k=k, expected=expected, ratios=ratios,
-                             exact=exact)
+    return PushforwardReport(expected=expected, ratios=ratios, exact=exact)

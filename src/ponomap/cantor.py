@@ -229,8 +229,8 @@ class Descent:
 
     ``signs`` addresses the annulus at the first depth with ||x - z_v|| > r_k,
     or the core at the probed depth; ``z`` and ``zt`` are the domain and
-    target centers of that word and ``m`` the sup distance to the center on
-    the driving side.
+    target centers of that word, ``m`` the sup distance to the center on
+    the driving side and ``x`` the point as ``check_point`` returned it.
     """
 
     region: Literal["annulus", "core"]
@@ -239,6 +239,7 @@ class Descent:
     z: tuple[float, ...]
     zt: tuple[float, ...]
     m: float
+    x: tuple[float, ...]
 
     @property
     def word(self) -> VertexWord:
@@ -262,7 +263,8 @@ def descend(x: Sequence[float], pack: SequencePack, max_depth: int,
     ``side`` selects which radii drive the geometry (and which centers the
     sign choices compare against).  Ties on shared faces go to the vertex
     with -1 in the tied coordinate, i.e. the lexicographically smallest
-    child.
+    child.  x is validated here only; the map reads the checked point
+    back from the returned ``Descent``.
     """
     n = pack.n
     if not 1 <= max_depth <= pack.K:
@@ -290,8 +292,8 @@ def descend(x: Sequence[float], pack: SequencePack, max_depth: int,
         u = [x[i] - base[i] for i in coords]
         m = max(map(abs, u))
         if m > drive[k]:
-            return Descent("annulus", k, tuple(signs), tuple(z), tuple(zt), m)
-    return Descent("core", max_depth, tuple(signs), tuple(z), tuple(zt), m)
+            return Descent("annulus", k, tuple(signs), tuple(z), tuple(zt), m, x)
+    return Descent("core", max_depth, tuple(signs), tuple(z), tuple(zt), m, x)
 
 
 def center(word: VertexWord, pack: SequencePack, side: Side = "domain") -> tuple[float, ...]:

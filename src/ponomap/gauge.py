@@ -343,6 +343,14 @@ def eval_h(spec: GaugeSpec, t: float) -> float:
     return out
 
 
+IDENTITY_TOL = 1e-10  # residual up to which a_k meets the theorem-1 identity
+
+
+def _identity_gap(tau, n: int, p: float, t: float) -> float:
+    """t^n * tau(p t) - 1; theorem 1 puts a_k at its first zero for p = 2^-k."""
+    return t ** n * tau(p * t) - 1.0
+
+
 def _first_crossing_root(tau, p: float, n: int, tol: float) -> float:
     """First t in (0, 1] where g(t) = t^n * tau(p t) - 1 crosses to >= 0.
 
@@ -357,7 +365,7 @@ def _first_crossing_root(tau, p: float, n: int, tol: float) -> float:
         raise ValueError("tol must be > 0")
 
     def g(t: float) -> float:
-        return t ** n * tau(p * t) - 1.0
+        return _identity_gap(tau, n, p, t)
 
     lo_t = 10.0 ** (-_SCAN_DECADES)
     if g(lo_t) >= 0.0:
@@ -442,15 +450,13 @@ def null_measure_sequence(h: GaugeSpec, K: int, safety: float = 0.5,
         raise ValueError("K must be >= 1")
     if not (0.0 < safety < 1.0):
         raise ValueError("safety must lie in (0, 1)")
-    n = h.n
-    cn = 2.0 * math.sqrt(n)
     a = [1.0]
     for k in range(1, K + 1):
         cap = a[-1] / 2.0
-        target = safety * 2.0 ** (-2 * n * k)
 
         def excess(aa: float) -> float:
-            return eval_h(h, cn * 2.0 ** -k * aa) - target
+            observed, bound = scale_condition(h, 2, k, aa, safety)
+            return observed - bound
 
         if excess(cap) <= 0.0:
             a.append(cap)
@@ -475,6 +481,18 @@ def null_measure_sequence(h: GaugeSpec, K: int, safety: float = 0.5,
             raise ToleranceError(f"bisection failed to certify the bound at k={k}")
         a.append(lo)
     return tuple(a)
+
+
+def scale_condition(h: GaugeSpec, theorem: int, k: int, a_k: float,
+                    safety: float = 0.5) -> tuple[float, float]:
+    """(observed, bound) of theorem 1's identity or theorem 2's inequality
+    for the scale a_k at depth k >= 1, with r_k = 2^-k a_k; it holds when
+    observed <= bound.  Theorem 1: |a_k^n tau(r_k) - 1| against IDENTITY_TOL.
+    Theorem 2: h(2 sqrt(n) r_k) against safety * 2^(-2nk)."""
+    if theorem == 1:
+        return abs(_identity_gap(h.tau, h.n, math.ldexp(1.0, -k), a_k)), IDENTITY_TOL
+    return (eval_h(h, 2.0 * math.sqrt(h.n) * math.ldexp(a_k, -k)),
+            safety * 2.0 ** (-2 * h.n * k))
 
 
 def check_gauge_monotone(spec: GaugeSpec, points: int = 10_000,

@@ -22,8 +22,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .cantor import Descent, SequencePack, check_point, descend
-from .errors import ConstructionError, RidgeSetError
+from .cantor import Descent, SequencePack, descend
+from .errors import RidgeSetError
 
 _RIDGE_RTOL = 1e-12
 
@@ -40,15 +40,12 @@ class PonomarevMap:
     """Immutable depth-K truncation of the nested-cube homeomorphism."""
 
     pack: SequencePack
-    truncation_error: float
 
-    def __post_init__(self):
-        expected = 2.0 * math.sqrt(self.pack.n) * self.pack.rt[self.pack.K]
-        if self.truncation_error != expected:
-            raise ConstructionError(
-                f"stored truncation error {self.truncation_error!r} "
-                f"does not match 2*sqrt(n)*rt_K = {expected!r}"
-            )
+    @property
+    def truncation_error(self) -> float:
+        """Certified distance to the limit map: the target core diameter
+        2*sqrt(n)*rt_K."""
+        return 2.0 * math.sqrt(self.pack.n) * self.pack.rt[self.pack.K]
 
     @property
     def n(self) -> int:
@@ -67,8 +64,8 @@ class PonomarevMap:
         ``jacobian_det`` and ``derivative`` of one point.
         """
         pack = self.pack
-        x = check_point(x, pack.n)
         d = descend(x, pack, pack.K, "domain") if located is None else located
+        x = d.x
         if d.region == "annulus":
             k = d.depth
             scale = (pack.alpha[k] * d.m + pack.beta[k]) / d.m
@@ -79,8 +76,8 @@ class PonomarevMap:
     def eval_inverse(self, y: Sequence[float]) -> tuple[float, ...]:
         """Structural inverse: the same descent run on the target hierarchy."""
         pack = self.pack
-        y = check_point(y, pack.n)
         d = descend(y, pack, pack.K, "target")
+        y = d.x
         if d.region == "annulus":
             k = d.depth
             s = (d.m - pack.beta[k]) / pack.alpha[k]
@@ -96,18 +93,17 @@ class PonomarevMap:
 
     def _annulus_state(self, x: Sequence[float], located: Descent | None):
         pack = self.pack
-        x = check_point(x, pack.n)
         d = descend(x, pack, pack.K, "domain") if located is None else located
         if d.region == "core":
-            return x, d, None
-        u = [x[i] - d.z[i] for i in range(pack.n)]
+            return d, None
+        u = [d.x[i] - d.z[i] for i in range(pack.n)]
         mags = sorted((abs(c) for c in u), reverse=True)
         if len(mags) > 1 and mags[0] - mags[1] <= _RIDGE_RTOL * mags[0]:
             raise RidgeSetError(
                 f"sup norm attained by two coordinates within rtol {_RIDGE_RTOL:g}"
             )
         active = max(range(pack.n), key=lambda i: abs(u[i]))
-        return x, d, (u, active)
+        return d, (u, active)
 
     def derivative(self, x: Sequence[float],
                    located: Descent | None = None) -> tuple[np.ndarray, DerivativeInfo]:
@@ -122,7 +118,7 @@ class PonomarevMap:
         within relative tolerance 1e-12.  ``located`` is as in ``eval``.
         """
         pack = self.pack
-        x, d, annulus = self._annulus_state(x, located)
+        d, annulus = self._annulus_state(x, located)
         n = pack.n
         if annulus is None:
             scale = pack.rt[pack.K] / pack.r[pack.K]
@@ -145,7 +141,7 @@ class PonomarevMap:
         (rt_K/r_K)^n on cores; strictly positive throughout.  ``located`` is
         as in ``eval``."""
         pack = self.pack
-        x, d, annulus = self._annulus_state(x, located)
+        d, annulus = self._annulus_state(x, located)
         if annulus is None:
             return (pack.rt[pack.K] / pack.r[pack.K]) ** pack.n
         k = d.depth
@@ -157,8 +153,7 @@ def build(pack: SequencePack) -> PonomarevMap:
     """Assemble the map for a validated pack.
 
     Re-checks the gluing residuals (a pack mutated after construction fails
-    here) and records the certified truncation error 2*sqrt(n)*rt_K.
+    here).
     """
     pack.validate()
-    err = 2.0 * math.sqrt(pack.n) * pack.rt[pack.K]
-    return PonomarevMap(pack=pack, truncation_error=err)
+    return PonomarevMap(pack=pack)

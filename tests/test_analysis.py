@@ -25,7 +25,6 @@ from ponomap import (
     harmonic_sequence,
     eval_h,
     hausdorff_lower_probe,
-    hausdorff_upper_sum,
     lebesgue_level,
     null_measure_sequence,
     pushforward_check,
@@ -33,7 +32,6 @@ from ponomap import (
     shell_integral,
     shell_integral_mc,
     sobolev_depth_profile,
-    sobolev_norm,
 )
 from ponomap import analysis
 from ponomap.analysis import (
@@ -42,7 +40,6 @@ from ponomap.analysis import (
     _cube_in_ball,
     _dist_to_cube,
     _farthest_corner,
-    _vertices,
     upper_sum_at_scale,
 )
 from ponomap.cantor import descendant_count
@@ -94,16 +91,16 @@ def test_lebesgue_target_tends_to_one():
 
 def test_upper_sum_k0_single_cube():
     pack = harmonic_pack()
-    rep = hausdorff_upper_sum(LOG_GAUGE, pack, 0)
+    rep = upper_sum_at_scale(LOG_GAUGE, 0, pack.a[0])
     assert rep.count == 1
     assert rep.total == eval_h(LOG_GAUGE, 2.0 * math.sqrt(2))
-    assert rep.ratio_to_one == rep.total
+    assert rep.to_dict()["ratio_to_one"] == rep.total
 
 
 def test_upper_sum_product_structure():
     pack = log_pack()
     for k in range(0, 13, 3):
-        rep = hausdorff_upper_sum(LOG_GAUGE, pack, k)
+        rep = upper_sum_at_scale(LOG_GAUGE, k, pack.a[k])
         assert rep.total == float(rep.count) * rep.per_cube
         assert rep.count == 2 ** (2 * k)
 
@@ -148,7 +145,7 @@ def test_lower_probe_canonical_cover():
         cover = canonical_cover(pack, m)
         rep = hausdorff_lower_probe(LOG_GAUGE, pack, cover, level)
         # circumscribed balls reproduce the depth-m cube sum exactly
-        expected = hausdorff_upper_sum(LOG_GAUGE, pack, m).total
+        expected = upper_sum_at_scale(LOG_GAUGE, m, pack.a[m]).total
         assert rep.cover_sum == pytest.approx(expected, rel=1e-12)
         assert rep.ratio == pytest.approx(expected / rep.reference_upper_sum, rel=1e-12)
         assert rep.ratio > 0.5
@@ -205,7 +202,7 @@ def test_lower_probe_coverage_error():
 
 def _ref_children(pack, zc, depth):
     half = 0.5 * pack.r[depth - 1]
-    for v in _vertices(pack.n):
+    for v in (w.signs[0] for w in all_words(pack.n, 1)):
         yield tuple(zc[i] + half * v[i] for i in range(pack.n))
 
 
@@ -262,7 +259,7 @@ def reference_lower_probe(h, pack, cover, level):
         raise CoverageError(
             f"cover misses {total - len(covered)} of {total} depth-{level} cubes")
     cover_sum = math.fsum(eval_h(h, 2.0 * b.radius) for b in cover)
-    reference = hausdorff_upper_sum(h, pack, level).total
+    reference = float(2 ** (pack.n * level)) * per_cube
     return LowerProbeReport(
         level=level,
         cover_sum=cover_sum,
@@ -442,8 +439,11 @@ def test_grand_norm_values_below_bounds():
     for v, b in zip(rep.values, rep.bounds):
         assert 0.0 <= v <= b
     assert rep.sup == max(rep.values)
-    for row in rep.partial_sums:
-        assert all(y >= x for x, y in zip(row, row[1:]))
+    # each value is eps times the p = n - eps profile's annuli plus its core
+    for e, v in list(zip(rep.eps, rep.values))[::16]:
+        partials, core = sobolev_depth_profile(m, 2.0 - e)
+        assert all(y >= x for x, y in zip(partials, partials[1:]))
+        assert v == pytest.approx(e * (partials[-1] + core), rel=1e-12)
 
 
 def test_grand_norm_schema():
@@ -471,19 +471,24 @@ def test_grand_norm_faster_decay_dominates():
     assert fast.sup >= slow.sup
 
 
+def sobolev_total(m, p):
+    """int |Df_K|^p over the cube: the annuli through depth K plus the cores."""
+    partials, core = sobolev_depth_profile(m, p)
+    return partials[-1] + core
+
+
 def test_sobolev_identity_pack():
     a = geometric_sequence(10)
     m = build(SequencePack.from_scales(2, a, a))
     for p in (0.5, 1.0, 1.7, 2.0):
-        assert sobolev_norm(m, p) == pytest.approx(4.0, rel=1e-12)
+        assert sobolev_total(m, p) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_sobolev_finite_below_n_stable_in_depth():
     m20 = build(harmonic_pack(20))
     m40 = build(harmonic_pack(40))
     for p in (1.0, 1.5, 1.9):
-        v20 = sobolev_norm(m20, p)
-        v40 = sobolev_norm(m40, p)
+        v20, v40 = sobolev_total(m20, p), sobolev_total(m40, p)
         assert v40 < math.inf
         assert abs(v40 - v20) / v40 < 0.2  # increments decay with depth
     # geometric decay of increments for p < n
@@ -517,9 +522,9 @@ def test_sobolev_remark_estimates():
 def test_sobolev_validation():
     m = build(harmonic_pack(8))
     with pytest.raises(ValueError):
-        sobolev_norm(m, 0.0)
+        sobolev_depth_profile(m, 0.0)
     with pytest.raises(ValueError):
-        sobolev_norm(m, 2.5)
+        sobolev_depth_profile(m, 2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,8 @@ def reference_descend(x, pack, max_depth, side="domain"):
         signs.append(v)
         m = max(abs(x[i] - base[i]) for i in range(n))
         if m > drive[k]:
-            return Descent("annulus", k, tuple(signs), tuple(z), tuple(zt), m)
-    return Descent("core", max_depth, tuple(signs), tuple(z), tuple(zt), m)
+            return Descent("annulus", k, tuple(signs), tuple(z), tuple(zt), m, x)
+    return Descent("core", max_depth, tuple(signs), tuple(z), tuple(zt), m, x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

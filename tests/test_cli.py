@@ -297,16 +297,20 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_numeric_error_exit(tmp_path):
-    # a steep raw gauge cannot form a map pack at depth 40: the target
-    # scales collapse to exactly 1/2 in binary64
-    cfg = tmp_path / "deep.json"
-    cfg.write_text(json.dumps({
-        "gauge": {"n": 2, "raw": {"family": "power", "alpha": 1.0}},
-        "theorem": 2,
-        "depth": 40,
-    }))
-    assert main(["norms", "--config", str(cfg),
-                 "--out", str(tmp_path)]) == EXIT_NUMERIC
+    cases = [
+        # a steep raw gauge cannot form a map pack at depth 40: the target
+        # scales collapse to exactly 1/2 in binary64
+        ("norms", {"gauge": {"n": 2, "raw": {"family": "power", "alpha": 1.0}},
+                   "theorem": 2, "depth": 40}),
+        # 2^(2*515) depth-515 cubes: the cover sum's count passes the largest float
+        ("hausdorff", {"theorem": 1, "depth": 520,
+                       "hausdorff": {"depths": [0, 515], "random_covers": 0}}),
+    ]
+    for i, (command, cfg) in enumerate(cases):
+        path = tmp_path / f"deep{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path)]) == EXIT_NUMERIC, cfg
 
 
 def test_render_rejects_other_dimensions(tmp_path):

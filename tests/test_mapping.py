@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ponomap import (
     ConstructionError,
@@ -16,6 +18,8 @@ from ponomap import (
     harmonic_sequence,
 )
 
+from ponomap.cantor import descend
+from ponomap.verify import _gradient_bound
 from tie_points import log_pack, tie_heavy_points
 
 ULP1 = math.ulp(1.0)
@@ -148,6 +152,33 @@ def test_inverse_round_trip_contract():
             worst_annulus = max(worst_annulus, err)
     assert worst_annulus <= 8 * ULP1
     assert worst_core <= 2.0 * m.truncation_error
+
+
+@functools.cache
+def round_trip_case(n, K):
+    """The log-gauge map and the tie-heavy points of the round-trip property:
+    domain faces, centres and cores, plus their images, which lie on the
+    target faces, centres and cores."""
+    pmap = build(log_pack(n, K))
+    pts = tie_heavy_points(n, 40, pmap.pack)
+    return pmap, pts + [pmap.eval(x) for x in pts]
+
+
+@pytest.mark.parametrize("n, K", [(2, 40), (3, 20)])
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_round_trip_property(n, K, data):
+    # each error is held to the bound of the target-side cell of y, the
+    # cell eval_inverse reads
+    pmap, ties = round_trip_case(n, K)
+    coord = st.floats(-1.0, 1.0)
+    y = data.draw(st.one_of(st.tuples(*[coord] * n), st.sampled_from(ties)))
+    err = max(abs(a - b) for a, b in zip(pmap.eval(pmap.eval_inverse(y)), y))
+    cell = descend(y, pmap.pack, K, "target")
+    if cell.region == "core":
+        assert err <= 2.0 * pmap.truncation_error
+    else:
+        assert err <= 8 * ULP1 * _gradient_bound(pmap.pack, cell.depth)
 
 
 def test_gluing_continuity_across_faces():

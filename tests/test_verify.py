@@ -10,7 +10,7 @@ from ponomap import (
     harmonic_sequence,
     null_measure_sequence,
 )
-from ponomap.verify import VerifyScale, run_suite
+from ponomap.verify import VerifyScale, _check_measures, _Suite, run_suite
 
 FAST = VerifyScale(
     boundary_points=100,
@@ -32,6 +32,30 @@ def test_suite_passes_finite_measure():
     rep = run_suite(pack, gauge=gauge, kind="finite_measure", seed=3, scale=FAST)
     failed = [c.name for c in rep.checks if not c.passed]
     assert rep.passed, failed
+
+
+def test_suite_passes_finite_measure_n3():
+    # the cover sums of theorem 1 approach (2 sqrt(n))^n = 41.6 at n = 3, so
+    # the band bound grows with the dimension.  Run at the default scale:
+    # at FAST, seed 9 draws a Monte Carlo shell estimate past its 3 sigma bound
+    tau = TauSpec(family="log", shift=math.e)
+    pack = SequencePack.from_standard(3, finite_measure_sequence(tau, 3, 20))
+    rep = run_suite(pack, gauge=GaugeSpec(n=3, tau=tau), kind="finite_measure", seed=9)
+    band = next(c for c in rep.checks if c.name == "measure.upper_sum_band")
+    assert band.bound == 10.0 * 12.0 ** 1.5 / 8.0 and band.observed > 10.0
+    assert rep.passed, [c.name for c in rep.checks if not c.passed]
+
+
+def test_upper_sum_band_rejects_sums_outside():
+    # a log-gauge pack measured with a gauge 100 times too heavy: its sums
+    # reach past the n = 3 band
+    tau = TauSpec(family="log", shift=math.e)
+    pack = SequencePack.from_standard(3, finite_measure_sequence(tau, 3, 20))
+    heavy = GaugeSpec(n=3, tau=TauSpec(family="constant", value=100.0))
+    s = _Suite()
+    _check_measures(s, pack, heavy, "finite_measure", 0.5)
+    band = next(c for c in s.checks if c.name == "measure.upper_sum_band")
+    assert not band.passed and band.observed > band.bound
 
 
 def test_suite_passes_null_measure():
