@@ -537,8 +537,7 @@ class PushforwardReport:
 _PUSHFORWARD_WORDS = 2 ** 20  # largest depth-k population enumerated
 
 
-def pushforward_check(pack: SequencePack, h: GaugeSpec, k: int,
-                      j: int) -> PushforwardReport:
+def pushforward_check(pack: SequencePack, k: int, j: int) -> PushforwardReport:
     """Share of the depth-k cover sum carried by each depth-j word.
 
     All depth-k cubes carry the same gauge value, so each share is the
@@ -546,8 +545,6 @@ def pushforward_check(pack: SequencePack, h: GaugeSpec, k: int,
     2^(-jn).  Descendants are counted by exhaustive enumeration of the
     depth-k words, of which there may be at most 2^20.
     """
-    if h.n != pack.n:
-        raise ValueError("gauge dimension does not match the pack")
     if not 0 <= j <= k <= pack.K:
         raise DepthError("need 0 <= j <= k <= K")
     n = pack.n

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
+import numpy as np
+
 from .errors import ConstructionError, DepthError, DomainError, PrecisionError
 
 Side = Literal["domain", "target"]
@@ -91,6 +93,11 @@ def _ulp_close(x: float, y: float, ulps: int = _ULPS) -> bool:
     return abs(x - y) <= ulps * math.ulp(scale) if scale > 0.0 else x == y
 
 
+def half_edges(scales: Sequence[float]) -> tuple[float, ...]:
+    """Depth-k inner half-edges 2^-k x_k: r from a, rt from b."""
+    return tuple(math.ldexp(x, -k) for k, x in enumerate(scales))
+
+
 def standard_scales(a: Sequence[float]) -> tuple[tuple[float, ...], ...]:
     """(b, r, rt, alpha, beta) of the standard construction on scales a.
 
@@ -101,8 +108,7 @@ def standard_scales(a: Sequence[float]) -> tuple[tuple[float, ...], ...]:
     """
     K = len(a) - 1
     b = tuple((1.0 + x) / 2.0 for x in a)
-    r = tuple(math.ldexp(a[k], -k) for k in range(K + 1))
-    rt = tuple(math.ldexp(b[k], -k) for k in range(K + 1))
+    r, rt = half_edges(a), half_edges(b)
     alpha = (math.nan,) + (0.5,) * K
     beta = (math.nan,) + tuple(math.ldexp(1.0, -k - 1) for k in range(1, K + 1))
     return b, r, rt, alpha, beta
@@ -154,8 +160,7 @@ class SequencePack:
         if len(a) != len(b):
             raise ConstructionError("a and b must have equal length")
         K = len(a) - 1
-        r = tuple(math.ldexp(a[k], -k) for k in range(K + 1))
-        rt = tuple(math.ldexp(b[k], -k) for k in range(K + 1))
+        r, rt = half_edges(a), half_edges(b)
         alpha = [math.nan]
         beta = [math.nan]
         for k in range(1, K + 1):
@@ -294,6 +299,76 @@ def descend(x: Sequence[float], pack: SequencePack, max_depth: int,
         if m > drive[k]:
             return Descent("annulus", k, tuple(signs), tuple(z), tuple(zt), m, x)
     return Descent("core", max_depth, tuple(signs), tuple(z), tuple(zt), m, x)
+
+
+@dataclass(frozen=True)
+class BatchDescent:
+    """``descend`` of N points to the pack depth K, as arrays.
+
+    Row i holds what ``descend(x[i], pack, K, side)`` returns: ``depth``
+    (N,) is the annulus depth, or K where ``core`` (N,) is set; ``z`` and
+    ``zt`` (N, n) are the domain and target centres of the word, ``m`` (N,)
+    the sup distance to the centre on the driving side and ``x`` (N, n) the
+    checked points.
+    """
+
+    depth: np.ndarray
+    core: np.ndarray
+    z: np.ndarray
+    zt: np.ndarray
+    m: np.ndarray
+    x: np.ndarray
+
+
+def in_cube(x: np.ndarray) -> np.ndarray:
+    """Mask of the rows of x inside [-1,1]^n; NaN fails, as in ``check_point``."""
+    return ((x >= -1.0) & (x <= 1.0)).all(axis=1)
+
+
+def descend_batch(x: np.ndarray, pack: SequencePack,
+                  side: Side = "domain") -> BatchDescent:
+    """``descend`` to depth K of every row of an (N, n) array at once.
+
+    One level per step over the points still inside, with the scalar
+    arithmetic in the scalar order (the ``> 0.0`` tie rule, centres summed
+    level by level, m = max|x - centre|), so every field equals the scalar
+    descent's bit for bit.  A row outside the cube raises DomainError.
+    """
+    n, K = pack.n, pack.K
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != n:
+        raise DomainError(f"expected an (N, {n}) array of points, got shape {x.shape}")
+    outside = np.flatnonzero(~in_cube(x))
+    if outside.size:
+        raise DomainError(f"point {tuple(x[outside[0]].tolist())!r} outside [-1,1]^{n}")
+    r, rt = pack.r, pack.rt
+    drive = r if side == "domain" else rt
+    N = len(x)
+    depth = np.full(N, K)
+    core = np.zeros(N, dtype=bool)
+    z, zt, m = np.empty((N, n)), np.empty((N, n)), np.empty(N)
+    # the rows still descending: their index, point, both centres and u = x - base
+    rows, xa, za, zta = np.arange(N), x, np.zeros((N, n)), np.zeros((N, n))
+    u = x
+    for k in range(1, K + 1):
+        v = np.where(u > 0.0, 1.0, -1.0)
+        za += (0.5 * r[k - 1]) * v
+        zta += (0.5 * rt[k - 1]) * v
+        u = xa - (za if side == "domain" else zta)
+        ma = np.abs(u).max(axis=1)
+        leave = ma > drive[k]
+        if k == K:
+            core[rows[~leave]] = True
+            leave[:] = True
+        if leave.any():
+            out = rows[leave]
+            depth[out] = k
+            z[out], zt[out], m[out] = za[leave], zta[leave], ma[leave]
+            stay = ~leave
+            rows, xa, za, zta, u = rows[stay], xa[stay], za[stay], zta[stay], u[stay]
+        if not rows.size:
+            break
+    return BatchDescent(depth, core, z, zt, m, x)
 
 
 def center(word: VertexWord, pack: SequencePack, side: Side = "domain") -> tuple[float, ...]:

@@ -13,22 +13,24 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import analysis, render
-from .cantor import SequencePack, geometric_sequence, harmonic_sequence, standard_scales
+from .cantor import (SequencePack, descend_batch, geometric_sequence, harmonic_sequence,
+                     in_cube, standard_scales)
 from .errors import ConstructionError, PonomapError
 # eval_h is not called here; perfbench/tracer.py counts its calls at this name
 from .gauge import (GaugeSpec, eval_h, finite_measure_sequence, from_json,  # noqa: F401
                     null_measure_sequence, scale_condition)
-from .mapping import build
+from .mapping import PonomarevMap, build
 from .verify import VerifyScale, run_suite
 
 EXIT_OK = 0
@@ -253,30 +255,39 @@ def cmd_sequence(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def read_points(path: Path, n: int) -> list[tuple[float, ...] | str]:
-    rows: list[tuple[float, ...] | str] = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p for p in line.replace(",", " ").split() if p]
-        try:
-            vals = tuple(float(p) for p in parts)
-        except ValueError:
-            rows.append(f"unparsable row: {line!r}")
-            continue
-        if len(vals) != n:
-            rows.append(f"expected {n} coordinates: {line!r}")
-            continue
-        rows.append(vals)
-    return rows
+def read_points(lines: Iterable[str], n: int) -> Iterator[tuple[float, ...] | str]:
+    """The rows of a points file, parsed as they are taken from its lines:
+    the coordinates of each point line, or the error text of a line that
+    is none.  Blank lines and ``#`` comments are skipped."""
+    for chunk in lines:
+        # str.splitlines also ends a line at \v, \f and a few more
+        for line in chunk.splitlines():
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield _parse_point(line, n)
+
+
+def _parse_point(line: str, n: int) -> tuple[float, ...] | str:
+    parts = [p for p in line.replace(",", " ").split() if p]
+    try:
+        vals = tuple(float(p) for p in parts)
+    except ValueError:
+        return f"unparsable row: {line!r}"
+    if len(vals) != n:
+        return f"expected {n} coordinates: {line!r}"
+    return vals
+
+
+# rows per vectorised pass of ``cmd_eval``; it bounds the pass's memory
+_EVAL_BLOCK = 4096
 
 
 def cmd_eval(cfg: RunConfig, out: Path, points_path: Path) -> int:
     pmap = build(make_pack(cfg))
     n = pmap.n
-    rows = read_points(points_path, n)
-    with open(out / "eval.csv", "w", newline="") as f:
+    # the points file is opened first, so a missing one leaves no eval.csv
+    with open(points_path) as src, open(out / "eval.csv", "w", newline="") as f:
+        rows = read_points(src, n)
         for line in provenance(cfg):
             f.write(f"# {line}\n")
         writer = csv.writer(f, lineterminator="\n")
@@ -286,25 +297,51 @@ def cmd_eval(cfg: RunConfig, out: Path, points_path: Path) -> int:
             + [f"back{i + 1}" for i in range(n)]
             + ["depth", "region"]
         )
-        for row in rows:
-            if isinstance(row, str):
-                writer.writerow([""] * (3 * n) + ["", f"error: {row}"])
-                continue
+        while block := list(itertools.islice(rows, _EVAL_BLOCK)):
+            _write_eval_block(writer, pmap, block)
+    return EXIT_OK
+
+
+def _write_eval_block(writer, pmap: PonomarevMap,
+                      block: list[tuple[float, ...] | str]) -> None:
+    """One domain descent, ``eval_batch``, one target descent and
+    ``eval_inverse_batch`` for the block's points whose image is in the cube
+    too; every other point takes the per-row calls, so an error row carries
+    the text that ``locate``, ``eval`` or ``eval_inverse`` raises."""
+    n = pmap.n
+    at = [i for i, row in enumerate(block) if not isinstance(row, str)]
+    x = np.array([block[i] for i in at], dtype=np.float64).reshape(len(at), n)
+    x_in = np.flatnonzero(in_cube(x))
+    loc = descend_batch(x[x_in], pmap.pack)
+    y = pmap.eval_batch(loc.x, loc)
+    y_in = np.flatnonzero(in_cube(y))
+    back = pmap.eval_inverse_batch(y[y_in])
+    done = dict(zip(
+        np.take(at, x_in[y_in]).tolist(),
+        zip(y[y_in].tolist(), back.tolist(), loc.depth[y_in].tolist(),
+            np.where(loc.core[y_in], "core", "annulus").tolist())))
+    for i, row in enumerate(block):
+        if isinstance(row, str):
+            writer.writerow([""] * (3 * n) + ["", f"error: {row}"])
+            continue
+        if i in done:
+            fy, fback, depth, region = done[i]
+        else:
             try:
-                loc = pmap.locate(row)
-                y = pmap.eval(row, loc)
-                back = pmap.eval_inverse(y)
+                d = pmap.locate(row)
+                fy = pmap.eval(row, d)
+                fback = pmap.eval_inverse(fy)
             except PonomapError as exc:
                 writer.writerow([repr(v) for v in row] + [""] * (2 * n)
                                 + ["", f"error: {exc}"])
                 continue
-            writer.writerow(
-                [repr(v) for v in row]
-                + [repr(v) for v in y]
-                + [repr(v) for v in back]
-                + [loc.depth, loc.region]
-            )
-    return EXIT_OK
+            depth, region = d.depth, d.region
+        writer.writerow(
+            [repr(v) for v in row]
+            + [repr(v) for v in fy]
+            + [repr(v) for v in fback]
+            + [depth, region]
+        )
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:

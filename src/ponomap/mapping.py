@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .cantor import Descent, SequencePack, descend
+from .cantor import BatchDescent, Descent, SequencePack, descend, descend_batch
 from .errors import RidgeSetError
 
 _RIDGE_RTOL = 1e-12
@@ -73,6 +73,19 @@ class PonomarevMap:
             scale = pack.rt[pack.K] / pack.r[pack.K]
         return tuple(d.zt[i] + scale * (x[i] - d.z[i]) for i in range(pack.n))
 
+    def eval_batch(self, x: np.ndarray,
+                   located: BatchDescent | None = None) -> np.ndarray:
+        """``eval`` of every row of an (N, n) array: the same formulas in the
+        same order, so row i equals ``eval(x[i])`` bit for bit.  ``located``,
+        when given, must be ``descend_batch(x, self.pack)``."""
+        pack = self.pack
+        d = descend_batch(x, pack, "domain") if located is None else located
+        scale = np.full(len(d.m), pack.rt[pack.K] / pack.r[pack.K])
+        ann = ~d.core
+        k, m = d.depth[ann], d.m[ann]
+        scale[ann] = (np.take(pack.alpha, k) * m + np.take(pack.beta, k)) / m
+        return d.zt + scale[:, None] * (d.x - d.z)
+
     def eval_inverse(self, y: Sequence[float]) -> tuple[float, ...]:
         """Structural inverse: the same descent run on the target hierarchy."""
         pack = self.pack
@@ -85,6 +98,17 @@ class PonomarevMap:
         else:
             scale = pack.r[pack.K] / pack.rt[pack.K]
         return tuple(d.z[i] + scale * (y[i] - d.zt[i]) for i in range(pack.n))
+
+    def eval_inverse_batch(self, y: np.ndarray) -> np.ndarray:
+        """``eval_inverse`` of every row of an (N, n) array, bit for bit."""
+        pack = self.pack
+        d = descend_batch(y, pack, "target")
+        scale = np.full(len(d.m), pack.r[pack.K] / pack.rt[pack.K])
+        ann = ~d.core
+        k, m = d.depth[ann], d.m[ann]
+        s = (m - np.take(pack.beta, k)) / np.take(pack.alpha, k)
+        scale[ann] = s / m
+        return d.z + scale[:, None] * (d.x - d.zt)
 
     def locate(self, x: Sequence[float]) -> Descent:
         """Domain descent of x to depth K.  Inner cubes are closed, so face

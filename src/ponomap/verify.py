@@ -21,7 +21,6 @@ from .errors import PonomapError, RidgeSetError
 from .gauge import (  # noqa: F401
     IDENTITY_TOL,
     GaugeSpec,
-    RawGauge,
     check_gauge_monotone,
     check_tau_invariants,
     eval_h,
@@ -371,11 +370,9 @@ def _check_measures(s: _Suite, pack: SequencePack, gauge: GaugeSpec | None,
           abs(target - expect) <= 1e-12 * expect)
 
     mism = 0
-    probe_gauge = gauge if gauge is not None else GaugeSpec(
-        n=n, raw=RawGauge(family="power", alpha=float(n)))
     for j in range(0, min(3, pack.K) + 1):
         k = min(pack.K, j + 2)
-        rep = analysis.pushforward_check(pack, probe_gauge, k, j)
+        rep = analysis.pushforward_check(pack, k, j)
         if not rep.exact:
             mism += 1
     s.add("measure.pushforward_failures", mism, 0.0, mism == 0)

@@ -333,10 +333,9 @@ def test_acceptance_08_lower_bound_probe():
 def test_acceptance_09_coding_pushforward():
     t0 = time.perf_counter()
     pack = SequencePack.from_standard(2, harmonic_sequence(8))
-    gauge = GaugeSpec(n=2, tau=TauSpec(family="log", shift=math.e))
     for j in range(0, 4):
         for k in range(j, 7):
-            rep = pushforward_check(pack, gauge, k, j)
+            rep = pushforward_check(pack, k, j)
             assert rep.exact
             assert all(rho == Fraction(1, 4 ** j) for rho in rep.ratios)
     for k in range(0, 7):

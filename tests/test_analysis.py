@@ -533,9 +533,9 @@ def test_sobolev_validation():
 
 def test_pushforward_trivial_and_children():
     pack = harmonic_pack(8)
-    rep = pushforward_check(pack, LOG_GAUGE, 4, 0)
+    rep = pushforward_check(pack, 4, 0)
     assert rep.exact and rep.ratios == (Fraction(1),)
-    rep = pushforward_check(pack, LOG_GAUGE, 3, 1)
+    rep = pushforward_check(pack, 3, 1)
     assert rep.exact
     assert rep.ratios == tuple(Fraction(1, 4) for _ in range(4))
 
@@ -544,7 +544,7 @@ def test_pushforward_exhaustive():
     pack = harmonic_pack(8)
     for j in range(0, 4):
         for k in range(j, 7):
-            rep = pushforward_check(pack, LOG_GAUGE, k, j)
+            rep = pushforward_check(pack, k, j)
             assert rep.exact
             assert all(rho == Fraction(1, 4 ** j) for rho in rep.ratios)
 
@@ -553,5 +553,5 @@ def test_pushforward_formula_path():
     # past 2^20 depth-k words the check refuses rather than enumerate
     pack = SequencePack.from_standard(2, harmonic_sequence(12))
     with pytest.raises(DepthError):
-        pushforward_check(pack, LOG_GAUGE, 12, 2)
-    assert pushforward_check(pack, LOG_GAUGE, 4, 2).ratios == (Fraction(1, 16),) * 16
+        pushforward_check(pack, 12, 2)
+    assert pushforward_check(pack, 4, 2).ratios == (Fraction(1, 16),) * 16

@@ -1,8 +1,10 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ponomap
+from ponomap import cli
 from ponomap.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from tie_points import LOG_TAU, log_pack, tie_heavy_points
 
@@ -190,6 +193,150 @@ def test_golden_bytes_tie_heavy(tmp_path):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in TIE_GOLDEN_SHA256}
     assert got == TIE_GOLDEN_SHA256
+
+
+# rows that each fail differently: non-finite and overflowing coordinates,
+# wrong counts, text, points just outside the cube, a comment and a blank
+# line, between valid rows with signed zeros, corners and subnormals
+ERROR_HEAVY_2D = ("nan,0.5\n0.5,nan\ninf,0\n-inf,0.25\n1e400,0.1\n0.5\n0.1,0.2,0.3\n"
+                  "foo,bar\n1.0000000000000002,0\n2.0,-2.0\n# a comment\n\n"
+                  "-0.0,-0.0\n-0.0,0.5\n0.25 -0.75\n-1,-1\n1,1\n1e-320,-1e-320\n")
+ONLY_ERROR_ROWS_2D = "nan,nan\nfoo\n1,2,3\n2.0,0\n# nothing valid\n"
+
+# SHA-256 of eval.csv, recorded from the per-row scalar loop (locate, eval,
+# eval_inverse of each row) that the block path replaced; the gauge section
+# takes n >= 2 only, so n = 1 is covered by the batch tests of the library
+EVAL_GOLDEN_SHA256 = {
+    "n2": "7bd1420831e5c5ae4a04107dfbd6bf82e4a6b5be55d728e96960ca873397fca6",
+    "n3": "d34041c1ed6cbcc9e9ce92c74fd230804d7a486a2063e00670ec56856390337b",
+    "error_heavy_n2": "a12452a772307d0778d25048d559e800970cc4efa46615cb1a77bbf8eb9a06da",
+    "only_errors_n2": "65ea9fe46e0372a15b7ea28f555ad792e8bb9c18cdba794ae790c019220860d0",
+}
+
+
+def eval_csv_bytes(tmp_path, n: int, text: str) -> bytes:
+    tmp_path.mkdir(exist_ok=True)
+    cfg = tmp_path / f"eval{n}.json"
+    cfg.write_text(json.dumps({"gauge": {"n": n, "tau": LOG_TAU}, "theorem": 1,
+                               "depth": 40, "seed": 3}))
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    out = tmp_path / "ev"
+    assert main(["eval", "--config", str(cfg), "--out", str(out),
+                 "--points", str(pts)]) == EXIT_OK
+    return (out / "eval.csv").read_bytes()
+
+
+def points_text(pts) -> str:
+    return "".join(",".join(repr(c) for c in p) + "\n" for p in pts)
+
+
+def eval_golden_inputs() -> dict[str, tuple[int, str]]:
+    def mixed(n):
+        lines = points_text(tie_heavy_points(5, 20, log_pack(n, 40))).splitlines(True)
+        # an out-of-cube row, a wrong count and text amid the valid rows
+        bad = [",".join(["1.5"] * n) + "\n", "0.1," * n + "0.1\n", "x\n"]
+        for i, row in enumerate(bad):
+            lines.insert(7 * (i + 1), row)
+        return "".join(lines)
+
+    valid_2d = points_text(tie_heavy_points(5, 6, log_pack(2, 40)))
+    return {
+        "n2": (2, mixed(2)),
+        "n3": (3, mixed(3)),
+        "error_heavy_n2": (2, ERROR_HEAVY_2D + valid_2d + ERROR_HEAVY_2D),
+        "only_errors_n2": (2, ONLY_ERROR_ROWS_2D),
+    }
+
+
+def test_eval_golden_bytes(tmp_path):
+    got = {}
+    for name, (n, text) in eval_golden_inputs().items():
+        got[name] = hashlib.sha256(eval_csv_bytes(tmp_path / name, n, text)).hexdigest()
+    assert got == EVAL_GOLDEN_SHA256
+
+
+def per_row_eval_rows(path, n: int) -> str:
+    """eval.csv below its header as the per-row loop writes it: locate, eval
+    and eval_inverse of each row, the error text of whichever raises."""
+    pmap = ponomap.build(log_pack(n, 40))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    with open(path) as f:
+        rows = list(cli.read_points(f, n))
+    for row in rows:
+        if isinstance(row, str):
+            writer.writerow([""] * (3 * n) + ["", f"error: {row}"])
+            continue
+        try:
+            loc = pmap.locate(row)
+            y = pmap.eval(row, loc)
+            back = pmap.eval_inverse(y)
+        except ponomap.PonomapError as exc:
+            writer.writerow([repr(v) for v in row] + [""] * (2 * n) + ["", f"error: {exc}"])
+            continue
+        writer.writerow([repr(v) for v in row] + [repr(v) for v in y]
+                        + [repr(v) for v in back] + [loc.depth, loc.region])
+    return buf.getvalue()
+
+
+def eval_rows_of(data: bytes) -> str:
+    text = data.decode()
+    return text[text.index("\nx1,") + 1:].split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("block", [None, 4])
+def test_eval_blocks_match_per_row_loop(tmp_path, monkeypatch, block):
+    # error rows on both sides of every block edge, and (block 4) a block
+    # of rows that are no points and a block of points outside the cube,
+    # so that a block has nothing to descend
+    if block is not None:
+        monkeypatch.setattr(cli, "_EVAL_BLOCK", block)
+    size = cli._EVAL_BLOCK
+    rng = random.Random(11)
+    lines = [f"{rng.uniform(-1.0, 1.0)!r},{rng.uniform(-1.0, 1.0)!r}\n"
+             for _ in range(size + 40)]
+    bad = ["nan,0.5\n", "foo\n", "1.5,0\n", "0.5\n", "-1e400,0\n"]
+    for i in range(size - 2, size + 2):
+        lines[i] = bad[i % len(bad)]
+    lines[-1] = bad[-1]
+    if block is not None:
+        lines[8:12] = ["foo\n", "0.5\n", "1,2,3\n", "x,y\n"]
+        lines[12:16] = ["nan,0.5\n", "1.5,0\n", "-1e400,0\n", "0,2\n"]
+        lines[20:24] = ["# comment\n", "\n"] + bad[1:3]
+    text = "".join(lines)
+    got = eval_csv_bytes(tmp_path, 2, text)
+    assert eval_rows_of(got) == per_row_eval_rows(tmp_path / "pts.csv", 2)
+
+
+def test_read_points_splits_lines_as_splitlines(tmp_path):
+    # the file is read one line at a time, and each line is split again
+    # where str.splitlines of the whole text splits it
+    path = tmp_path / "pts.csv"
+    path.write_bytes("0.1,0.2\r\n0.3,0.4\r0.5\x0c0.6,0.7\x0b-0.1,0.2\x1c0.2,0.3\x85 0.3,0.3"
+                     "\u20280.4,0.4\n\n  # c\n1,2,3\r\r\nfoo\n\t0.25 0.5 \n0.1,0.1".encode())
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    expect = [cli._parse_point(line, 2) for line in lines
+              if line and not line.startswith("#")]
+    with open(path) as f:
+        assert list(cli.read_points(f, 2)) == expect
+    assert len(expect) == 12
+
+
+def test_eval_image_outside_cube_takes_per_row_path(tmp_path, monkeypatch):
+    # a row whose batch image fails the range check is evaluated again by
+    # the per-row calls, whose image is the scalar one
+    batch = ponomap.PonomarevMap.eval_batch
+
+    def pushed_out(self, x, located=None):
+        y = batch(self, x, located)
+        y[::3] = 1.5
+        return y
+
+    monkeypatch.setattr(ponomap.PonomarevMap, "eval_batch", pushed_out)
+    text = points_text(tie_heavy_points(7, 4, log_pack(2, 40))) + "nan,0\n"
+    got = eval_csv_bytes(tmp_path, 2, text)
+    assert eval_rows_of(got) == per_row_eval_rows(tmp_path / "pts.csv", 2)
 
 
 def test_verify_deterministic_bytes(config_path, tmp_path):
