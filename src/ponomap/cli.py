@@ -285,20 +285,30 @@ _EVAL_BLOCK = 4096
 def cmd_eval(cfg: RunConfig, out: Path, points_path: Path) -> int:
     pmap = build(make_pack(cfg))
     n = pmap.n
+    target = out / "eval.csv"
     # the points file is opened first, so a missing one leaves no eval.csv
-    with open(points_path) as src, open(out / "eval.csv", "w", newline="") as f:
-        rows = read_points(src, n)
-        for line in provenance(cfg):
-            f.write(f"# {line}\n")
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(
-            [f"x{i + 1}" for i in range(n)]
-            + [f"y{i + 1}" for i in range(n)]
-            + [f"back{i + 1}" for i in range(n)]
-            + ["depth", "region"]
-        )
-        while block := list(itertools.islice(rows, _EVAL_BLOCK)):
-            _write_eval_block(writer, pmap, block)
+    try:
+        src = open(points_path, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read points {points_path}: {exc}") from exc
+    try:
+        with src, open(target, "w", newline="") as f:
+            rows = read_points(src, n)
+            for line in provenance(cfg):
+                f.write(f"# {line}\n")
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(
+                [f"x{i + 1}" for i in range(n)]
+                + [f"y{i + 1}" for i in range(n)]
+                + [f"back{i + 1}" for i in range(n)]
+                + ["depth", "region"]
+            )
+            while block := list(itertools.islice(rows, _EVAL_BLOCK)):
+                _write_eval_block(writer, pmap, block)
+    except UnicodeDecodeError as exc:
+        # the file is decoded as it is read: drop the rows written before
+        target.unlink()
+        raise ConfigError(f"cannot read points {points_path}: {exc}") from exc
     return EXIT_OK
 
 

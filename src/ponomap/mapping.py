@@ -172,6 +172,27 @@ class PonomarevMap:
         alpha, beta = pack.alpha[k], pack.beta[k]
         return alpha * (alpha + beta / d.m) ** (pack.n - 1)
 
+    def jacobian_det_batch(self, x: np.ndarray,
+                           located: BatchDescent | None = None) -> np.ndarray:
+        """``jacobian_det`` of every row of an (N, n) array, bit for bit, and
+        NaN on the rows where it raises RidgeSetError.  ``located`` is as in
+        ``eval_batch``."""
+        pack = self.pack
+        d = descend_batch(x, pack, "domain") if located is None else located
+        det = np.full(len(d.m), (pack.rt[pack.K] / pack.r[pack.K]) ** pack.n)
+        ann = np.flatnonzero(~d.core)
+        k = d.depth[ann]
+        alpha, beta = np.take(pack.alpha, k), np.take(pack.beta, k)
+        # numpy's powers are not libm's pow, which Python's float ** calls,
+        # so the power is taken one row at a time
+        e = pack.n - 1
+        det[ann] = alpha * np.array([g ** e for g in (alpha + beta / d.m[ann]).tolist()])
+        if pack.n > 1:
+            # the ridge rule of _annulus_state on the two largest |u_i|
+            mags = np.sort(np.abs(d.x[ann] - d.z[ann]), axis=1)
+            det[ann[mags[:, -1] - mags[:, -2] <= _RIDGE_RTOL * mags[:, -1]]] = np.nan
+        return det
+
 
 def build(pack: SequencePack) -> PonomarevMap:
     """Assemble the map for a validated pack.

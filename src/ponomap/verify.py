@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis
-from .cantor import SequencePack, VertexWord, all_words, center, dyadic_cube, dyadic_preimage
-from .errors import PonomapError, RidgeSetError
+from .cantor import (SequencePack, VertexWord, all_words, center, dyadic_cube,
+                     dyadic_preimage, in_cube)
+from .errors import PonomapError
 # eval_h is not called here; perfbench/tracer.py counts its calls at this name
 from .gauge import (  # noqa: F401
     IDENTITY_TOL,
@@ -190,19 +191,39 @@ def _check_cantor(s: _Suite, pack: SequencePack, scale: VerifyScale):
     s.add("cantor.counting_identity_failures", mism, 0.0, mism == 0)
 
 
+def _rows(points: list, n: int) -> np.ndarray:
+    return np.array(points, dtype=np.float64).reshape(len(points), n)
+
+
+def _sup_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_sup`` of each pair of rows."""
+    return np.abs(a - b).max(axis=1)
+
+
+def _fold_max(values: np.ndarray, start: float = 0.0) -> float:
+    """``worst = max(worst, v)`` over the values in order, from ``start``."""
+    return max([start, *values.tolist()])
+
+
 def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
+    # Each forward-map check draws its samples in the order of a loop of one
+    # sample at a time, then maps them all in one ``eval_batch``; the
+    # per-sample expressions and the reductions stay those of that loop, so
+    # the checks and the rng state after them do not change.
     pack = pmap.pack
     n = pack.n
 
-    worst = 0.0
+    xs = []
     for _ in range(scale.boundary_points):
         x = [float(rng.uniform(-1.0, 1.0)) for _ in range(n)]
         i = int(rng.integers(n))
         x[i] = 1.0 if rng.uniform() > 0.5 else -1.0
-        worst = max(worst, _sup(pmap.eval(tuple(x)), x) / ULP1)
+        xs.append(x)
+    x = _rows(xs, n)
+    worst = _fold_max(_sup_rows(pmap.eval_batch(x), x) / ULP1)
     s.add_le("map.boundary_identity_ulps", worst, 8.0)
 
-    worst = 0.0
+    lo, hi, conds = [], [], []
     for depth in range(1, min(scale.face_depth, pack.K - 1) + 1):
         cond = max(1.0, _gradient_bound(pack, depth),
                    _gradient_bound(pack, min(depth + 1, pack.K)))
@@ -213,27 +234,31 @@ def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
             direction = [float(rng.uniform(-0.7, 0.7)) for _ in range(n)]
             direction[j] = 1.0
             for radius in (pack.r[depth], pack.r[depth - 1] / 2.0):
-                lo = tuple(z[i] + radius * (1.0 - 4e-16) * direction[i] for i in range(n))
-                hi = tuple(z[i] + radius * (1.0 + 4e-16) * direction[i] for i in range(n))
-                try:
-                    err = _sup(pmap.eval(lo), pmap.eval(hi))
-                except PonomapError:
-                    continue
-                worst = max(worst, err / (ULP1 * cond))
+                lo.append([z[i] + radius * (1.0 - 4e-16) * direction[i] for i in range(n)])
+                hi.append([z[i] + radius * (1.0 + 4e-16) * direction[i] for i in range(n)])
+                conds.append(cond)
+    lo, hi = _rows(lo, n), _rows(hi, n)
+    # a face point can round past the cube (at depth 1, 0.5 + 0.5 (1 + 4e-16)
+    # is above 1); it has no image and is skipped
+    ok = in_cube(lo) & in_cube(hi)
+    err = _sup_rows(pmap.eval_batch(lo[ok]), pmap.eval_batch(hi[ok]))
+    worst = _fold_max(err / (ULP1 * np.array(conds)[ok]))
     s.add_le("map.face_continuity_ulps", worst, 8.0)
 
-    worst = 0.0
+    xs, targets, conds = [], [], []
     for depth in range(1, min(6, pack.K) + 1):
         # the noise floor is one coordinate ulp amplified by the core scale
         cond = max(1.0, pack.b[depth] / pack.a[depth])
         for _ in range(20):
             w = _random_word(rng, n, depth)
-            got = pmap.eval(center(w, pack, "domain"))
-            err = _sup(got, center(w, pack, "target"))
-            worst = max(worst, err / (ULP1 * cond))
+            xs.append(center(w, pack, "domain"))
+            targets.append(center(w, pack, "target"))
+            conds.append(cond)
+    err = _sup_rows(pmap.eval_batch(_rows(xs, n)), _rows(targets, n))
+    worst = _fold_max(err / (ULP1 * np.array(conds)))
     s.add_le("map.center_invariance_ulps", worst, 8.0)
 
-    worst = 0.0
+    xs, targets, radii, conds = [], [], [], []
     for depth in range(1, min(6, pack.K) + 1):
         cond = max(1.0, _gradient_bound(pack, depth))
         for _ in range(20):
@@ -243,13 +268,15 @@ def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
             j = int(rng.integers(n))
             direction = [float(rng.uniform(-1.0, 1.0)) for _ in range(n)]
             direction[j] = 1.0 if rng.uniform() > 0.5 else -1.0
-            x = tuple(z[i] + pack.r[depth] * direction[i] for i in range(n))
-            y = pmap.eval(x)
-            dist = max(abs(y[i] - zt[i]) for i in range(n))
-            worst = max(worst, abs(dist - pack.rt[depth]) / (ULP1 * cond))
+            xs.append([z[i] + pack.r[depth] * direction[i] for i in range(n)])
+            targets.append(zt)
+            radii.append(pack.rt[depth])
+            conds.append(cond)
+    dist = _sup_rows(pmap.eval_batch(_rows(xs, n)), _rows(targets, n))
+    worst = _fold_max(np.abs(dist - np.array(radii)) / (ULP1 * np.array(conds)))
     s.add_le("map.cube_onto_cube_ulps", worst, 8.0)
 
-    bad_rays = 0
+    xs, targets = [], []
     for depth in (1, min(3, pack.K), min(6, pack.K)):
         for _ in range(10):
             w = _random_word(rng, n, depth)
@@ -259,16 +286,17 @@ def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
             direction[0] = 1.0
             radii = np.linspace(pack.r[depth] * 1.01,
                                 pack.r[depth - 1] / 2.0 * 0.99, 12)
-            prev = -math.inf
             for radius in radii:
-                x = tuple(z[i] + radius * direction[i] for i in range(n))
-                img = max(abs(a - b) for a, b in zip(pmap.eval(x), zt))
-                if img <= prev:
-                    bad_rays += 1
-                    break
-                prev = img
+                xs.append([z[i] + radius * direction[i] for i in range(n)])
+                targets.append(zt)
+    # one row per ray: the sup distance of each image to the target centre
+    img = _sup_rows(pmap.eval_batch(_rows(xs, n)), _rows(targets, n)).reshape(-1, 12)
+    bad_rays = int(np.count_nonzero((img[:, 1:] <= img[:, :-1]).any(axis=1)))
     s.add("map.monotone_radial_failures", bad_rays, 0.0, bad_rays == 0)
 
+    # The round trip stays one point at a time: the certify workload of
+    # perfbench/tracer.py must reach the scalar eval_inverse, and only this
+    # loop calls it.
     worst_ann = 0.0
     worst_core = 0.0
     for _ in range(scale.roundtrip_points):
@@ -285,36 +313,33 @@ def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
     s.add_le("map.inverse_roundtrip_core", worst_core,
              2.0 * pmap.truncation_error)
 
+    # consecutive uniform draws: one array draw takes the same values
     worst_ratio = 0.0
     for kp in sorted({max(1, pack.K // 4), max(1, pack.K // 2)}):
         shallow = build(pack.truncate(kp))
-        for _ in range(100):
-            x = tuple(float(rng.uniform(-1.0, 1.0)) for _ in range(n))
-            worst_ratio = max(worst_ratio, _sup(pmap.eval(x), shallow.eval(x))
-                              / shallow.truncation_error)
+        x = rng.uniform(-1.0, 1.0, size=(100, n))
+        ratio = _sup_rows(pmap.eval_batch(x), shallow.eval_batch(x)) / shallow.truncation_error
+        worst_ratio = _fold_max(ratio, worst_ratio)
     s.add_le("map.truncation_ratio", worst_ratio, 1.0)
 
-    collisions = 0
-    for _ in range(scale.injectivity_pairs):
-        x1 = tuple(float(rng.uniform(-1.0, 1.0)) for _ in range(n))
-        x2 = tuple(float(rng.uniform(-1.0, 1.0)) for _ in range(n))
-        if x1 != x2 and pmap.eval(x1) == pmap.eval(x2):
-            collisions += 1
+    pairs = rng.uniform(-1.0, 1.0, size=(scale.injectivity_pairs, 2, n))
+    y = pmap.eval_batch(pairs.reshape(-1, n)).reshape(pairs.shape)
+    collisions = int(np.count_nonzero((pairs[:, 0] != pairs[:, 1]).any(axis=1)
+                                      & (y[:, 0] == y[:, 1]).all(axis=1)))
     s.add("map.injectivity_collisions", collisions, 0.0, collisions == 0)
 
 
 def _check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
     pack = pmap.pack
     n = pack.n
-    min_det = math.inf
-    for _ in range(scale.jacobian_points):
-        x = tuple(float(rng.uniform(-1.0, 1.0)) for _ in range(n))
-        try:
-            min_det = min(min_det, pmap.jacobian_det(x))
-        except RidgeSetError:
-            continue
+    det = pmap.jacobian_det_batch(rng.uniform(-1.0, 1.0, size=(scale.jacobian_points, n)))
+    # a point on the ridge set (NaN) has no determinant and is skipped
+    min_det = min([math.inf, *det[~np.isnan(det)].tolist()])
     s.add("jacobian.min_det", min_det, 0.0, min_det > 0.0)
 
+    # The finite-difference and determinant-identity loops stay one point at
+    # a time: they keep the scalar locate, derivative, jacobian_det and eval
+    # in the calls that perfbench/tracer.py requires of the certify workload.
     worst = 0.0
     for _ in range(scale.fd_points):
         depth = int(rng.integers(1, min(7, pack.K) + 1))

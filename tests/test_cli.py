@@ -339,6 +339,22 @@ def test_eval_image_outside_cube_takes_per_row_path(tmp_path, monkeypatch):
     assert eval_rows_of(got) == per_row_eval_rows(tmp_path / "pts.csv", 2)
 
 
+
+@pytest.mark.parametrize("kind", ["missing", "not_utf8"])
+def test_eval_unreadable_points_file_exits_3(config_path, tmp_path, capsys, kind):
+    # the undecodable byte sits past the first block of rows, which the
+    # streaming reader has already written when it meets the byte
+    points = tmp_path / "pts.csv"
+    if kind == "not_utf8":
+        points.write_bytes(b"0.25,-0.5\n" * (cli._EVAL_BLOCK + 10) + b"0.1,\xff0.2\n")
+    out = tmp_path / "out"
+    assert main(["eval", "--config", str(config_path), "--out", str(out),
+                 "--points", str(points)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read points {points}: ")
+    assert "Traceback" not in err
+    assert not (out / "eval.csv").exists()
+
 def test_verify_deterministic_bytes(config_path, tmp_path):
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
     for out in (out1, out2):

@@ -1,5 +1,8 @@
 import math
 
+import numpy as np
+import pytest
+
 from ponomap import (
     GaugeSpec,
     RawGauge,
@@ -10,7 +13,17 @@ from ponomap import (
     harmonic_sequence,
     null_measure_sequence,
 )
-from ponomap.verify import VerifyScale, _check_measures, _Suite, run_suite
+from ponomap.mapping import build
+from ponomap.verify import (
+    VerifyScale,
+    _check_jacobian,
+    _check_map,
+    _check_measures,
+    _Suite,
+    run_suite,
+)
+from reference_verify import reference_check_jacobian, reference_check_map
+from tie_points import log_pack
 
 FAST = VerifyScale(
     boundary_points=100,
@@ -101,3 +114,37 @@ def test_determinism_same_seed():
     r1 = run_suite(pack, seed=9, scale=FAST)
     r2 = run_suite(pack, seed=9, scale=FAST)
     assert r1.to_dict() == r2.to_dict()
+
+
+TINY = VerifyScale(boundary_points=3, face_points=2, face_depth=3, roundtrip_points=3,
+                   jacobian_points=3, fd_points=2, injectivity_pairs=4, mc_samples=2,
+                   depth_cap=1)
+
+
+def _steep_pack():
+    gauge = GaugeSpec(n=2, raw=RawGauge(family="exp_inverse", scale=1.0))
+    return SequencePack.from_standard(2, null_measure_sequence(gauge, 40))
+
+
+@pytest.mark.parametrize("make_pack, scale, seed", [
+    (lambda: log_pack(2, 40), VerifyScale(), 0),
+    (lambda: log_pack(3, 20), VerifyScale(), 1),
+    (_steep_pack, FAST, 2),
+    (lambda: SequencePack.from_scales(2, geometric_sequence(10), geometric_sequence(10)),
+     FAST, 3),
+    (lambda: log_pack(2, 12), TINY, 4),
+], ids=["log-n2-K40", "log-n3-K20", "exp_inverse-theorem2", "identity", "tiny-scale"])
+def test_check_map_matches_scalar_reference(make_pack, scale, seed):
+    # the batched sampling loops against the one-sample-at-a-time loops they
+    # replace: the same checks, bit for bit, and the same rng state after
+    pmap = build(make_pack())
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, ref = _Suite(), _Suite()
+    _check_map(got, pmap, rng, scale)
+    reference_check_map(ref, pmap, ref_rng, scale)
+    assert repr(got.checks) == repr(ref.checks)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    _check_jacobian(got, pmap, rng, scale)
+    reference_check_jacobian(ref, pmap, ref_rng, scale)
+    assert repr(got.checks) == repr(ref.checks)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
