@@ -47,7 +47,6 @@ from .analysis import (
     GradientPower,
     LowerProbeReport,
     NormReport,
-    PowerLaw,
     PushforwardReport,
     canonical_cover,
     grand_norm_report,
@@ -79,7 +78,6 @@ __all__ = [
     "NormReport",
     "PonomapError",
     "PonomarevMap",
-    "PowerLaw",
     "PrecisionError",
     "PushforwardReport",
     "RawGauge",

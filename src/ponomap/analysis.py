@@ -10,9 +10,9 @@ statement:
   cover dominates the canonical cube covers, and records the counting
   constants the comparison uses.
 * Exact sup-norm shell integrals (layer-cake identity
-  int_{shell} phi(||x||_inf) dx = n 2^n int phi(t) t^(n-1) dt), with closed
-  forms for power laws, adaptive quadrature otherwise, and a seeded
-  Monte Carlo cross-check that does not use the identity.
+  int_{shell} phi(||x||_inf) dx = n 2^n int phi(t) t^(n-1) dt) by adaptive
+  quadrature, and a seeded Monte Carlo cross-check that does not use the
+  identity.
 * Grand Lebesgue norm reports eps * int |Df_K|^(n-eps) over an eps grid,
   with the telescoping analytic bound, and classical p-norm sums with a
   per-depth profile for the p = n divergence probe.
@@ -37,6 +37,7 @@ from .cantor import (
     all_words,
     center,
     descendant_count,
+    half_edge,
 )
 from .errors import CoverageError, DepthError, GaugeRangeError, ToleranceError
 from .gauge import GaugeSpec, eval_h
@@ -150,7 +151,7 @@ def upper_sum_at_scale(h: GaugeSpec, k: int, a_k: float) -> CoverReport:
     if k < 0:
         raise DepthError("depth must be >= 0")
     n = h.n
-    per = eval_h(h, 2.0 * math.sqrt(n) * math.ldexp(a_k, -k))
+    per = eval_h(h, 2.0 * math.sqrt(n) * half_edge(a_k, k))
     count = 2 ** (n * k)
     try:
         total = float(count) * per
@@ -268,9 +269,9 @@ def canonical_cover(pack: SequencePack, m: int) -> list[Ball]:
     return out
 
 
-def random_cover(pack: SequencePack, m: int, rng: np.random.Generator,
-                 extra_depth: int = ANCHOR_DEPTH) -> list[Ball]:
-    """One ball per depth-m cube, anchored at a random deeper cube center.
+def random_cover(pack: SequencePack, m: int, rng: np.random.Generator) -> list[Ball]:
+    """One ball per depth-m cube, anchored at the center of a random cube
+    ANCHOR_DEPTH levels deeper.
 
     The radius is the smallest that still contains the depth-m cube, so the
     cover always covers, while staying within twice the circumscribed
@@ -278,14 +279,15 @@ def random_cover(pack: SequencePack, m: int, rng: np.random.Generator,
     """
     if not 1 <= m <= pack.K:
         raise DepthError(f"depth {m} outside 1..{pack.K}")
-    if m + extra_depth > pack.K:
-        raise DepthError("extra_depth exceeds the pack depth")
+    if m + ANCHOR_DEPTH > pack.K:
+        raise DepthError(f"anchors {ANCHOR_DEPTH} levels below depth {m} pass the pack "
+                         f"depth {pack.K}")
     verts = [w.signs[0] for w in all_words(pack.n, 1)]
     sqrt_n = math.sqrt(pack.n)
     out = []
     for word in all_words(pack.n, m):
         anchor = word
-        for _ in range(extra_depth):
+        for _ in range(ANCHOR_DEPTH):
             anchor = anchor.child(verts[rng.integers(len(verts))])
         c = center(anchor, pack)
         zu = center(word, pack)
@@ -344,17 +346,6 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Sequence[Ball
 
 
 @dataclass(frozen=True)
-class PowerLaw:
-    """phi(t) = coefficient * t^exponent; integrates in closed form."""
-
-    exponent: float
-    coefficient: float = 1.0
-
-    def __call__(self, t):
-        return self.coefficient * t ** self.exponent
-
-
-@dataclass(frozen=True)
 class GradientPower:
     """phi(t) = (alpha + beta/t)^power, the annulus derivative magnitude."""
 
@@ -366,32 +357,25 @@ class GradientPower:
         return (self.alpha + self.beta / t) ** self.power
 
 
-def shell_integral(phi: Callable[[float], float], r: float, R: float, n: int,
-                   rel_tol: float = 1e-10) -> float:
+def shell_integral(phi: Callable[[float], float], r: float, R: float, n: int) -> float:
     """Integral of phi(||x||_inf) over the sup-norm shell Q(0,R) \\ Q(0,r).
 
-    Equals n 2^n int_r^R phi(t) t^(n-1) dt.  Power laws use the closed-form
-    antiderivative; anything else goes through adaptive quadrature at
-    relative tolerance ``rel_tol``.
+    Equals n 2^n int_r^R phi(t) t^(n-1) dt, by adaptive quadrature asked
+    for relative error 1e-11; an error estimate above 1e-10 relative raises
+    ToleranceError.
     """
     if not 0.0 < r < R:
         raise ValueError("need 0 < r < R")
     if n < 1:
         raise ValueError("n must be >= 1")
     front = n * 2.0 ** n
-    if isinstance(phi, PowerLaw):
-        q = phi.exponent + n
-        if q == 0.0:
-            return front * phi.coefficient * math.log(R / r)
-        return front * phi.coefficient * (R ** q - r ** q) / q
     quad = _quad or _load_quad()
     result = quad(lambda t: phi(t) * t ** (n - 1), r, R,
-                  epsabs=0.0, epsrel=min(rel_tol, 1e-11), limit=200,
-                  full_output=True)
+                  epsabs=0.0, epsrel=1e-11, limit=200, full_output=True)
     value, abserr = result[0], result[1]
     if len(result) > 3:
         raise ToleranceError(f"shell quadrature failed: {result[3]}")
-    if abserr > rel_tol * max(abs(value), 1e-300):
+    if abserr > 1e-10 * max(abs(value), 1e-300):
         raise ToleranceError(
             f"shell quadrature too loose: abserr={abserr:g} for value={value:g}"
         )
@@ -450,8 +434,9 @@ class NormReport:
         }
 
 
-def default_eps_grid(n: int, count: int = 64, lo: float = 1e-4) -> tuple[float, ...]:
-    return tuple(float(e) for e in np.geomspace(lo, n - 1.0, count))
+def default_eps_grid(n: int, count: int = 64) -> tuple[float, ...]:
+    """``count`` eps values from 1e-4 to n - 1, evenly spaced in log."""
+    return tuple(float(e) for e in np.geomspace(1e-4, n - 1.0, count))
 
 
 def _annulus_terms(pack: SequencePack, power: float) -> list[float]:

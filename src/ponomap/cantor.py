@@ -46,11 +46,6 @@ class VertexWord:
     def depth(self) -> int:
         return len(self.signs)
 
-    def prefix(self, j: int) -> "VertexWord":
-        if not 0 <= j <= self.depth:
-            raise ValueError("prefix length out of range")
-        return VertexWord(self.n, self.signs[:j])
-
     def child(self, vertex: Sequence[int]) -> "VertexWord":
         return VertexWord(self.n, self.signs + (tuple(vertex),))
 
@@ -58,17 +53,6 @@ class VertexWord:
         return "|".join(
             "".join("+" if s > 0 else "-" for s in level) for level in self.signs
         )
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "VertexWord":
-        if text == "":
-            return cls(n, ())
-        levels = []
-        for chunk in text.split("|"):
-            if len(chunk) != n or any(c not in "+-" for c in chunk):
-                raise ValueError(f"bad word chunk {chunk!r} for n={n}")
-            levels.append(tuple(1 if c == "+" else -1 for c in chunk))
-        return cls(n, tuple(levels))
 
 
 def all_words(n: int, depth: int) -> Iterator[VertexWord]:
@@ -93,9 +77,14 @@ def _ulp_close(x: float, y: float, ulps: int = _ULPS) -> bool:
     return abs(x - y) <= ulps * math.ulp(scale) if scale > 0.0 else x == y
 
 
+def half_edge(x_k: float, k: int) -> float:
+    """Depth-k inner half-edge 2^-k x_k: r_k from a_k, rt_k from b_k."""
+    return math.ldexp(x_k, -k)
+
+
 def half_edges(scales: Sequence[float]) -> tuple[float, ...]:
-    """Depth-k inner half-edges 2^-k x_k: r from a, rt from b."""
-    return tuple(math.ldexp(x, -k) for k, x in enumerate(scales))
+    """``half_edge`` at every depth of a scale sequence."""
+    return tuple(half_edge(x, k) for k, x in enumerate(scales))
 
 
 def standard_scales(a: Sequence[float]) -> tuple[tuple[float, ...], ...]:
@@ -230,25 +219,26 @@ class SequencePack:
 
 @dataclass(frozen=True)
 class Descent:
-    """Where a point sits in the hierarchy, up to the probed depth.
+    """Where a point sits in the hierarchy, down to the pack depth K.
 
-    ``signs`` addresses the annulus at the first depth with ||x - z_v|| > r_k,
-    or the core at the probed depth; ``z`` and ``zt`` are the domain and
-    target centers of that word, ``m`` the sup distance to the center on
-    the driving side and ``x`` the point as ``check_point`` returned it.
+    ``region`` and ``depth`` name the annulus at the first depth with
+    ||x - z_v|| > r_k, or the core at depth K; ``z`` and ``zt`` are the
+    domain and target centers of that cube's word, ``m`` the sup distance
+    to the center on the driving side and ``x`` the point as
+    ``check_point`` returned it.
     """
 
     region: Literal["annulus", "core"]
     depth: int
-    signs: tuple[tuple[int, ...], ...]
     z: tuple[float, ...]
     zt: tuple[float, ...]
     m: float
     x: tuple[float, ...]
 
-    @property
-    def word(self) -> VertexWord:
-        return VertexWord(len(self.z), self.signs)
+
+def outside_message(x: Sequence[float], n: int) -> str:
+    """The text of the DomainError for a point x outside [-1,1]^n."""
+    return f"point {tuple(map(float, x))!r} outside [-1,1]^{n}"
 
 
 def check_point(x: Sequence[float], n: int) -> tuple[float, ...]:
@@ -257,55 +247,53 @@ def check_point(x: Sequence[float], n: int) -> tuple[float, ...]:
         raise DomainError(f"expected {n} coordinates, got {len(pt)}")
     for c in pt:
         if not -1.0 <= c <= 1.0:  # NaN fails the comparison too
-            raise DomainError(f"point {pt!r} outside [-1,1]^{n}")
+            raise DomainError(outside_message(pt, n))
     return pt
 
 
-def descend(x: Sequence[float], pack: SequencePack, max_depth: int,
+def descend(x: Sequence[float], pack: SequencePack,
             side: Side = "domain") -> Descent:
-    """Walk the hierarchy containing x, tracking both center chains.
+    """Walk the hierarchy containing x to the pack depth K, tracking both
+    center chains.
 
     ``side`` selects which radii drive the geometry (and which centers the
     sign choices compare against).  Ties on shared faces go to the vertex
     with -1 in the tied coordinate, i.e. the lexicographically smallest
     child.  x is validated here only; the map reads the checked point
-    back from the returned ``Descent``.
+    back from the returned ``Descent``.  A shallower descent is that of
+    ``pack.truncate(depth)``.
     """
-    n = pack.n
-    if not 1 <= max_depth <= pack.K:
-        raise DepthError(f"max_depth {max_depth} outside 1..{pack.K}")
+    n, K = pack.n, pack.K
     x = check_point(x, n)
     r, rt = pack.r, pack.rt
     drive = r if side == "domain" else rt
     z = [0.0] * n
     zt = [0.0] * n
-    signs: list[tuple[int, ...]] = []
     base = z if side == "domain" else zt
     coords = range(n)
     m = max(map(abs, x))
     # u = x - base for the current centre: it gives this level's m and the
     # next level's signs (x - 0.0 is x, so the first level reads x itself)
     u = x
-    for k in range(1, max_depth + 1):
-        v = tuple([1 if c > 0.0 else -1 for c in u])
+    for k in range(1, K + 1):
+        v = [1 if c > 0.0 else -1 for c in u]
         half = 0.5 * r[k - 1]
         halft = 0.5 * rt[k - 1]
         for i in coords:
             z[i] += half * v[i]
             zt[i] += halft * v[i]
-        signs.append(v)
         u = [x[i] - base[i] for i in coords]
         m = max(map(abs, u))
         if m > drive[k]:
-            return Descent("annulus", k, tuple(signs), tuple(z), tuple(zt), m, x)
-    return Descent("core", max_depth, tuple(signs), tuple(z), tuple(zt), m, x)
+            return Descent("annulus", k, tuple(z), tuple(zt), m, x)
+    return Descent("core", K, tuple(z), tuple(zt), m, x)
 
 
 @dataclass(frozen=True)
 class BatchDescent:
     """``descend`` of N points to the pack depth K, as arrays.
 
-    Row i holds what ``descend(x[i], pack, K, side)`` returns: ``depth``
+    Row i holds what ``descend(x[i], pack, side)`` returns: ``depth``
     (N,) is the annulus depth, or K where ``core`` (N,) is set; ``z`` and
     ``zt`` (N, n) are the domain and target centres of the word, ``m`` (N,)
     the sup distance to the centre on the driving side and ``x`` (N, n) the
@@ -340,7 +328,7 @@ def descend_batch(x: np.ndarray, pack: SequencePack,
         raise DomainError(f"expected an (N, {n}) array of points, got shape {x.shape}")
     outside = np.flatnonzero(~in_cube(x))
     if outside.size:
-        raise DomainError(f"point {tuple(x[outside[0]].tolist())!r} outside [-1,1]^{n}")
+        raise DomainError(outside_message(x[outside[0]], n))
     r, rt = pack.r, pack.rt
     drive = r if side == "domain" else rt
     N = len(x)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis, render
 from .cantor import (SequencePack, descend_batch, geometric_sequence, harmonic_sequence,
-                     in_cube, standard_scales)
+                     in_cube, outside_message, standard_scales)
 from .errors import ConstructionError, PonomapError
 # eval_h is not called here; perfbench/tracer.py counts its calls at this name
 from .gauge import (GaugeSpec, eval_h, finite_measure_sequence, from_json,  # noqa: F401
@@ -315,43 +315,33 @@ def cmd_eval(cfg: RunConfig, out: Path, points_path: Path) -> int:
 def _write_eval_block(writer, pmap: PonomarevMap,
                       block: list[tuple[float, ...] | str]) -> None:
     """One domain descent, ``eval_batch``, one target descent and
-    ``eval_inverse_batch`` for the block's points whose image is in the cube
-    too; every other point takes the per-row calls, so an error row carries
-    the text that ``locate``, ``eval`` or ``eval_inverse`` raises."""
+    ``eval_inverse_batch`` for the block's points; a point outside the cube,
+    or whose image is, gets an error row that names that point."""
     n = pmap.n
     at = [i for i, row in enumerate(block) if not isinstance(row, str)]
     x = np.array([block[i] for i in at], dtype=np.float64).reshape(len(at), n)
-    x_in = np.flatnonzero(in_cube(x))
-    loc = descend_batch(x[x_in], pmap.pack)
+    inside = in_cube(x)
+    loc = descend_batch(x[inside], pmap.pack)
     y = pmap.eval_batch(loc.x, loc)
-    y_in = np.flatnonzero(in_cube(y))
+    y_in = in_cube(y)
     back = pmap.eval_inverse_batch(y[y_in])
+    # the block index of each point in the cube, in the order of loc and y
+    index = np.array(at, dtype=int)[inside]
     done = dict(zip(
-        np.take(at, x_in[y_in]).tolist(),
+        index[y_in].tolist(),
         zip(y[y_in].tolist(), back.tolist(), loc.depth[y_in].tolist(),
             np.where(loc.core[y_in], "core", "annulus").tolist())))
+    image_out = dict(zip(index[~y_in].tolist(), y[~y_in].tolist()))
     for i, row in enumerate(block):
         if isinstance(row, str):
             writer.writerow([""] * (3 * n) + ["", f"error: {row}"])
-            continue
-        if i in done:
+        elif i in done:
             fy, fback, depth, region = done[i]
+            writer.writerow([repr(v) for v in row] + [repr(v) for v in fy]
+                            + [repr(v) for v in fback] + [depth, region])
         else:
-            try:
-                d = pmap.locate(row)
-                fy = pmap.eval(row, d)
-                fback = pmap.eval_inverse(fy)
-            except PonomapError as exc:
-                writer.writerow([repr(v) for v in row] + [""] * (2 * n)
-                                + ["", f"error: {exc}"])
-                continue
-            depth, region = d.depth, d.region
-        writer.writerow(
-            [repr(v) for v in row]
-            + [repr(v) for v in fy]
-            + [repr(v) for v in fback]
-            + [depth, region]
-        )
+            outside = outside_message(image_out.get(i, row), n)
+            writer.writerow([repr(v) for v in row] + [""] * (2 * n) + ["", f"error: {outside}"])
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:

@@ -18,8 +18,8 @@ of a nested-cube construction:
   sums collapse geometrically, forcing the measure of the limit set to zero.
 
 All arithmetic is binary64.  tau factors are clamped at 1 from below (the
-families may dip slightly under 1 at moderate arguments); the clamp can be
-inspected via ``TauSpec.clamps_at``.
+families may dip slightly under 1 at moderate arguments); ``TauSpec.raw_value``
+gives the factor before the clamp.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .cantor import half_edge
 from .errors import (
     ConstructionError,
     GaugeRangeError,
@@ -231,9 +232,6 @@ class TauSpec(_FamilySpec):
             raw = np.where(dead, 0.0, x)
         return np.maximum(1.0, raw)
 
-    def clamps_at(self, t: float) -> bool:
-        return self.raw_value(t) < 1.0
-
     @property
     def diverges_at_zero(self) -> bool:
         """True when lim_{t->0+} tau(t) = inf for this family."""
@@ -344,6 +342,8 @@ def eval_h(spec: GaugeSpec, t: float) -> float:
 
 
 IDENTITY_TOL = 1e-10  # residual up to which a_k meets the theorem-1 identity
+_ROOT_TOL = 1e-12  # largest |g| the first-crossing root may leave
+_MAX_ITER = 400  # cap on the halvings, and on the bisection steps, of the theorem-2 solver
 
 
 def _identity_gap(tau, n: int, p: float, t: float) -> float:
@@ -351,7 +351,7 @@ def _identity_gap(tau, n: int, p: float, t: float) -> float:
     return t ** n * tau(p * t) - 1.0
 
 
-def _first_crossing_root(tau, p: float, n: int, tol: float) -> float:
+def _first_crossing_root(tau, p: float, n: int) -> float:
     """First t in (0, 1] where g(t) = t^n * tau(p t) - 1 crosses to >= 0.
 
     ``tau`` is called on floats and its ``values`` on arrays.  g is
@@ -361,8 +361,6 @@ def _first_crossing_root(tau, p: float, n: int, tol: float) -> float:
     all grid points below the returned root, which is the strict
     inequality the construction relies on below the crossing.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
 
     def g(t: float) -> float:
         return _identity_gap(tau, n, p, t)
@@ -392,14 +390,14 @@ def _first_crossing_root(tau, p: float, n: int, tol: float) -> float:
         else:
             lo = mid
     root = hi
-    if abs(g(root)) > tol:
+    if abs(g(root)) > _ROOT_TOL:
         raise ToleranceError(
-            f"bisection stalled: |g| = {abs(g(root)):g} > tol = {tol:g} at t = {root:g}"
+            f"bisection stalled: |g| = {abs(g(root)):g} > tol = {_ROOT_TOL:g} at t = {root:g}"
         )
     return root
 
 
-def tau_root(tau: TauSpec, p: float, n: int, tol: float = 1e-12) -> float:
+def tau_root(tau: TauSpec, p: float, n: int) -> float:
     """Solve 1/tau(p t) = t^n for the first crossing t_p in (0, 1].
 
     Below the returned point, t^n * tau(p t) < 1 holds on the scan grid.
@@ -408,11 +406,10 @@ def tau_root(tau: TauSpec, p: float, n: int, tol: float = 1e-12) -> float:
     """
     if not (0.0 < p <= 1.0):
         raise ValueError("p must lie in (0, 1]")
-    return _first_crossing_root(tau, p, n, tol)
+    return _first_crossing_root(tau, p, n)
 
 
-def finite_measure_sequence(tau: TauSpec, n: int, K: int,
-                            tol: float = 1e-12) -> tuple[float, ...]:
+def finite_measure_sequence(tau: TauSpec, n: int, K: int) -> tuple[float, ...]:
     """Scale sequence a_0 = 1, a_k = root of t^n * tau(2^-k t) = 1, k = 1..K.
 
     The sequence is non-increasing; a failing root search raises NoRootError
@@ -423,7 +420,7 @@ def finite_measure_sequence(tau: TauSpec, n: int, K: int,
     a = [1.0]
     for k in range(1, K + 1):
         try:
-            root = tau_root(tau, 2.0 ** -k, n, tol)
+            root = tau_root(tau, 2.0 ** -k, n)
         except NoRootError as exc:
             raise NoRootError(f"no root at k={k}: {exc}", k=k) from exc
         if root > a[-1]:
@@ -438,8 +435,7 @@ def finite_measure_sequence(tau: TauSpec, n: int, K: int,
     return tuple(a)
 
 
-def null_measure_sequence(h: GaugeSpec, K: int, safety: float = 0.5,
-                          max_iter: int = 400) -> tuple[float, ...]:
+def null_measure_sequence(h: GaugeSpec, K: int, safety: float = 0.5) -> tuple[float, ...]:
     """Scale sequence with a_k <= a_{k-1}/2 and h(c_n 2^-k a_k) <= safety * 2^(-2nk).
 
     c_n = 2*sqrt(n) is the Euclidean diameter of a unit-half-edge cube.  The
@@ -462,14 +458,14 @@ def null_measure_sequence(h: GaugeSpec, K: int, safety: float = 0.5,
             a.append(cap)
             continue
         lo = cap
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             lo /= 2.0
             if excess(lo) <= 0.0:
                 break
         else:
             raise ToleranceError(f"could not bracket the gauge bound at k={k}")
         hi = lo * 2.0
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             mid = math.sqrt(lo * hi)
             if mid <= lo or mid >= hi:
                 break
@@ -491,30 +487,30 @@ def scale_condition(h: GaugeSpec, theorem: int, k: int, a_k: float,
     Theorem 2: h(2 sqrt(n) r_k) against safety * 2^(-2nk)."""
     if theorem == 1:
         return abs(_identity_gap(h.tau, h.n, math.ldexp(1.0, -k), a_k)), IDENTITY_TOL
-    return (eval_h(h, 2.0 * math.sqrt(h.n) * math.ldexp(a_k, -k)),
+    return (eval_h(h, 2.0 * math.sqrt(h.n) * half_edge(a_k, k)),
             safety * 2.0 ** (-2 * h.n * k))
 
 
-def check_gauge_monotone(spec: GaugeSpec, points: int = 10_000,
-                         t_max: float = 4.0) -> tuple[bool, float]:
-    """Sample h on a [0, t_max] grid; returns (non-decreasing?, worst drop)."""
+def check_gauge_monotone(spec: GaugeSpec, points: int = 10_000) -> tuple[bool, float]:
+    """Sample h on a [0, 4] grid; returns (non-decreasing?, worst drop)."""
     worst = 0.0
     prev = eval_h(spec, 0.0)
     for i in range(1, points + 1):
-        t = t_max * i / points
+        t = 4.0 * i / points
         cur = eval_h(spec, t)
         worst = max(worst, prev - cur)
         prev = cur
     return worst <= 0.0, worst
 
 
-def check_tau_invariants(tau: TauSpec, points: int = 2_000) -> dict:
+def check_tau_invariants(tau: TauSpec) -> dict:
     """Probe the tau invariants on standard grids.
 
     Returns observations: clamped lower bound, worst monotonicity violation
-    on (0, 1], and whether tau(10^-j) increases along j = 1..12 for
-    divergent families.
+    on the 2,000-point grid of (0, 1], and whether tau(10^-j) increases
+    along j = 1..12 for divergent families.
     """
+    points = 2_000
     min_val = math.inf
     worst_increase = 0.0
     prev = None

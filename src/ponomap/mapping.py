@@ -64,7 +64,7 @@ class PonomarevMap:
         ``jacobian_det`` and ``derivative`` of one point.
         """
         pack = self.pack
-        d = descend(x, pack, pack.K, "domain") if located is None else located
+        d = descend(x, pack, "domain") if located is None else located
         x = d.x
         if d.region == "annulus":
             k = d.depth
@@ -89,7 +89,7 @@ class PonomarevMap:
     def eval_inverse(self, y: Sequence[float]) -> tuple[float, ...]:
         """Structural inverse: the same descent run on the target hierarchy."""
         pack = self.pack
-        d = descend(y, pack, pack.K, "target")
+        d = descend(y, pack, "target")
         y = d.x
         if d.region == "annulus":
             k = d.depth
@@ -113,11 +113,11 @@ class PonomarevMap:
     def locate(self, x: Sequence[float]) -> Descent:
         """Domain descent of x to depth K.  Inner cubes are closed, so face
         points keep descending."""
-        return descend(x, self.pack, self.K)
+        return descend(x, self.pack)
 
     def _annulus_state(self, x: Sequence[float], located: Descent | None):
         pack = self.pack
-        d = descend(x, pack, pack.K, "domain") if located is None else located
+        d = descend(x, pack, "domain") if located is None else located
         if d.region == "core":
             return d, None
         u = [d.x[i] - d.z[i] for i in range(pack.n)]

@@ -110,15 +110,14 @@ def diverging_colors(field: np.ndarray) -> np.ndarray:
     return rgb
 
 
-def grid_distortion(pmap: PonomarevMap, resolution: int, lines: int = 9,
-                    thickness: float = 0.01) -> np.ndarray:
-    """Image of a uniform source grid under f, drawn by inverse warping."""
+def grid_distortion(pmap: PonomarevMap, resolution: int) -> np.ndarray:
+    """Image of a uniform source grid under f, drawn by inverse warping: 9
+    lines per axis, and a pixel is lit when its preimage lies within 0.01 of
+    a line."""
     if pmap.n != 2:
         raise ValueError("grid rendering supports n = 2 only")
-    if lines < 2:
-        raise ValueError("lines must be >= 2")
     axis = pixel_grid(resolution)
-    spots = [-1.0 + 2.0 * i / (lines - 1) for i in range(lines)]
+    spots = [-1.0 + 2.0 * i / 8 for i in range(9)]
     img = np.zeros((resolution, resolution), dtype=np.uint8)
     for row in range(resolution):
         for col in range(resolution):
@@ -126,7 +125,7 @@ def grid_distortion(pmap: PonomarevMap, resolution: int, lines: int = 9,
             x = pmap.eval_inverse(y)
             near = min(abs(x[0] - s) for s in spots)
             near = min(near, min(abs(x[1] - s) for s in spots))
-            if near <= thickness:
+            if near <= 0.01:
                 img[row, col] = 255
     return img
 

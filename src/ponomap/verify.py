@@ -97,14 +97,14 @@ def _random_word(rng, n: int, depth: int) -> VertexWord:
     ))
 
 
-def _annulus_point(pack, word, rng, band=(0.15, 0.85), ridge_margin=0.2):
+def _annulus_point(pack, word, rng, band=(0.15, 0.85)):
     k = word.depth
     z = center(word, pack)
     lo, hi = pack.r[k], pack.r[k - 1] / 2.0
     radius = lo + (hi - lo) * rng.uniform(*band)
     j = int(rng.integers(pack.n))
-    direction = [float(rng.uniform(-(1.0 - ridge_margin), 1.0 - ridge_margin))
-                 for _ in range(pack.n)]
+    # the other coordinates stay within 0.8 of the active one: off the ridge set
+    direction = [float(rng.uniform(-0.8, 0.8)) for _ in range(pack.n)]
     direction[j] = 1.0 if rng.uniform() > 0.5 else -1.0
     return tuple(z[i] + radius * direction[i] for i in range(pack.n))
 

@@ -145,7 +145,7 @@ def test_acceptance_03_jacobian():
         loc = pmap.locate(x)
         if loc.region != "annulus" or loc.depth > 20:
             continue
-        u = [x[i] - c for i, c in enumerate(center(loc.word, pack))]
+        u = [x[i] - c for i, c in enumerate(loc.z)]
         mags = sorted((abs(c) for c in u), reverse=True)
         if mags[0] - mags[1] <= 1e-3 * mags[0]:
             continue  # too close to the ridge for differencing
@@ -313,7 +313,7 @@ def test_acceptance_08_lower_bound_probe():
 
         rng = np.random.default_rng(SEED + 8)
         for trial in range(100):
-            cover = random_cover(pack, 3, rng, extra_depth=3)
+            cover = random_cover(pack, 3, rng)
             rep = hausdorff_lower_probe(gauge, pack, cover, 5)
             ratios.append(rep.ratio)
             worst_u = max(worst_u, rep.max_intersecting)

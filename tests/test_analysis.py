@@ -10,7 +10,6 @@ from ponomap import (
     DepthError,
     GaugeSpec,
     GradientPower,
-    PowerLaw,
     RawGauge,
     SequencePack,
     TauSpec,
@@ -161,7 +160,7 @@ def test_lower_probe_randomized_covers():
     rng = np.random.default_rng(20260810)
     ratios = []
     for _ in range(25):
-        cover = random_cover(pack, 3, rng, extra_depth=3)
+        cover = random_cover(pack, 3, rng)
         rep = hausdorff_lower_probe(LOG_GAUGE, pack, cover, 5)
         ratios.append(rep.ratio)
         assert rep.max_intersecting <= rep.counting_bound
@@ -172,7 +171,7 @@ def test_lower_probe_counts_match_brute_force():
     # BFS pruning must agree with direct enumeration over all cubes
     pack = log_pack()
     rng = np.random.default_rng(5)
-    cover = random_cover(pack, 2, rng, extra_depth=3)
+    cover = random_cover(pack, 2, rng)
     rep = hausdorff_lower_probe(LOG_GAUGE, pack, cover, 4)
     for ball, probe in zip(cover, rep.balls):
         m = probe.min_contained_depth
@@ -382,28 +381,30 @@ def test_lower_probe_exact_ties(n, monkeypatch):
 
 def test_shell_integral_volume():
     for n in (2, 3):
-        got = shell_integral(PowerLaw(exponent=0.0), 0.25, 0.5, n)
+        got = shell_integral(lambda t: 1.0, 0.25, 0.5, n)
         assert got == pytest.approx(1.0 ** n - 0.5 ** n, rel=1e-14)
 
 
 def test_shell_integral_inverse_t():
-    got = shell_integral(PowerLaw(exponent=-1.0), 0.25, 0.5, 2)
+    got = shell_integral(lambda t: 1.0 / t, 0.25, 0.5, 2)
     assert got == pytest.approx(2.0, rel=1e-14)
 
 
 def test_shell_integral_quad_matches_closed_form():
-    # generic quadrature path against the power-law antiderivative
-    for p in (-1.5, -1.0, 0.5, 2.0):
-        closed = shell_integral(PowerLaw(exponent=p), 0.1, 0.4, 2)
-        quad = shell_integral(lambda t, p=p: t ** p, 0.1, 0.4, 2)
+    # quadrature against the power-law antiderivative n 2^n (R^q - r^q)/q,
+    # or n 2^n log(R/r) at q = p + n = 0
+    for n, p in ((2, -1.5), (2, -1.0), (2, 0.5), (2, 2.0), (2, -2.0), (3, -1.0)):
+        q = p + n
+        closed = n * 2.0 ** n * (math.log(0.4 / 0.1) if q == 0.0 else (0.4 ** q - 0.1 ** q) / q)
+        quad = shell_integral(lambda t, p=p: t ** p, 0.1, 0.4, n)
         assert quad == pytest.approx(closed, rel=1e-9)
 
 
 def test_shell_integral_validation():
     with pytest.raises(ValueError):
-        shell_integral(PowerLaw(exponent=0.0), 0.5, 0.25, 2)
+        shell_integral(lambda t: 1.0, 0.5, 0.25, 2)
     with pytest.raises(ValueError):
-        shell_integral(PowerLaw(exponent=0.0), 0.0, 0.25, 2)
+        shell_integral(lambda t: 1.0, 0.0, 0.25, 2)
 
 
 def test_shell_integral_monte_carlo_agreement():

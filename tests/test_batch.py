@@ -105,7 +105,7 @@ def batch_rows(d):
 
 def scalar_rows(pts, pack, side):
     return [(d.region, d.depth, d.z, d.zt, d.m, d.x)
-            for d in (descend(x, pack, pack.K, side) for x in pts)]
+            for d in (descend(x, pack, side) for x in pts)]
 
 
 def assert_batch_matches_scalar(pmap, xs, ys):

@@ -18,7 +18,8 @@ from ponomap import (
     geometric_sequence,
     harmonic_sequence,
 )
-from ponomap.cantor import Descent, check_point, descend, descendant_count
+from ponomap.cantor import (Descent, check_point, descend, descend_batch, descendant_count,
+                            outside_message)
 from tie_points import log_pack, tie_heavy_points
 
 
@@ -26,16 +27,14 @@ def std_pack(K=10, n=2):
     return SequencePack.from_standard(n, harmonic_sequence(K))
 
 
-def test_word_parse_format():
-    w = VertexWord.parse("++|-+", 2)
-    assert w.signs == ((1, 1), (-1, 1))
+def test_word_format():
+    w = VertexWord(2, ((1, 1), (-1, 1)))
     assert str(w) == "++|-+"
     assert w.depth == 2
-    assert w.prefix(1).signs == ((1, 1),)
+    assert w.child((1, -1)).signs == ((1, 1), (-1, 1), (1, -1))
     assert str(VertexWord(2)) == ""
-    assert VertexWord.parse("", 2) == VertexWord(2)
     with pytest.raises(ValueError):
-        VertexWord.parse("+0", 2)
+        VertexWord(2, ((1, 0),))
     with pytest.raises(ValueError):
         VertexWord(2, ((1, 2),))
 
@@ -105,22 +104,27 @@ def test_center_hand_values():
     assert center(w2, pack) == (0.5 - r1 / 2.0, 0.5 + r1 / 2.0)
 
 
+def in_cell(loc, w, pack):
+    """The descent ended in the cube of word w: its depth and both centres."""
+    return (loc.depth, loc.z, loc.zt) == (w.depth, center(w, pack), center(w, pack, "target"))
+
+
 def test_locate_boundary_is_depth_one_annulus():
     pack = std_pack()
     for x in [(1.0, 0.3), (-1.0, -0.2), (0.7, 1.0), (1.0, 1.0), (-1.0, 1.0)]:
-        loc = descend(x, pack, pack.K)
+        loc = descend(x, pack)
         assert loc.region == "annulus"
         assert loc.depth == 1
 
 
 def test_locate_center_is_core():
     pack = std_pack(8)
-    for w in [VertexWord.parse("++", 2), VertexWord.parse("+-|-+", 2),
-              VertexWord.parse("--|-+|++", 2)]:
+    for w in [VertexWord(2, ((1, 1),)), VertexWord(2, ((1, -1), (-1, 1))),
+              VertexWord(2, ((-1, -1), (-1, 1), (1, 1)))]:
         z = center(w, pack)
-        loc = descend(z, pack, w.depth)
+        loc = descend(z, pack.truncate(w.depth))
         assert loc.region == "core"
-        assert loc.word == w
+        assert in_cell(loc, w, pack)
 
 
 def test_locate_round_trip_random_annulus_points():
@@ -137,9 +141,9 @@ def test_locate_round_trip_random_annulus_points():
         direction = [rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)]
         direction[j] = 1.0 if rng.uniform() > 0.5 else -1.0
         x = tuple(z[i] + radius * direction[i] for i in range(2))
-        loc = descend(x, pack, pack.K)
+        loc = descend(x, pack)
         assert loc.region == "annulus"
-        assert loc.word == w
+        assert in_cell(loc, w, pack)
 
 
 def reference_descend(x, pack, max_depth, side="domain"):
@@ -150,7 +154,6 @@ def reference_descend(x, pack, max_depth, side="domain"):
     drive = pack.r if side == "domain" else pack.rt
     z = [0.0] * n
     zt = [0.0] * n
-    signs = []
     base = z if side == "domain" else zt
     m = max(abs(c) for c in x)
     for k in range(1, max_depth + 1):
@@ -160,11 +163,10 @@ def reference_descend(x, pack, max_depth, side="domain"):
         for i in range(n):
             z[i] += half * v[i]
             zt[i] += halft * v[i]
-        signs.append(v)
         m = max(abs(x[i] - base[i]) for i in range(n))
         if m > drive[k]:
-            return Descent("annulus", k, tuple(signs), tuple(z), tuple(zt), m, x)
-    return Descent("core", max_depth, tuple(signs), tuple(z), tuple(zt), m, x)
+            return Descent("annulus", k, tuple(z), tuple(zt), m, x)
+    return Descent("core", max_depth, tuple(z), tuple(zt), m, x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -172,19 +174,37 @@ def test_descend_matches_reference_on_tie_heavy_points(n):
     pack = log_pack(n)
     pts = tie_heavy_points(n, 60, pack)
     targets = [build(pack).eval(x) for x in pts]
+    shallow = {depth: pack.truncate(depth) for depth in (1, 12, pack.K)}
     for side, points in (("domain", pts), ("target", targets)):
         for x in points:
-            for depth in (1, 12, pack.K):
-                got = descend(x, pack, depth, side)
+            for depth, cut in shallow.items():
+                got = descend(x, cut, side)
                 assert repr(got) == repr(reference_descend(x, pack, depth, side)), x
 
 
 def test_locate_outside_raises():
     pack = std_pack()
     with pytest.raises(DomainError):
-        descend((1.0001, 0.0), pack, pack.K)
+        descend((1.0001, 0.0), pack)
     with pytest.raises(DomainError):
-        descend((math.nan, 0.0), pack, pack.K)
+        descend((math.nan, 0.0), pack)
+
+
+@pytest.mark.parametrize("row", [
+    (math.nan,), (0.5, math.inf), (-0.0, 1.0000000000000002), (float("-1e400"), -0.0),
+    (-0.0, 0.25, math.nan), (1.0000000000000002, -math.inf, -0.0),
+])
+def test_outside_text_is_one_text(row):
+    # the scalar check and the batch descent name the point in the same words
+    n = len(row)
+    with pytest.raises(DomainError) as scalar:
+        check_point(row, n)
+    pack = std_pack(n=n)
+    valid = [0.5] * n
+    with pytest.raises(DomainError) as batch:
+        descend_batch(np.array([valid, row, valid]), pack)
+    assert str(batch.value) == str(scalar.value) == outside_message(row, n)
+    assert str(scalar.value) == f"point {row!r} outside [-1,1]^{n}"
 
 
 def test_dyadic_cube_hand_values():
@@ -251,7 +271,7 @@ def test_nesting_sampled_corners():
         w = words[rng.integers(len(words))]
         k = w.depth
         z = center(w, pack)
-        zp = center(w.prefix(k - 1), pack)
+        zp = center(VertexWord(2, w.signs[:k - 1]), pack)
         # inner corners inside the outer cube and inside the parent's inner cube
         for sx in (-1, 1):
             for sy in (-1, 1):

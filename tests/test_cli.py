@@ -66,7 +66,7 @@ def test_eval_round_trip_columns(config_path, tmp_path):
 
     tau = pm.TauSpec(family="log", shift=math.e)
     pack = pm.SequencePack.from_standard(2, pm.finite_measure_sequence(tau, 2, 10))
-    word = pm.VertexWord.parse("+-|-+", 2)
+    word = pm.VertexWord(2, ((1, -1), (-1, 1)))
     zc = pm.center(word, pack, "domain")
     zt = pm.center(word, pack, "target")
 
@@ -323,20 +323,28 @@ def test_read_points_splits_lines_as_splitlines(tmp_path):
     assert len(expect) == 12
 
 
-def test_eval_image_outside_cube_takes_per_row_path(tmp_path, monkeypatch):
-    # a row whose batch image fails the range check is evaluated again by
-    # the per-row calls, whose image is the scalar one
+def test_eval_image_outside_cube_writes_error_row(tmp_path, monkeypatch):
+    # a point whose batch image leaves the cube gets an error row that
+    # names the image; every other row is the per-row loop's
     batch = ponomap.PonomarevMap.eval_batch
 
     def pushed_out(self, x, located=None):
         y = batch(self, x, located)
-        y[::3] = 1.5
+        y[::3] = (1.5, -0.0)
         return y
 
     monkeypatch.setattr(ponomap.PonomarevMap, "eval_batch", pushed_out)
-    text = points_text(tie_heavy_points(7, 4, log_pack(2, 40))) + "nan,0\n"
-    got = eval_csv_bytes(tmp_path, 2, text)
-    assert eval_rows_of(got) == per_row_eval_rows(tmp_path / "pts.csv", 2)
+    pts = tie_heavy_points(7, 4, log_pack(2, 40))
+    got = eval_csv_bytes(tmp_path, 2, points_text(pts) + "nan,0\n")
+    rows = list(csv.reader(io.StringIO(eval_rows_of(got))))
+    expect = list(csv.reader(io.StringIO(per_row_eval_rows(tmp_path / "pts.csv", 2))))
+    assert len(rows) == len(expect) == len(pts) + 1
+    for i, x in enumerate(pts[::3]):
+        assert rows[3 * i] == [repr(x[0]), repr(x[1]), "", "", "", "", "",
+                               "error: point (1.5, -0.0) outside [-1,1]^2"]
+        expect[3 * i] = rows[3 * i]
+    assert rows == expect
+    assert rows[-1][-1] == "error: point (nan, 0.0) outside [-1,1]^2"
 
 
 

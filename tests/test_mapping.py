@@ -174,7 +174,7 @@ def test_round_trip_property(n, K, data):
     coord = st.floats(-1.0, 1.0)
     y = data.draw(st.one_of(st.tuples(*[coord] * n), st.sampled_from(ties)))
     err = max(abs(a - b) for a, b in zip(pmap.eval(pmap.eval_inverse(y)), y))
-    cell = descend(y, pmap.pack, K, "target")
+    cell = descend(y, pmap.pack, "target")
     if cell.region == "core":
         assert err <= 2.0 * pmap.truncation_error
     else:
