@@ -40,7 +40,7 @@ from .gauge import (
     null_measure_sequence,
     tau_root,
 )
-from .mapping import DerivativeInfo, PonomarevMap, build
+from .mapping import PonomarevMap, build
 from .analysis import (
     Ball,
     CoverReport,
@@ -67,7 +67,6 @@ __all__ = [
     "CoverReport",
     "CoverageError",
     "DepthError",
-    "DerivativeInfo",
     "DomainError",
     "GaugeRangeError",
     "GaugeSpec",

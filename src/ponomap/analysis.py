@@ -71,16 +71,6 @@ class CoverReport:
     per_cube: float
     total: float
 
-    def to_dict(self) -> dict:
-        # "ratio_to_one" is the total again, kept so hausdorff.json keeps its keys
-        return {
-            "depth": self.depth,
-            "count": self.count,
-            "per_cube": self.per_cube,
-            "total": self.total,
-            "ratio_to_one": self.total,
-        }
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -110,27 +100,6 @@ class LowerProbeReport:
     balls: tuple[BallProbe, ...]
     max_intersecting: int
     counting_bound: int
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "cover_sum": self.cover_sum,
-            "reference_upper_sum": self.reference_upper_sum,
-            "ratio": self.ratio,
-            "max_intersecting": self.max_intersecting,
-            "counting_bound": self.counting_bound,
-            "balls": [
-                {
-                    "word": b.word,
-                    "radius": b.radius,
-                    "min_contained_depth": b.min_contained_depth,
-                    "intersecting_count": b.intersecting_count,
-                    "contained_count": b.contained_count,
-                    "dominated_sum": b.dominated_sum,
-                }
-                for b in self.balls
-            ],
-        }
 
 
 def lebesgue_level(pack: SequencePack, k: int, side: Literal["domain", "target"] = "domain") -> float:
@@ -423,18 +392,8 @@ class NormReport:
     convention: str
     depth: int
 
-    def to_dict(self) -> dict:
-        return {
-            "eps": list(self.eps),
-            "values": list(self.values),
-            "bounds": list(self.bounds),
-            "sup": self.sup,
-            "convention": self.convention,
-            "depth": self.depth,
-        }
 
-
-def default_eps_grid(n: int, count: int = 64) -> tuple[float, ...]:
+def default_eps_grid(n: int, count: int) -> tuple[float, ...]:
     """``count`` eps values from 1e-4 to n - 1, evenly spaced in log."""
     return tuple(float(e) for e in np.geomspace(1e-4, n - 1.0, count))
 
@@ -455,7 +414,7 @@ def _core_term(pack: SequencePack, power: float) -> float:
             * pack.b[pack.K] ** power)
 
 
-def grand_norm_report(pmap: PonomarevMap, eps_grid: Sequence[float] | None = None) -> NormReport:
+def grand_norm_report(pmap: PonomarevMap, eps_grid: Sequence[float]) -> NormReport:
     """eps * int |Df_K|^(n-eps) over an eps grid, with analytic bounds.
 
     Requires a standard pack (alpha = 1/2, beta = 2^(-k-1)); the analytic
@@ -466,8 +425,6 @@ def grand_norm_report(pmap: PonomarevMap, eps_grid: Sequence[float] | None = Non
     if not pack.standard:
         raise ValueError("grand norm reports require a standard pack")
     n = pack.n
-    if eps_grid is None:
-        eps_grid = default_eps_grid(n)
     eps_grid = tuple(float(e) for e in eps_grid)
     for e in eps_grid:
         if not 0.0 < e <= n - 1.0:

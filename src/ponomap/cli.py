@@ -210,11 +210,28 @@ def provenance(cfg: RunConfig) -> list[str]:
     return [f"config_digest={cfg.digest}", f"seed={cfg.seed}"]
 
 
-def write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
-    payload = dict(payload)
-    payload["config_digest"] = cfg.digest
-    payload["seed"] = cfg.seed
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def json_data(value):
+    """``value`` as JSON data: a report dataclass as the dict of its fields
+    and a tuple as a list, all the way down.  It dispatches on the exact
+    type, which costs least on the thousands of numbers a report holds."""
+    kind = type(value)
+    if kind is float or kind is int or kind is str or kind is bool or value is None:
+        return value
+    if kind is tuple or kind is list:
+        return [json_data(v) for v in value]
+    if kind is dict:
+        return {k: json_data(v) for k, v in value.items()}
+    names = getattr(kind, "__dataclass_fields__", None)
+    if names is None:
+        return value
+    return {name: json_data(getattr(value, name)) for name in names}
+
+
+def write_json(path: Path, payload, cfg: RunConfig) -> None:
+    """The one JSON format of the artifacts: ``json_data(payload)`` with
+    ``config_digest`` and ``seed`` added, keys sorted, indented by 2."""
+    data = {**json_data(payload), "config_digest": cfg.digest, "seed": cfg.seed}
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_sequence(cfg: RunConfig, out: Path) -> int:
@@ -347,7 +364,7 @@ def _write_eval_block(writer, pmap: PonomarevMap,
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
     report = run_suite(make_pack(cfg), gauge=cfg.gauge, kind=kind_of(cfg), seed=cfg.seed,
                        scale=cfg.verify, safety=cfg.safety)
-    write_json(out / "verify.json", report.to_dict(), cfg)
+    write_json(out / "verify.json", report, cfg)
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
         print(f"{status} {c.name}: observed={c.observed:.6g} bound={c.bound:.6g}")
@@ -359,7 +376,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 def cmd_norms(cfg: RunConfig, out: Path) -> int:
     pmap = build(make_pack(cfg))
     rep = analysis.grand_norm_report(pmap, eps_grid=cfg.eps_grid)
-    write_json(out / "norms.json", rep.to_dict(), cfg)
+    write_json(out / "norms.json", rep, cfg)
     partials, core = analysis.sobolev_depth_profile(pmap, float(pmap.n))
     write_json(out / "norms_divergence.json", {
         "p": float(pmap.n),
@@ -374,9 +391,11 @@ def cmd_norms(cfg: RunConfig, out: Path) -> int:
 def cmd_hausdorff(cfg: RunConfig, out: Path) -> int:
     h = cfg.hausdorff
     a = make_scales(cfg)
-    uppers = [analysis.upper_sum_at_scale(cfg.gauge, k, a[k]).to_dict()
+    uppers = [analysis.upper_sum_at_scale(cfg.gauge, k, a[k])
               for k in h.depths if k <= cfg.depth]
-    payload = {"upper_sums": uppers, "theorem": cfg.theorem}
+    # "ratio_to_one" is the total again, kept so hausdorff.json keeps its keys
+    payload = {"upper_sums": [{**json_data(u), "ratio_to_one": u.total} for u in uppers],
+               "theorem": cfg.theorem}
     try:
         pack = SequencePack.from_standard(cfg.gauge.n, a)
     except ConstructionError as exc:
@@ -398,16 +417,15 @@ def cmd_hausdorff(cfg: RunConfig, out: Path) -> int:
         for _ in range(h.random_covers):
             cover = analysis.random_cover(pack, h.probe_depth, rng)
             randomized.append(
-                analysis.hausdorff_lower_probe(cfg.gauge, pack, cover,
-                                               h.probe_level).to_dict())
+                analysis.hausdorff_lower_probe(cfg.gauge, pack, cover, h.probe_level))
         payload["lower_probe"] = {
-            "canonical": canonical.to_dict(),
+            "canonical": canonical,
             "randomized": randomized,
-            "c_probe": min([canonical.ratio] + [r["ratio"] for r in randomized]),
+            "c_probe": min([canonical.ratio] + [r.ratio for r in randomized]),
         }
     write_json(out / "hausdorff.json", payload, cfg)
     if uppers:
-        print(f"upper sum at depth {uppers[-1]['depth']}: {uppers[-1]['total']:.6g}")
+        print(f"upper sum at depth {uppers[-1].depth}: {uppers[-1].total:.6g}")
     return EXIT_OK
 
 
@@ -417,14 +435,14 @@ def cmd_render(cfg: RunConfig, out: Path) -> int:
     pmap = build(make_pack(cfg))
     res = cfg.resolution
     comments = provenance(cfg)
-    samples = render.eval_grid(pmap, res)
-    render.write_grid_csv(out / "render_grid.csv", samples, comments)
-    disp = render.displacement_field(samples, res)
+    grid = render.eval_grid(pmap, res)
+    render.write_grid_csv(out / "render_grid.csv", grid, comments)
+    disp = render.displacement_field(grid)
     render.write_pgm(out / "displacement.pgm", render.grayscale(disp), comments)
-    jac = render.jacobian_field(samples, res)
+    jac = render.jacobian_field(grid)
     render.write_ppm(out / "jacobian.ppm", render.diverging_colors(jac), comments)
-    grid = render.grid_distortion(pmap, res)
-    render.write_pgm(out / "grid.pgm", grid, comments)
+    lines = render.grid_distortion(pmap, res)
+    render.write_pgm(out / "grid.pgm", lines, comments)
     print(f"rendered {res}x{res} grids to {out}")
     return EXIT_OK
 

@@ -491,7 +491,7 @@ def scale_condition(h: GaugeSpec, theorem: int, k: int, a_k: float,
             safety * 2.0 ** (-2 * h.n * k))
 
 
-def check_gauge_monotone(spec: GaugeSpec, points: int = 10_000) -> tuple[bool, float]:
+def check_gauge_monotone(spec: GaugeSpec, points: int) -> tuple[bool, float]:
     """Sample h on a [0, 4] grid; returns (non-decreasing?, worst drop)."""
     worst = 0.0
     prev = eval_h(spec, 0.0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,13 +26,6 @@ from .cantor import BatchDescent, Descent, SequencePack, descend, descend_batch
 from .errors import RidgeSetError
 
 _RIDGE_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DerivativeInfo:
-    depth: int
-    region: Literal["annulus", "core"]
-    active: int | None  # coordinate carrying the sup norm; None on cores
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,7 @@ class PonomarevMap:
         return d, (u, active)
 
     def derivative(self, x: Sequence[float],
-                   located: Descent | None = None) -> tuple[np.ndarray, DerivativeInfo]:
+                   located: Descent | None = None) -> np.ndarray:
         """Exact pointwise Jacobian matrix.
 
         On the annulus of depth k with m attained at coordinate j:
@@ -145,11 +138,7 @@ class PonomarevMap:
         d, annulus = self._annulus_state(x, located)
         n = pack.n
         if annulus is None:
-            scale = pack.rt[pack.K] / pack.r[pack.K]
-            return (
-                scale * np.eye(n),
-                DerivativeInfo(depth=pack.K, region="core", active=None),
-            )
+            return pack.rt[pack.K] / pack.r[pack.K] * np.eye(n)
         u, j = annulus
         k = d.depth
         alpha, beta, m = pack.alpha[k], pack.beta[k], d.m
@@ -157,7 +146,7 @@ class PonomarevMap:
         mat = (alpha + beta / m) * np.eye(n)
         for i in range(n):
             mat[i, j] -= beta * u[i] * sigma / (m * m)
-        return mat, DerivativeInfo(depth=k, region="annulus", active=j)
+        return mat
 
     def jacobian_det(self, x: Sequence[float],
                      located: Descent | None = None) -> float:

@@ -23,12 +23,17 @@ from .mapping import PonomarevMap
 
 
 @dataclass(frozen=True)
-class GridSample:
-    x: tuple[float, float]
-    y: tuple[float, float]
-    depth: int
-    region: str
-    jac: float  # Jacobian determinant; NaN on the ridge set
+class Grid:
+    """An S x S render as row-major arrays: the source points ``x`` and their
+    images ``y`` (S, S, 2); the descent ``depth``, whether it reached a
+    ``core``, and the Jacobian determinant ``jac`` (S, S), NaN on the ridge
+    set."""
+
+    x: np.ndarray
+    y: np.ndarray
+    depth: np.ndarray
+    core: np.ndarray
+    jac: np.ndarray
 
 
 def pixel_grid(resolution: int) -> list[float]:
@@ -37,47 +42,44 @@ def pixel_grid(resolution: int) -> list[float]:
     return [-1.0 + 2.0 * i / (resolution - 1) for i in range(resolution)]
 
 
-def eval_grid(pmap: PonomarevMap, resolution: int) -> list[GridSample]:
-    """Row-major samples over the closed cube (n = 2 only); one domain
-    descent per pixel serves the image, the location and the Jacobian."""
+def _pixel_points(resolution: int) -> list[tuple[float, float]]:
+    """The source point of every pixel, in row-major order."""
+    axis = pixel_grid(resolution)
+    return [(x1, -x2) for x2 in axis for x1 in axis]
+
+
+def eval_grid(pmap: PonomarevMap, resolution: int) -> Grid:
+    """The map over the closed cube (n = 2 only); one domain descent per
+    pixel serves the image, the location and the Jacobian."""
     if pmap.n != 2:
         raise ValueError("grid rendering supports n = 2 only")
-    axis = pixel_grid(resolution)
-    out = []
-    for row in range(resolution):
-        x2 = -axis[row]
-        for col in range(resolution):
-            x1 = axis[col]
-            x = (x1, x2)
-            loc = pmap.locate(x)
-            y = pmap.eval(x, loc)
-            try:
-                jac = pmap.jacobian_det(x, loc)
-            except RidgeSetError:
-                jac = math.nan
-            out.append(GridSample(x=x, y=y, depth=loc.depth, region=loc.region,
-                                  jac=jac))
-    return out
+    points = _pixel_points(resolution)
+    y, depth, core, jac = [], [], [], []
+    for x in points:
+        loc = pmap.locate(x)
+        y.append(pmap.eval(x, loc))
+        depth.append(loc.depth)
+        core.append(loc.region == "core")
+        try:
+            jac.append(pmap.jacobian_det(x, loc))
+        except RidgeSetError:
+            jac.append(math.nan)
+    shape = (resolution, resolution)
+    return Grid(x=np.array(points).reshape(shape + (2,)), y=np.array(y).reshape(shape + (2,)),
+                depth=np.array(depth).reshape(shape), core=np.array(core).reshape(shape),
+                jac=np.array(jac).reshape(shape))
 
 
-def displacement_field(samples: Sequence[GridSample], resolution: int) -> np.ndarray:
-    """Sup-norm displacement |f(x) - x| per pixel of row-major ``eval_grid``
-    samples."""
-    field = np.empty((resolution, resolution))
-    for idx, s in enumerate(samples):
-        field[idx // resolution, idx % resolution] = max(
-            abs(a - b) for a, b in zip(s.x, s.y)
-        )
-    return field
+def displacement_field(grid: Grid) -> np.ndarray:
+    """Sup-norm displacement |f(x) - x| per pixel."""
+    return np.abs(grid.x - grid.y).max(axis=2)
 
 
-def jacobian_field(samples: Sequence[GridSample], resolution: int) -> np.ndarray:
-    """Jacobian determinant per pixel of row-major ``eval_grid`` samples;
-    ridge pixels carry NaN."""
-    field = np.empty((resolution, resolution))
-    for idx, s in enumerate(samples):
-        field[idx // resolution, idx % resolution] = s.jac
-    return field
+def jacobian_field(grid: Grid) -> np.ndarray:
+    """Jacobian determinant per pixel; ridge pixels carry NaN.  A function
+    and not a field read, because perfbench/tracer.py times this layer by
+    its name."""
+    return grid.jac
 
 
 def grayscale(field: np.ndarray) -> np.ndarray:
@@ -116,18 +118,10 @@ def grid_distortion(pmap: PonomarevMap, resolution: int) -> np.ndarray:
     a line."""
     if pmap.n != 2:
         raise ValueError("grid rendering supports n = 2 only")
-    axis = pixel_grid(resolution)
-    spots = [-1.0 + 2.0 * i / 8 for i in range(9)]
-    img = np.zeros((resolution, resolution), dtype=np.uint8)
-    for row in range(resolution):
-        for col in range(resolution):
-            y = (axis[col], -axis[row])
-            x = pmap.eval_inverse(y)
-            near = min(abs(x[0] - s) for s in spots)
-            near = min(near, min(abs(x[1] - s) for s in spots))
-            if near <= 0.01:
-                img[row, col] = 255
-    return img
+    x = np.array([pmap.eval_inverse(y) for y in _pixel_points(resolution)])
+    spots = np.array([-1.0 + 2.0 * i / 8 for i in range(9)])
+    near = np.abs(x[:, :, None] - spots).min(axis=(1, 2))
+    return np.where(near <= 0.01, 255, 0).astype(np.uint8).reshape(resolution, resolution)
 
 
 def _write_pnm(path, magic: bytes, pixels: np.ndarray, comments: Sequence[str]) -> None:
@@ -155,13 +149,15 @@ def write_ppm(path, pixels: np.ndarray, comments: Sequence[str] = ()) -> None:
     _write_pnm(path, b"P6", pixels, comments)
 
 
-def write_grid_csv(path, samples: Sequence[GridSample],
-                   comments: Sequence[str] = ()) -> None:
+def write_grid_csv(path, grid: Grid, comments: Sequence[str] = ()) -> None:
+    """One row per pixel, row-major: source point, image, depth and region."""
     with open(path, "w", newline="") as f:
         for c in comments:
             f.write(f"# {c}\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["x1", "x2", "y1", "y2", "depth", "region"])
-        for s in samples:
-            writer.writerow([repr(s.x[0]), repr(s.x[1]), repr(s.y[0]),
-                             repr(s.y[1]), s.depth, s.region])
+        for (x1, x2), (y1, y2), depth, core in zip(
+                grid.x.reshape(-1, 2).tolist(), grid.y.reshape(-1, 2).tolist(),
+                grid.depth.ravel().tolist(), grid.core.ravel().tolist()):
+            writer.writerow([repr(x1), repr(x2), repr(y1), repr(y2), depth,
+                             "core" if core else "annulus"])

@@ -40,28 +40,12 @@ class CheckResult:
     passed: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "observed": self.observed,
-            "bound": self.bound,
-            "passed": self.passed,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class VerifyReport:
     checks: tuple[CheckResult, ...]
     passed: bool
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "seed": self.seed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 @dataclass(frozen=True)
@@ -310,8 +294,10 @@ def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
             cond = max(1.0, _gradient_bound(pack, loc.depth))
             worst_ann = max(worst_ann, err / cond)
     s.add_le("map.inverse_roundtrip_annulus_ulps", worst_ann / ULP1, 8.0)
+    # twice the truncation error, but never under the 8-ulp budget of the
+    # other map checks: past depth about 50 it falls below one ulp
     s.add_le("map.inverse_roundtrip_core", worst_core,
-             2.0 * pmap.truncation_error)
+             max(2.0 * pmap.truncation_error, 8.0 * ULP1))
 
     # consecutive uniform draws: one array draw takes the same values
     worst_ratio = 0.0
@@ -346,7 +332,7 @@ def _check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
         w = _random_word(rng, n, depth)
         x = _annulus_point(pack, w, rng, band=(0.3, 0.7))
         loc = pmap.locate(x)
-        mat, _ = pmap.derivative(x, loc)
+        mat = pmap.derivative(x, loc)
         m = loc.m
         # the step must stay representable against coordinates of order one
         h = max(1e-7 * m, 64.0 * ULP1)
@@ -371,12 +357,12 @@ def _check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
         w = _random_word(rng, n, depth)
         x = _annulus_point(pack, w, rng)
         loc = pmap.locate(x)
-        mat, info = pmap.derivative(x, loc)
+        mat = pmap.derivative(x, loc)
         closed = pmap.jacobian_det(x, loc)
         rel = abs(float(np.linalg.det(mat)) - closed) / closed
         # cancellation in the active column scales with |Df| / alpha
         m = loc.m
-        k = info.depth
+        k = loc.depth
         cond = (pack.alpha[k] + pack.beta[k] / m) / pack.alpha[k]
         tol = max(1e-12, 32.0 * ULP1 * cond)
         worst = max(worst, rel / tol)
@@ -384,8 +370,8 @@ def _check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
           note="relative to conditioning-aware tolerance")
 
 
-def _check_measures(s: _Suite, pack: SequencePack, gauge: GaugeSpec | None,
-                    kind: str, safety: float):
+def _check_measures(s: _Suite, pack: SequencePack, gauge: GaugeSpec, kind: str,
+                    safety: float):
     n = pack.n
     domain = analysis.lebesgue_level(pack, pack.K, "domain")
     s.add("measure.lebesgue_domain_level", domain, domain, True, note="closed form")
@@ -402,7 +388,7 @@ def _check_measures(s: _Suite, pack: SequencePack, gauge: GaugeSpec | None,
             mism += 1
     s.add("measure.pushforward_failures", mism, 0.0, mism == 0)
 
-    if gauge is None or kind not in ("finite_measure", "null_measure"):
+    if kind not in ("finite_measure", "null_measure"):
         return
     totals = [analysis.upper_sum_at_scale(gauge, k, pack.a[k]).total
               for k in range(1, pack.K + 1)]
@@ -468,12 +454,9 @@ def _check_gauge(s: _Suite, gauge: GaugeSpec, pack: SequencePack, kind: str,
         s.add("gauge.sequence_inequality", 0.0 if ok else 1.0, 0.0, ok)
 
 
-def run_suite(pack: SequencePack, gauge: GaugeSpec | None = None,
-              kind: str = "custom", seed: int = 0,
-              scale: VerifyScale | None = None,
-              safety: float = 0.5) -> VerifyReport:
+def run_suite(pack: SequencePack, gauge: GaugeSpec, kind: str, seed: int,
+              scale: VerifyScale, safety: float) -> VerifyReport:
     """Run every module invariant against one construction."""
-    scale = scale or VerifyScale()
     rng = np.random.default_rng(seed)
     s = _Suite()
     try:
@@ -489,7 +472,6 @@ def run_suite(pack: SequencePack, gauge: GaugeSpec | None = None,
     _check_jacobian(s, pmap, rng, scale)
     _check_measures(s, pack, gauge, kind, safety)
     _check_norms(s, pmap, rng, scale)
-    if gauge is not None:
-        _check_gauge(s, gauge, pack, kind, safety)
+    _check_gauge(s, gauge, pack, kind, safety)
     return VerifyReport(checks=tuple(s.checks),
                         passed=all(c.passed for c in s.checks), seed=seed)

@@ -114,7 +114,7 @@ def reference_check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
             worst_ann = max(worst_ann, err / cond)
     s.add_le("map.inverse_roundtrip_annulus_ulps", worst_ann / ULP1, 8.0)
     s.add_le("map.inverse_roundtrip_core", worst_core,
-             2.0 * pmap.truncation_error)
+             max(2.0 * pmap.truncation_error, 8.0 * ULP1))
 
     worst_ratio = 0.0
     for kp in sorted({max(1, pack.K // 4), max(1, pack.K // 2)}):
@@ -152,7 +152,7 @@ def reference_check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifySc
         w = _random_word(rng, n, depth)
         x = _annulus_point(pack, w, rng, band=(0.3, 0.7))
         loc = pmap.locate(x)
-        mat, _ = pmap.derivative(x, loc)
+        mat = pmap.derivative(x, loc)
         m = loc.m
         # the step must stay representable against coordinates of order one
         h = max(1e-7 * m, 64.0 * ULP1)
@@ -177,12 +177,12 @@ def reference_check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifySc
         w = _random_word(rng, n, depth)
         x = _annulus_point(pack, w, rng)
         loc = pmap.locate(x)
-        mat, info = pmap.derivative(x, loc)
+        mat = pmap.derivative(x, loc)
         closed = pmap.jacobian_det(x, loc)
         rel = abs(float(np.linalg.det(mat)) - closed) / closed
         # cancellation in the active column scales with |Df| / alpha
         m = loc.m
-        k = info.depth
+        k = loc.depth
         cond = (pack.alpha[k] + pack.beta[k] / m) / pack.alpha[k]
         tol = max(1e-12, 32.0 * ULP1 * cond)
         worst = max(worst, rel / tol)

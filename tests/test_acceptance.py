@@ -38,7 +38,7 @@ from ponomap import (
     shell_integral_mc,
     sobolev_depth_profile,
 )
-from ponomap.analysis import upper_sum_at_scale
+from ponomap.analysis import default_eps_grid, upper_sum_at_scale
 from ponomap.cli import main
 
 ULP1 = math.ulp(1.0)
@@ -196,7 +196,8 @@ def test_acceptance_04_lebesgue_measures():
 
 def test_acceptance_05a_grand_norm_bound():
     t0 = time.perf_counter()
-    rep = grand_norm_report(build(SequencePack.from_standard(2, harmonic_sequence(40))))
+    rep = grand_norm_report(build(SequencePack.from_standard(2, harmonic_sequence(40))),
+                            default_eps_grid(2, 64))
     assert len(rep.eps) == 64
     for v, b in zip(rep.values, rep.bounds):
         assert v <= b
@@ -214,9 +215,9 @@ def test_acceptance_05a_grand_norm_bound():
 def test_acceptance_05b_grand_norm_depth_stability():
     t0 = time.perf_counter()
     sup20 = grand_norm_report(
-        build(SequencePack.from_standard(2, harmonic_sequence(20)))).sup
+        build(SequencePack.from_standard(2, harmonic_sequence(20))), default_eps_grid(2, 64)).sup
     sup40 = grand_norm_report(
-        build(SequencePack.from_standard(2, harmonic_sequence(40)))).sup
+        build(SequencePack.from_standard(2, harmonic_sequence(40))), default_eps_grid(2, 64)).sup
     change = abs(sup40 - sup20) / sup40
     print(f"[acceptance 5b] measured sup change 20->40: {change:.3e} "
           f"(target < 1e-6): FAIL expected")

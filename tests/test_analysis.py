@@ -39,9 +39,11 @@ from ponomap.analysis import (
     _cube_in_ball,
     _dist_to_cube,
     _farthest_corner,
+    default_eps_grid,
     upper_sum_at_scale,
 )
 from ponomap.cantor import descendant_count
+from ponomap.cli import json_data
 
 LOG_TAU = TauSpec(family="iterated_log", iterations=1, exponent=1.0, shift=math.e)
 LOG_GAUGE = GaugeSpec(n=2, tau=LOG_TAU)
@@ -93,7 +95,6 @@ def test_upper_sum_k0_single_cube():
     rep = upper_sum_at_scale(LOG_GAUGE, 0, pack.a[0])
     assert rep.count == 1
     assert rep.total == eval_h(LOG_GAUGE, 2.0 * math.sqrt(2))
-    assert rep.to_dict()["ratio_to_one"] == rep.total
 
 
 def test_upper_sum_product_structure():
@@ -433,7 +434,7 @@ def test_telescoping_identity_exact():
 
 def test_grand_norm_values_below_bounds():
     m = build(harmonic_pack(40))
-    rep = grand_norm_report(m)
+    rep = grand_norm_report(m, default_eps_grid(2, 64))
     assert rep.convention == "max_partials"
     assert rep.depth == 40
     assert len(rep.eps) == 64
@@ -450,7 +451,7 @@ def test_grand_norm_values_below_bounds():
 def test_grand_norm_schema():
     m = build(harmonic_pack(10))
     rep = grand_norm_report(m, eps_grid=(0.5, 1.0))
-    d = rep.to_dict()
+    d = json_data(rep)
     assert set(d) == {"eps", "values", "bounds", "sup", "convention", "depth"}
     assert d["convention"] == "max_partials"
 
@@ -459,7 +460,7 @@ def test_grand_norm_requires_standard_pack():
     a = geometric_sequence(8)
     m = build(SequencePack.from_scales(2, a, a))
     with pytest.raises(ValueError):
-        grand_norm_report(m)
+        grand_norm_report(m, default_eps_grid(2, 64))
     with pytest.raises(ValueError):
         grand_norm_report(build(harmonic_pack(8)), eps_grid=(0.0, 1.0))
 
@@ -467,8 +468,9 @@ def test_grand_norm_requires_standard_pack():
 def test_grand_norm_faster_decay_dominates():
     # pointwise |Df| is larger for faster-decaying scale sequences, so the
     # grand-norm sup is monotone non-decreasing under faster decay
-    slow = grand_norm_report(build(harmonic_pack(20)))
-    fast = grand_norm_report(build(SequencePack.from_standard(2, geometric_sequence(20))))
+    grid = default_eps_grid(2, 64)
+    slow = grand_norm_report(build(harmonic_pack(20)), grid)
+    fast = grand_norm_report(build(SequencePack.from_standard(2, geometric_sequence(20))), grid)
     assert fast.sup >= slow.sup
 
 

@@ -121,6 +121,7 @@ def test_hausdorff_report(config_path, tmp_path):
     assert main(["hausdorff", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
     data = json.loads((out / "hausdorff.json").read_text())
     assert {r["depth"] for r in data["upper_sums"]} == {0, 1, 2, 4}
+    assert all(r["ratio_to_one"] == r["total"] for r in data["upper_sums"])
     probe = data["lower_probe"]
     assert probe["c_probe"] > 0.0
     assert probe["canonical"]["max_intersecting"] <= 16
@@ -149,6 +150,10 @@ GOLDEN_SHA256 = {
     "displacement.pgm": "b6fa46cfcc2b5c75127b866937c6b5363acaf6bed411f922986cd2303be0a077",
     "jacobian.ppm": "70302e29e54e7ed3b711dd5220fd25b0ac7a77ec3c1a951abc3b749bf3b8073d",
     "grid.pgm": "5865f815554789fdff8a8fe03f0e13b502f7337e0ca2824b89988fb343efdb9b",
+    "verify.json": "90eb55d949b41dc968c45562a7b2695a9004b022df2894ba490a9580a97cff3a",
+    "norms.json": "e344efb3cc7e9574902e6e92210296814abde6818e9300ef8ea0eb224b41446b",
+    "norms_divergence.json": "613be4f88e99b873cccf3f8ee168df44549d842f33330e1519ab6f89c93b4662",
+    "hausdorff.json": "4b6e113429044fd6322463c653f6f5673550db170a85cdf344bdbcde15b0be39",
 }
 
 
@@ -157,7 +162,7 @@ def test_golden_bytes(config_path, tmp_path):
     pts.write_text("1.0,0.25\n0.0,0.0\n-0.6,0.33\n0.5,0.0\n-0.5,-0.5\n"
                    "0.123,-0.987\n2.0,0.0\nfoo\n")
     out = tmp_path / "golden"
-    for command in ("sequence", "eval", "render"):
+    for command in ("sequence", "eval", "verify", "norms", "hausdorff", "render"):
         argv = [command, "--config", str(config_path), "--out", str(out)]
         if command == "eval":
             argv += ["--points", str(pts)]
@@ -174,6 +179,8 @@ TIE_GOLDEN_SHA256 = {
     "eval.csv": "df0fa82e65dbe3a76ee9407edeea4b24170bb31eac4241dd69374fe132deae48",
     "render_grid.csv": "b734f1d8260152e6058b6c0ef808fee9006ec0d3a43b1371542a8e0adcb2e85b",
     "jacobian.ppm": "8e133143fea6436cdb251741198263b2553a034c40006aebb21b19a1fd61e338",
+    "displacement.pgm": "03d0dd9d5c9d3328344650deab829b5d5db2b6b495ac5c57f64fc2ed76b93624",
+    "grid.pgm": "de3a7c22bff16c8599bc39f2a7bec82368e1db538c2ca2659e0482bdfc4205f3",
 }
 
 
@@ -369,6 +376,18 @@ def test_verify_deterministic_bytes(config_path, tmp_path):
         assert main(["verify", "--config", str(config_path),
                      "--out", str(out)]) == EXIT_OK
     assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
+
+
+def test_verify_passes_past_one_ulp_truncation(config_path, tmp_path):
+    # at depth 60 twice the truncation error is about 2.8e-18, far below the
+    # one-ulp round-trip error of a core point; the bound stays at 8 ulps
+    out = tmp_path / "v60"
+    assert main(["verify", "--config", str(config_path), "--depth", "60",
+                 "--out", str(out)]) == EXIT_OK
+    core = next(c for c in json.loads((out / "verify.json").read_text())["checks"]
+                if c["name"] == "map.inverse_roundtrip_core")
+    assert core["passed"] and core["bound"] == 8.0 * math.ulp(1.0)
+    assert core["observed"] > 0.0
 
 
 def test_config_errors(tmp_path, capsys):

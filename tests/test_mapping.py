@@ -291,8 +291,9 @@ def test_derivative_core_scaling():
         pack = m.pack
         w = list(all_words(2, K))[3]
         x = center(w, pack)
-        mat, info = m.derivative(x)
-        assert info.region == "core" and info.depth == K
+        mat = m.derivative(x)
+        loc = m.locate(x)
+        assert loc.region == "core" and loc.depth == K
         expected = pack.b[K] / pack.a[K]
         assert np.allclose(mat, expected * np.eye(2), rtol=0, atol=1e-15)
         assert m.jacobian_det(x) == pytest.approx(expected ** 2, rel=1e-15)
@@ -301,9 +302,9 @@ def test_derivative_core_scaling():
 def test_derivative_hand_matrix():
     m = std_map()
     x = (1.0, 0.625)  # word (+,+): u = (1/2, 1/8), m = 1/2, depth 1
-    mat, info = m.derivative(x)
-    assert info.region == "annulus" and info.depth == 1
-    assert info.active == 0
+    mat = m.derivative(x)
+    loc = m.locate(x)
+    assert loc.region == "annulus" and loc.depth == 1
     assert np.allclose(mat, np.array([[0.5, 0.0], [-0.125, 1.0]]), rtol=0, atol=1e-15)
     assert m.jacobian_det(x) == pytest.approx(0.5, rel=1e-14)
 
@@ -344,8 +345,9 @@ def test_derivative_matches_finite_differences():
         ]
         for w in words:
             x, radius, j = annulus_point(pack, w, rng, band=(0.3, 0.7))
-            mat, info = m.derivative(x)
-            assert info.region == "annulus" and info.depth == depth
+            mat = m.derivative(x)
+            loc = m.locate(x)
+            assert loc.region == "annulus" and loc.depth == depth
             fd = fd_jacobian(m, x, depth, pack)
             scale = np.max(np.abs(mat))
             assert np.max(np.abs(fd - mat)) <= 1e-6 * scale
@@ -362,7 +364,7 @@ def test_jacobian_closed_form_equals_matrix_det():
         w = VertexWord(2, tuple(tuple(rng.choice((-1, 1)) for _ in range(2))
                                 for _ in range(depth)))
         x, _, _ = annulus_point(pack, w, rng)
-        mat, _ = m.derivative(x)
+        mat = m.derivative(x)
         det = float(np.linalg.det(mat))
         closed = m.jacobian_det(x)
         assert abs(det - closed) <= 1e-12 * abs(closed)
@@ -407,9 +409,7 @@ def test_located_point_gives_same_results(n):
                 m.derivative(x, loc)
             continue
         assert m.jacobian_det(x, loc) == det
-        mat, info = m.derivative(x)
-        mat_loc, info_loc = m.derivative(x, loc)
-        assert np.array_equal(mat_loc, mat) and info_loc == info
+        assert np.array_equal(m.derivative(x, loc), m.derivative(x))
 
 
 def test_located_ridge_point_raises():

@@ -34,11 +34,11 @@ def test_pixel_grid_includes_boundary():
 def test_identity_pack_renders_flat():
     a = geometric_sequence(6)
     m = build(SequencePack.from_scales(2, a, a))
-    samples = eval_grid(m, 17)
-    disp = displacement_field(samples, 17)
+    grid = eval_grid(m, 17)
+    disp = displacement_field(grid)
     assert np.max(disp) <= 4e-16
     assert np.all(grayscale(disp) == 0)
-    jac = jacobian_field(samples, 17)
+    jac = jacobian_field(grid)
     finite = jac[np.isfinite(jac)]
     assert np.allclose(finite, 1.0, atol=1e-12)
     colors = diverging_colors(jac)
@@ -48,44 +48,52 @@ def test_identity_pack_renders_flat():
 def test_boundary_pixels_unmoved():
     m = build(SequencePack.from_standard(2, harmonic_sequence(8)))
     res = 17
-    samples = eval_grid(m, res)
-    for idx, s in enumerate(samples):
-        row, col = idx // res, idx % res
-        if row in (0, res - 1) or col in (0, res - 1):
-            assert max(abs(a - b) for a, b in zip(s.x, s.y)) <= 2e-15
+    grid = eval_grid(m, res)
+    assert grid.x.shape == grid.y.shape == (res, res, 2)
+    edge = np.ones((res, res), dtype=bool)
+    edge[1:-1, 1:-1] = False
+    assert np.all(np.abs(grid.x - grid.y).max(axis=2)[edge] <= 2e-15)
 
 
 def test_depth_one_core_pixels_match_geometry():
     pack = SequencePack.from_standard(2, harmonic_sequence(1))
     m = build(pack)
     res = 41
-    samples = eval_grid(m, res)
-    jac = jacobian_field(samples, res)
+    grid = eval_grid(m, res)
+    jac = jacobian_field(grid)
     core_value = (pack.b[1] / pack.a[1]) ** 2
-    for idx, s in enumerate(samples):
-        x1, x2 = s.x
-        # source point inside one of the four depth-1 inner cubes?
-        inside = max(abs(abs(x1) - 0.5), abs(abs(x2) - 0.5)) <= pack.r[1]
-        assert (s.region == "core") == inside
-        if inside:
-            assert jac[idx // res, idx % res] == pytest.approx(core_value, rel=1e-12)
-        # image of a core point lies in the matching target inner cube
-        if inside:
-            y1, y2 = s.y
-            assert max(abs(abs(y1) - 0.5), abs(abs(y2) - 0.5)) <= pack.rt[1] * (1 + 1e-12)
+    # source point inside one of the four depth-1 inner cubes?
+    inside = np.abs(np.abs(grid.x) - 0.5).max(axis=2) <= pack.r[1]
+    assert inside.any()
+    assert np.array_equal(grid.core, inside)
+    assert np.all(grid.depth[inside] == 1)
+    assert np.allclose(jac[inside], core_value, rtol=1e-12, atol=0.0)
+    # image of a core point lies in the matching target inner cube
+    assert np.all(np.abs(np.abs(grid.y[inside]) - 0.5).max(axis=1)
+                  <= pack.rt[1] * (1 + 1e-12))
 
 
-def pixel_jacobians(m, res):
-    """Per-pixel reference: jacobian_det with its own descent, NaN on ridges."""
+def pixel_fields(m, res):
+    """Per-pixel reference loop: the displacement and the Jacobian (each
+    call with its own descent, NaN on ridges) and the distortion grid lit
+    where the preimage lies within 0.01 of one of 9 lines per axis."""
     axis = pixel_grid(res)
-    field = np.empty((res, res))
+    spots = [-1.0 + 2.0 * i / 8 for i in range(9)]
+    disp = np.empty((res, res))
+    jac = np.empty((res, res))
+    lines = np.zeros((res, res), dtype=np.uint8)
     for row in range(res):
         for col in range(res):
+            x = (axis[col], -axis[row])
+            disp[row, col] = max(abs(a - b) for a, b in zip(x, m.eval(x)))
             try:
-                field[row, col] = m.jacobian_det((axis[col], -axis[row]))
+                jac[row, col] = m.jacobian_det(x)
             except RidgeSetError:
-                field[row, col] = math.nan
-    return field
+                jac[row, col] = math.nan
+            back = m.eval_inverse(x)
+            if min(abs(c - s) for c in back for s in spots) <= 0.01:
+                lines[row, col] = 255
+    return disp, jac, lines
 
 
 @pytest.mark.parametrize("pack", [
@@ -93,13 +101,15 @@ def pixel_jacobians(m, res):
     log_pack(2),
 ])
 def test_jacobian_field_matches_per_pixel_loop(pack):
+    # the displacement and distortion fields are checked against the same loop
     m = build(pack)
     res = 33
-    jac = jacobian_field(eval_grid(m, res), res)
-    ref = pixel_jacobians(m, res)
-    assert np.isnan(ref).any()
-    assert np.array_equal(np.isnan(jac), np.isnan(ref))
-    assert np.array_equal(jac, ref, equal_nan=True)
+    grid = eval_grid(m, res)
+    disp, jac, lines = pixel_fields(m, res)
+    assert np.isnan(jac).any() and (lines == 255).any() and (lines == 0).any()
+    assert np.array_equal(displacement_field(grid), disp)
+    assert np.array_equal(jacobian_field(grid), jac, equal_nan=True)
+    assert np.array_equal(grid_distortion(m, res), lines)
 
 
 def test_grid_distortion_deterministic_and_binary():

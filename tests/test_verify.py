@@ -13,6 +13,7 @@ from ponomap import (
     harmonic_sequence,
     null_measure_sequence,
 )
+from ponomap.cli import json_data
 from ponomap.mapping import build
 from ponomap.verify import (
     VerifyScale,
@@ -37,12 +38,21 @@ FAST = VerifyScale(
     depth_cap=6,
 )
 
+LOG_GAUGE = GaugeSpec(n=2, tau=TauSpec(family="log", shift=math.e))
+
+
+def run_custom(pack, seed):
+    """The suite on a pack of no theorem, as ``"theorem": "custom"`` runs
+    it: the gauge checks read the log gauge, and no sequence check runs."""
+    return run_suite(pack, gauge=LOG_GAUGE, kind="custom", seed=seed, scale=FAST,
+                     safety=0.5)
+
 
 def test_suite_passes_finite_measure():
     tau = TauSpec(family="log", shift=math.e)
     gauge = GaugeSpec(n=2, tau=tau)
     pack = SequencePack.from_standard(2, finite_measure_sequence(tau, 2, 12))
-    rep = run_suite(pack, gauge=gauge, kind="finite_measure", seed=3, scale=FAST)
+    rep = run_suite(pack, gauge=gauge, kind="finite_measure", seed=3, scale=FAST, safety=0.5)
     failed = [c.name for c in rep.checks if not c.passed]
     assert rep.passed, failed
 
@@ -53,7 +63,8 @@ def test_suite_passes_finite_measure_n3():
     # at FAST, seed 9 draws a Monte Carlo shell estimate past its 3 sigma bound
     tau = TauSpec(family="log", shift=math.e)
     pack = SequencePack.from_standard(3, finite_measure_sequence(tau, 3, 20))
-    rep = run_suite(pack, gauge=GaugeSpec(n=3, tau=tau), kind="finite_measure", seed=9)
+    rep = run_suite(pack, gauge=GaugeSpec(n=3, tau=tau), kind="finite_measure", seed=9,
+                    scale=VerifyScale(), safety=0.5)
     band = next(c for c in rep.checks if c.name == "measure.upper_sum_band")
     assert band.bound == 10.0 * 12.0 ** 1.5 / 8.0 and band.observed > 10.0
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
@@ -74,7 +85,7 @@ def test_upper_sum_band_rejects_sums_outside():
 def test_suite_passes_null_measure():
     gauge = GaugeSpec(n=2, raw=RawGauge(family="power", alpha=1.0))
     pack = SequencePack.from_standard(2, null_measure_sequence(gauge, 12))
-    rep = run_suite(pack, gauge=gauge, kind="null_measure", seed=5, scale=FAST)
+    rep = run_suite(pack, gauge=gauge, kind="null_measure", seed=5, scale=FAST, safety=0.5)
     failed = [c.name for c in rep.checks if not c.passed]
     assert rep.passed, failed
 
@@ -82,7 +93,7 @@ def test_suite_passes_null_measure():
 def test_suite_passes_identity_pack():
     a = geometric_sequence(10)
     pack = SequencePack.from_scales(2, a, a)
-    rep = run_suite(pack, seed=1, scale=FAST)
+    rep = run_custom(pack, seed=1)
     assert rep.passed
     jac = next(c for c in rep.checks if c.name == "jacobian.min_det")
     assert jac.observed == 1.0
@@ -93,7 +104,7 @@ def test_suite_detects_tampered_pack():
     beta = list(pack.beta)
     beta[3] += 1e-3
     object.__setattr__(pack, "beta", tuple(beta))
-    rep = run_suite(pack, seed=2, scale=FAST)
+    rep = run_custom(pack, seed=2)
     assert not rep.passed
     gate = next(c for c in rep.checks if c.name == "pack.validate")
     assert not gate.passed and "gluing" in gate.note
@@ -101,8 +112,7 @@ def test_suite_detects_tampered_pack():
 
 def test_report_serializes():
     pack = SequencePack.from_standard(2, harmonic_sequence(8))
-    rep = run_suite(pack, seed=11, scale=FAST)
-    d = rep.to_dict()
+    d = json_data(run_custom(pack, seed=11))
     assert d["passed"] is True
     assert d["seed"] == 11
     assert all(set(c) == {"name", "observed", "bound", "passed", "note"}
@@ -111,9 +121,7 @@ def test_report_serializes():
 
 def test_determinism_same_seed():
     pack = SequencePack.from_standard(2, harmonic_sequence(8))
-    r1 = run_suite(pack, seed=9, scale=FAST)
-    r2 = run_suite(pack, seed=9, scale=FAST)
-    assert r1.to_dict() == r2.to_dict()
+    assert run_custom(pack, seed=9) == run_custom(pack, seed=9)
 
 
 TINY = VerifyScale(boundary_points=3, face_points=2, face_depth=3, roundtrip_points=3,
