@@ -12,7 +12,10 @@ statement:
 * Exact sup-norm shell integrals (layer-cake identity
   int_{shell} phi(||x||_inf) dx = n 2^n int phi(t) t^(n-1) dt) by adaptive
   quadrature, and a seeded Monte Carlo cross-check that does not use the
-  identity.
+  identity.  The norm reports integrate a whole block of annuli at once
+  with QUADPACK's first 21-point Gauss-Kronrod step in numpy, bit for bit
+  what the quadrature returns; a row that step does not settle goes
+  through the adaptive quadrature itself.
 * Grand Lebesgue norm reports eps * int |Df_K|^(n-eps) over an eps grid,
   with the telescoping analytic bound, and classical p-norm sums with a
   per-depth profile for the p = n divergence probe.
@@ -25,9 +28,10 @@ evaluation order.  The derivative magnitude convention is max-of-partials:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -44,7 +48,8 @@ from .gauge import GaugeSpec, eval_h
 from .mapping import PonomarevMap
 
 # scipy.integrate.quad, bound by _load_quad on the first quadrature: importing
-# scipy costs more than half a second and only shell_integral needs it
+# scipy costs more than half a second and only shell_integral needs it, so
+# a norm report loads it only for a row that needs subdivision
 _quad = None
 
 
@@ -326,6 +331,11 @@ class GradientPower:
         return (self.alpha + self.beta / t) ** self.power
 
 
+# quad's relative tolerance in shell_integral, which the norm table's first
+# Gauss-Kronrod step must meet as well
+_EPSREL = 1e-11
+
+
 def shell_integral(phi: Callable[[float], float], r: float, R: float, n: int) -> float:
     """Integral of phi(||x||_inf) over the sup-norm shell Q(0,R) \\ Q(0,r).
 
@@ -340,7 +350,7 @@ def shell_integral(phi: Callable[[float], float], r: float, R: float, n: int) ->
     front = n * 2.0 ** n
     quad = _quad or _load_quad()
     result = quad(lambda t: phi(t) * t ** (n - 1), r, R,
-                  epsabs=0.0, epsrel=1e-11, limit=200, full_output=True)
+                  epsabs=0.0, epsrel=_EPSREL, limit=200, full_output=True)
     value, abserr = result[0], result[1]
     if len(result) > 3:
         raise ToleranceError(f"shell quadrature failed: {result[3]}")
@@ -349,6 +359,117 @@ def shell_integral(phi: Callable[[float], float], r: float, R: float, n: int) ->
             f"shell quadrature too loose: abserr={abserr:g} for value={value:g}"
         )
     return front * value
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in its own decimals: the
+# Kronrod abscissae, whose odd-indexed entries are the 10-point Gauss nodes,
+# the Kronrod weights (the last is the centre's) and the Gauss weights
+_XGK = np.array((
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720))
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980544743, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338)
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+
+
+def _libm_pow(x: np.ndarray, y) -> np.ndarray:
+    """x ** y elementwise by libm pow, which Python's float ** calls; numpy's
+    own power differs from it in the last bit for some elements.  ``y``
+    broadcasts against ``x``; raises where math.pow does.  The memoryviews
+    hand out one Python float at a time, so no list of them is built."""
+    y = np.ravel(np.broadcast_to(y, x.shape))
+    return np.fromiter(map(math.pow, memoryview(np.ravel(x)), memoryview(y)),
+                       float, x.size).reshape(x.shape)
+
+
+def _gk21_shells(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
+                 r: np.ndarray, R: np.ndarray, n: int) -> list[float | None]:
+    """shell_integral(GradientPower(alpha_i, beta_i, power_i), r_i, R_i, n)
+    of every row on which it stops after its first rule, else None.
+
+    QUADPACK's dqagse starts with one 21-point Gauss-Kronrod rule (dqk21)
+    over [r, R] and returns it when its error estimate meets the tolerance.
+    This runs that step for all rows at once: the same nodes, the same
+    integrand operations, each power by libm, and the sums accumulated
+    node by node in dqk21's order, so a settled row equals the quadrature
+    bit for bit.  Rows outside 0 < r < R or with a non-finite sum stay
+    None; so does every row when math.pow raises, so that the scalar call
+    raises the same error.
+    """
+    with np.errstate(all="ignore"):
+        centr = (0.5 * (r + R))[:, None]
+        hlgth = 0.5 * (R - r)
+        absc = hlgth[:, None] * _XGK
+        t = np.concatenate((centr, centr - absc, centr + absc), axis=1)
+        try:
+            f = _libm_pow(alpha[:, None] + beta[:, None] / t, power[:, None])
+            # pow(t, 1.0) is t exactly
+            f = f * (t if n == 2 else _libm_pow(t, float(n - 1)))
+        except (ArithmeticError, ValueError):
+            return [None] * len(r)
+        fc, fv1, fv2 = f[:, 0], f[:, 1:11], f[:, 11:]
+        resg = 0.0
+        resk = _WGK[10] * fc
+        resabs = np.abs(resk)
+        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss nodes first
+            fsum = fv1[:, j] + fv2[:, j]
+            if j % 2:
+                resg = resg + _WG[j // 2] * fsum
+            resk = resk + _WGK[j] * fsum
+            resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+        reskh = resk * 0.5
+        resasc = _WGK[10] * np.abs(fc - reskh)
+        for j in range(10):
+            resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+        result = resk * hlgth
+        resabs = resabs * np.abs(hlgth)
+        resasc = resasc * np.abs(hlgth)
+        abserr = np.abs((resk - resg) * hlgth)
+        # dqk21 scales abserr by min(1, (200 abserr/resasc)^1.5); the clip
+        # first gives the same value and keeps pow from overflowing
+        ratio = np.minimum(200.0 * abserr / resasc, 1.0)
+        abserr = np.where((resasc != 0.0) & (abserr != 0.0),
+                          resasc * _libm_pow(ratio, 1.5), abserr)
+        abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                          np.maximum((_EPMACH * 50.0) * resabs, abserr), abserr)
+        # dqagse's first-step exit with ier = 0; its roundoff exit (ier = 2)
+        # needs abserr above the bound and never meets this test.  A settled
+        # row's abserr also passes shell_integral's 1e-10 check.
+        bound = _EPSREL * np.abs(result)
+        settled = ((abserr <= bound) & (abserr != resasc)) | (abserr == 0.0)
+        settled &= np.isfinite(result) & (0.0 < r) & (r < R)
+        values = (n * 2.0 ** n * result).tolist()  # shell_integral's front * value
+    return [v if s else None for v, s in zip(values, settled.tolist())]
+
+
+def _shell_rows(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
+                r: np.ndarray, R: np.ndarray, n: int) -> Iterator[float]:
+    """shell_integral(GradientPower(alpha_i, beta_i, power_i), r_i, R_i, n)
+    row by row, bit for bit and error for error.
+
+    A row the first rule does not settle goes to shell_integral when it is
+    reached, so the errors come in the order a loop over the rows raises
+    them.
+    """
+    for i, value in enumerate(_gk21_shells(alpha, beta, power, r, R, n)):
+        if value is None:
+            value = shell_integral(
+                GradientPower(float(alpha[i]), float(beta[i]), float(power[i])),
+                float(r[i]), float(R[i]), n)
+        yield value
 
 
 def shell_integral_mc(phi, r: float, R: float, n: int, samples: int,
@@ -398,14 +519,33 @@ def default_eps_grid(n: int, count: int) -> tuple[float, ...]:
     return tuple(float(e) for e in np.geomspace(1e-4, n - 1.0, count))
 
 
-def _annulus_terms(pack: SequencePack, power: float) -> list[float]:
-    """Per-depth totals 2^(nk) * shell_integral((alpha+beta/t)^power)."""
-    out = []
-    for k in range(1, pack.K + 1):
-        phi = GradientPower(pack.alpha[k], pack.beta[k], power)
-        term = shell_integral(phi, pack.r[k], pack.r[k - 1] / 2.0, pack.n)
-        out.append(2.0 ** (pack.n * k) * term)
-    return out
+# annulus rows integrated together; bounds the arrays and node lists held
+# at once (1,024 rows raised a norms pass's peak memory by about 2.5 MiB)
+_TABLE_ROWS = 256
+
+
+def _annulus_table(pack: SequencePack, powers: Sequence[float]) -> Iterator[list[float]]:
+    """Per power, the per-depth totals 2^(nk) * shell_integral over the
+    depth-k annulus of (alpha_k + beta_k/t)^power, k = 1..K.
+
+    The (power, k) rows go through _shell_rows a block at a time, so only
+    one block of the table is held.
+    """
+    n, K = pack.n, pack.K
+    depths = range(1, K + 1)
+    alpha, beta = np.array(pack.alpha[1:]), np.array(pack.beta[1:])
+    r, R = np.array(pack.r[1:]), np.array(pack.r[:-1]) / 2.0
+    step = max(1, _TABLE_ROWS // K)
+    for lo in range(0, len(powers), step):
+        block = np.array(powers[lo:lo + step], dtype=float)
+        m = len(block)
+        shells = _shell_rows(np.tile(alpha, m), np.tile(beta, m), np.repeat(block, K),
+                             np.tile(r, m), np.tile(R, m), n)
+        for _ in range(m):
+            # zip draws k before s, so it stops at k = K without drawing the
+            # next row's shell; each shell integral is taken before its scale
+            # 2^(nk), which overflows past nk = 1023, as the scalar loop did
+            yield [s * 2.0 ** (n * k) for k, s in zip(depths, shells)]
 
 
 def _core_term(pack: SequencePack, power: float) -> float:
@@ -433,9 +573,8 @@ def grand_norm_report(pmap: PonomarevMap, eps_grid: Sequence[float]) -> NormRepo
     const = n * 2.0 ** n
     values = []
     bounds = []
-    for e in eps_grid:
-        values.append(e * math.fsum(_annulus_terms(pack, n - e))
-                      + e * _core_term(pack, n - e))
+    for e, terms in zip(eps_grid, _annulus_table(pack, [n - e for e in eps_grid])):
+        values.append(e * math.fsum(terms) + e * _core_term(pack, n - e))
         bounds.append(const * (1.0 - aK ** e) + e * 2.0 ** n * aK ** e * bK ** (n - e))
     return NormReport(
         eps=eps_grid,
@@ -453,7 +592,7 @@ def sobolev_depth_profile(pmap: PonomarevMap, p: float) -> tuple[tuple[float, ..
     pack = pmap.pack
     if not 0.0 < p <= pack.n:
         raise ValueError("p must lie in (0, n]")
-    terms = _annulus_terms(pack, p)
+    (terms,) = _annulus_table(pack, (p,))
     running = []
     acc = 0.0
     for t in terms:

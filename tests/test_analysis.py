@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ponomap import (
     Ball,
@@ -44,6 +45,8 @@ from ponomap.analysis import (
 )
 from ponomap.cantor import descendant_count
 from ponomap.cli import json_data
+from ponomap.errors import ToleranceError
+from reference_norms import reference_depth_profile, reference_grand_norm_values
 
 LOG_TAU = TauSpec(family="iterated_log", iterations=1, exponent=1.0, shift=math.e)
 LOG_GAUGE = GaugeSpec(n=2, tau=LOG_TAU)
@@ -528,6 +531,103 @@ def test_sobolev_validation():
         sobolev_depth_profile(m, 0.0)
     with pytest.raises(ValueError):
         sobolev_depth_profile(m, 2.5)
+
+
+# ---------------------------------------------------------------------------
+# the block path of the norm table against the per-depth quadrature loop
+
+
+def workload_packs():
+    """The norms benchmark's three packs at K = 40, plus the log pack at n = 3."""
+    log = TauSpec.from_dict({"family": "log", "shift": math.e})
+    log_power = TauSpec.from_dict({"family": "log_power", "exponent": 2.0, "shift": math.e})
+    exp_inverse = GaugeSpec.from_dict({"n": 2, "raw": {"family": "exp_inverse", "scale": 1.0}})
+    return {
+        "log": SequencePack.from_standard(2, finite_measure_sequence(log, 2, 40)),
+        "log_power": SequencePack.from_standard(2, finite_measure_sequence(log_power, 2, 40)),
+        "exp_inverse": SequencePack.from_standard(2, null_measure_sequence(exp_inverse, 40)),
+        "log_n3": SequencePack.from_standard(3, finite_measure_sequence(log, 3, 40)),
+    }
+
+
+def test_norm_table_matches_quadrature_loop(monkeypatch):
+    eps = tuple(float(e) for e in np.geomspace(1e-6, 1.0, 64))
+    scalar_calls = {}
+    for name, pack in workload_packs().items():
+        m = build(pack)
+        values = reference_grand_norm_values(pack, eps)
+        profile = reference_depth_profile(pack, float(pack.n))
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "shell_integral",
+                          lambda *args: calls.append(args) or shell_integral(*args))
+            rep = grand_norm_report(m, eps)
+            got_profile = sobolev_depth_profile(m, float(pack.n))
+        assert repr(rep.values) == repr(values), name
+        assert repr(rep.sup) == repr(max(values)), name
+        assert repr(got_profile) == repr(profile), name
+        # the Gauss-Kronrod block settles most rows; the rest go to quad
+        assert len(calls) < (len(eps) + 1) * pack.K // 2, name
+        scalar_calls[name] = len(calls)
+    # the depth-1 annulus of the theorem-2 pack needs subdivision
+    assert scalar_calls["exp_inverse"] > 0
+
+
+def scalar_outcome(alpha, beta, power, r, R, n):
+    try:
+        return repr(shell_integral(GradientPower(alpha, beta, power), r, R, n))
+    except Exception as exc:  # the outcome compared is the error itself
+        return (type(exc), exc.args)
+
+
+def table_outcomes(rows, n):
+    columns = [np.array(c, dtype=float) for c in zip(*rows)]
+    settled = analysis._gk21_shells(*columns, n)
+    try:
+        every = [repr(v) for v in analysis._shell_rows(*columns, n)]
+    except Exception as exc:
+        every = (type(exc), exc.args)
+    return settled, every
+
+
+def assert_table_matches_scalar(rows, n):
+    settled, every = table_outcomes(rows, n)
+    expected = [scalar_outcome(*row, n) for row in rows]
+    for value, want in zip(settled, expected):
+        assert value is None or repr(value) == want
+    errors = [e for e in expected if isinstance(e, tuple)]
+    assert every == (errors[0] if errors else expected)
+    return settled
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_block_kernel_matches_shell_integral_property(n, data):
+    unit = st.floats(0.0, float(n), exclude_min=True)
+    row = st.tuples(unit, unit, unit, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    st.floats(0.0, 1.0, exclude_min=True))
+    drawn = data.draw(st.lists(row, min_size=1, max_size=6))
+    rows = [(alpha, beta, power, frac * R, R) for alpha, beta, power, frac, R in drawn]
+    assume(all(0.0 < r < R for *_, r, R in rows))
+    assert_table_matches_scalar(rows, n)
+
+
+def test_block_kernel_raises_as_the_scalar_path():
+    good = (0.5, 0.25, 1.9, 0.3, 0.5)
+    subdivisions = (0.5, 0.25, 2.0, 1e-100, 0.5)
+    overflow = (0.5, 1e200, 2.0, 1e-100, 0.5)
+    # the subdivision row leaves the block and stops quad after 200 intervals
+    settled = assert_table_matches_scalar([good, subdivisions, good], 2)
+    assert settled[0] is not None and settled[1] is None
+    with pytest.raises(ToleranceError, match="maximum number of subdivisions"):
+        list(analysis._shell_rows(*[np.array(c) for c in zip(good, subdivisions)], 2))
+    # math.pow overflows inside the block, so every row goes to quad, whose
+    # integrand raises on the overflow row with float ** 's own message
+    assert assert_table_matches_scalar([good, overflow], 2) == [None, None]
+    with pytest.raises(OverflowError) as exc:
+        list(analysis._shell_rows(*[np.array(c) for c in zip(good, overflow)], 2))
+    assert exc.value.args == (34, "Numerical result out of range")
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,37 @@ def test_golden_bytes_tie_heavy(tmp_path):
     assert got == TIE_GOLDEN_SHA256
 
 
+# SHA-256 of the norm reports, recorded from the per-depth quadrature loop
+# that the Gauss-Kronrod block path replaced: the theorem-2 exp_inverse
+# pack, whose depth-1 annulus needs subdivision, and the log pack at n = 3
+NORMS_GOLDEN_CONFIGS = {
+    "exp_inverse": {"gauge": {"n": 2, "raw": {"family": "exp_inverse", "scale": 1.0}},
+                    "theorem": 2, "depth": 40, "seed": 3, "eps_grid": "1e-6:1:32"},
+    "log_n3": {"gauge": {"n": 3, "tau": LOG_TAU}, "theorem": 1, "depth": 40, "seed": 3,
+               "eps_grid": "1e-6:2:32"},
+}
+NORMS_GOLDEN_SHA256 = {
+    "exp_inverse/norms.json":
+        "9b05518f1ff8b28ebd08027a2663c18259a3bd4e8bad65a5f214dfb0080b2f0f",
+    "exp_inverse/norms_divergence.json":
+        "4b4dab71c71b69783a5e9903829ee6e1c3f404e75972248c404893d702a6be62",
+    "log_n3/norms.json":
+        "055b613475aa401a8f6af75363240f274c81fc2ced86bdf299854d59f8138829",
+    "log_n3/norms_divergence.json":
+        "bca7163c49883825e00c06c2125d8f670ecc375353010875bb75174b33d01a61",
+}
+
+
+def test_golden_bytes_norms(tmp_path):
+    for name, cfg in NORMS_GOLDEN_CONFIGS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["norms", "--config", str(path), "--out", str(tmp_path / name)]) == EXIT_OK
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in NORMS_GOLDEN_SHA256}
+    assert got == NORMS_GOLDEN_SHA256
+
+
 # rows that each fail differently: non-finite and overflowing coordinates,
 # wrong counts, text, points just outside the cube, a comment and a blank
 # line, between valid rows with signed zeros, corners and subnormals
