@@ -45,7 +45,7 @@ from .cantor import (
 )
 from .errors import CoverageError, DepthError, GaugeRangeError, ToleranceError
 from .gauge import GaugeSpec, eval_h
-from .mapping import PonomarevMap
+from .mapping import PonomarevMap, libm_pow
 
 # scipy.integrate.quad, bound by _load_quad on the first quadrature: importing
 # scipy costs more than half a second and only shell_integral needs it, so
@@ -385,16 +385,6 @@ _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
 
-def _libm_pow(x: np.ndarray, y) -> np.ndarray:
-    """x ** y elementwise by libm pow, which Python's float ** calls; numpy's
-    own power differs from it in the last bit for some elements.  ``y``
-    broadcasts against ``x``; raises where math.pow does.  The memoryviews
-    hand out one Python float at a time, so no list of them is built."""
-    y = np.ravel(np.broadcast_to(y, x.shape))
-    return np.fromiter(map(math.pow, memoryview(np.ravel(x)), memoryview(y)),
-                       float, x.size).reshape(x.shape)
-
-
 def _gk21_shells(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
                  r: np.ndarray, R: np.ndarray, n: int) -> list[float | None]:
     """shell_integral(GradientPower(alpha_i, beta_i, power_i), r_i, R_i, n)
@@ -415,9 +405,9 @@ def _gk21_shells(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
         absc = hlgth[:, None] * _XGK
         t = np.concatenate((centr, centr - absc, centr + absc), axis=1)
         try:
-            f = _libm_pow(alpha[:, None] + beta[:, None] / t, power[:, None])
+            f = libm_pow(alpha[:, None] + beta[:, None] / t, power[:, None])
             # pow(t, 1.0) is t exactly
-            f = f * (t if n == 2 else _libm_pow(t, float(n - 1)))
+            f = f * (t if n == 2 else libm_pow(t, float(n - 1)))
         except (ArithmeticError, ValueError):
             return [None] * len(r)
         fc, fv1, fv2 = f[:, 0], f[:, 1:11], f[:, 11:]
@@ -442,7 +432,7 @@ def _gk21_shells(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
         # first gives the same value and keeps pow from overflowing
         ratio = np.minimum(200.0 * abserr / resasc, 1.0)
         abserr = np.where((resasc != 0.0) & (abserr != 0.0),
-                          resasc * _libm_pow(ratio, 1.5), abserr)
+                          resasc * libm_pow(ratio, 1.5), abserr)
         abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
                           np.maximum((_EPMACH * 50.0) * resabs, abserr), abserr)
         # dqagse's first-step exit with ier = 0; its roundoff exit (ier = 2)
@@ -529,10 +519,13 @@ def _annulus_table(pack: SequencePack, powers: Sequence[float]) -> Iterator[list
     depth-k annulus of (alpha_k + beta_k/t)^power, k = 1..K.
 
     The (power, k) rows go through _shell_rows a block at a time, so only
-    one block of the table is held.
+    one block of the table is held.  Raises GaugeRangeError at the first
+    depth whose 2^(nk) passes binary64.
     """
     n, K = pack.n, pack.K
-    depths = range(1, K + 1)
+    # 2^(nk), the number of depth-k annuli, at the depths where it is a
+    # binary64 float
+    counts = [2.0 ** (n * k) for k in range(1, min(K, (sys.float_info.max_exp - 1) // n) + 1)]
     alpha, beta = np.array(pack.alpha[1:]), np.array(pack.beta[1:])
     r, R = np.array(pack.r[1:]), np.array(pack.r[:-1]) / 2.0
     step = max(1, _TABLE_ROWS // K)
@@ -542,10 +535,17 @@ def _annulus_table(pack: SequencePack, powers: Sequence[float]) -> Iterator[list
         shells = _shell_rows(np.tile(alpha, m), np.tile(beta, m), np.repeat(block, K),
                              np.tile(r, m), np.tile(R, m), n)
         for _ in range(m):
-            # zip draws k before s, so it stops at k = K without drawing the
-            # next row's shell; each shell integral is taken before its scale
-            # 2^(nk), which overflows past nk = 1023, as the scalar loop did
-            yield [s * 2.0 ** (n * k) for k, s in zip(depths, shells)]
+            # zip draws the count before the shell, so it stops after the
+            # last count without drawing the next shell
+            row = [s * c for c, s in zip(counts, shells)]
+            if len(row) < K:
+                # as in the scalar loop, the shell integral is taken before
+                # its scale, so the shell's own error comes first
+                next(shells)
+                k = len(row) + 1
+                raise GaugeRangeError(
+                    f"annulus count 2^({n}*{k}) overflows binary64 at depth {k}")
+            yield row
 
 
 def _core_term(pack: SequencePack, power: float) -> float:

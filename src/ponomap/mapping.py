@@ -17,6 +17,7 @@ diameter, so f_K approximates the limit map within 2*sqrt(n)*rt_K.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,26 @@ from .cantor import BatchDescent, Descent, SequencePack, descend, descend_batch
 from .errors import RidgeSetError
 
 _RIDGE_RTOL = 1e-12
+
+
+def libm_pow(x: np.ndarray, y, scalar=math.pow) -> np.ndarray:
+    """x ** y elementwise by libm pow, bit for bit.
+
+    numpy's float64 ``float_power`` loop calls the C library's pow, which
+    math.pow and Python's float ** call as well; ``np.power`` runs SIMD
+    kernels that differ from it in the last bit for some elements.  The
+    entries whose result is not finite are taken again by ``scalar``
+    (math.pow, or operator.pow for float **), in flat order, so the first
+    error a loop of ``scalar`` raises is raised and every NaN or inf it
+    returns is kept.  ``y`` broadcasts against ``x``.
+    """
+    with np.errstate(all="ignore"):
+        out = np.float_power(x, y)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        xs, ys = (np.broadcast_to(a, out.shape).flat[bad].tolist() for a in (x, y))
+        out.flat[bad] = list(map(scalar, xs, ys))
+    return out
 
 
 @dataclass(frozen=True)
@@ -172,10 +193,7 @@ class PonomarevMap:
         ann = np.flatnonzero(~d.core)
         k = d.depth[ann]
         alpha, beta = np.take(pack.alpha, k), np.take(pack.beta, k)
-        # numpy's powers are not libm's pow, which Python's float ** calls,
-        # so the power is taken one row at a time
-        e = pack.n - 1
-        det[ann] = alpha * np.array([g ** e for g in (alpha + beta / d.m[ann]).tolist()])
+        det[ann] = alpha * libm_pow(alpha + beta / d.m[ann], pack.n - 1, operator.pow)
         if pack.n > 1:
             # the ridge rule of _annulus_state on the two largest |u_i|
             mags = np.sort(np.abs(d.x[ann] - d.z[ann]), axis=1)

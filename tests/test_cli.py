@@ -506,14 +506,18 @@ def test_config_errors(tmp_path, capsys):
         assert main(["hausdorff", "--config", str(path), "--out", str(out)]) == EXIT_OK, cfg
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported by the shell quadrature alone, on its first use
-    code = "import sys, ponomap.cli; sys.exit('scipy' in sys.modules)"
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's ponomap."""
     src = str(Path(ponomap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported by the shell quadrature alone, on its first use
+    proc = run_python("-c", "import sys, ponomap.cli; sys.exit('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -532,6 +536,19 @@ def test_numeric_error_exit(tmp_path):
         path.write_text(json.dumps(cfg))
         assert main([command, "--config", str(path),
                      "--out", str(tmp_path)]) == EXIT_NUMERIC, cfg
+
+
+def test_norms_past_binary64_annulus_count_exits_4(tmp_path):
+    # the depth-512 annuli number 2^(2*512), past the largest float; the
+    # shells up to that depth are integrated before the count is refused
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"gauge": {"n": 2, "tau": LOG_TAU}, "theorem": 1,
+                                "depth": 520, "eps_grid": "1e-3:1:2"}))
+    proc = run_python("-m", "ponomap.cli", "norms", "--config", str(path),
+                      "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_NUMERIC
+    assert "Traceback" not in proc.stderr
+    assert "annulus count 2^(2*512) overflows binary64 at depth 512" in proc.stderr
 
 
 def test_render_rejects_other_dimensions(tmp_path):

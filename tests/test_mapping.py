@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ponomap import (
 )
 
 from ponomap.cantor import descend
+from ponomap.mapping import libm_pow
 from ponomap.verify import _gradient_bound
 from tie_points import log_pack, tie_heavy_points
 
@@ -432,3 +434,77 @@ def test_eval_domain_errors():
         m.eval_inverse((0.0, -1.5))
     with pytest.raises(DomainError):
         m.eval((0.0,))
+
+
+def loop_pow(x, y, scalar=math.pow):
+    """``scalar`` one element at a time: the reference for libm_pow."""
+    ys = np.broadcast_to(y, np.shape(x)).ravel().tolist()
+    return np.array([scalar(a, b) for a, b in zip(np.ravel(x).tolist(), ys)],
+                    dtype=float).reshape(np.shape(x))
+
+
+def outcome(f, *args):
+    """The result's bits, or the error's type and text."""
+    try:
+        return f(*args).view(np.int64).tolist()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_libm_pow_matches_math_pow_bit_for_bit():
+    # the norm table's shapes: bases over eleven decades against one power
+    # per row, and the abserr ratios against a scalar 1.5
+    rng = np.random.default_rng(15)
+    x = 10.0 ** rng.uniform(-5.0, 6.0, size=(5000, 20))
+    cases = [(x, rng.uniform(0.0, 2.0, size=(5000, 1))), (x, 1.5),
+             (rng.uniform(0.0, 1.0, size=100_000), 1.5)]
+    differ = 0
+    for base, power in cases:
+        expect = loop_pow(base, power)
+        assert libm_pow(base, power).view(np.int64).tolist() == expect.view(np.int64).tolist()
+        differ += int(np.count_nonzero(np.power(base, power) != expect))
+    # jacobian_det_batch's (alpha + beta/m) ** (n-1) by Python's float **
+    g = 0.5 + rng.uniform(0.0, 1e3, size=100_000)
+    for e in (0.0, 1.0, 2.0):
+        expect = loop_pow(g, e, operator.pow)
+        assert libm_pow(g, e, operator.pow).view(np.int64).tolist() == expect.view(np.int64).tolist()
+        differ += int(np.count_nonzero(np.power(g, e) != expect))
+    # numpy's SIMD power kernels round some of these differently; hosts
+    # without them may have none
+    print(f"{differ} elements where np.power differs from libm pow")
+
+
+def test_libm_pow_falls_back_as_the_scalar_loop():
+    with pytest.raises(OverflowError, match="math range error"):
+        libm_pow(np.array([[2.0, 0.5], [1e200, 3.0]]), np.array([[1.5], [2.0]]))
+    with pytest.raises(OverflowError, match="Numerical result out of range"):
+        libm_pow(np.array([2.0, 1e200]), 2.0, operator.pow)
+    with pytest.raises(ValueError, match="math domain error"):
+        libm_pow(np.array([1.0, 0.0]), -1.5)
+    with pytest.raises(ZeroDivisionError):
+        libm_pow(np.array([1.0, 0.0]), -2.0, operator.pow)
+    # the first error in flat order wins, as in a loop
+    assert outcome(libm_pow, np.array([0.0, 1e300]), np.array([-1.0, 2.0])) == \
+        outcome(loop_pow, np.array([0.0, 1e300]), np.array([-1.0, 2.0]))
+    x = np.array([math.nan, math.inf, -math.inf, 2.0, 0.0, 1.0])
+    y = np.array([1.5, 1.5, 3.0, math.nan, 2.0, math.nan])
+    got = libm_pow(x, y)
+    assert repr(got.tolist()) == "[nan, inf, -inf, nan, 0.0, 1.0]"
+    assert got.view(np.int64).tolist() == loop_pow(x, y).view(np.int64).tolist()
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_libm_pow_matches_the_scalar_loop_property(data):
+    # any floats under math.pow; integer powers under float **, as
+    # jacobian_det_batch takes them, since float ** of a negative base to a
+    # fractional power is complex
+    if data.draw(st.booleans()):
+        scalar, power = math.pow, st.floats()
+    else:
+        scalar, power = operator.pow, st.integers(-3, 3).map(float)
+    base = st.one_of(st.floats(), st.floats(1e-6, 1e6), st.sampled_from([0.0, -0.0, 1.0]))
+    x = np.array(data.draw(st.lists(base, min_size=1, max_size=30)))
+    y = (data.draw(power) if data.draw(st.booleans())
+         else np.array(data.draw(st.lists(power, min_size=len(x), max_size=len(x)))))
+    assert outcome(libm_pow, x, y, scalar) == outcome(loop_pow, x, y, scalar)
