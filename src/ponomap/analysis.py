@@ -31,6 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -386,9 +387,9 @@ _UFLOW = sys.float_info.min
 
 
 def _gk21_shells(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
-                 r: np.ndarray, R: np.ndarray, n: int) -> list[float | None]:
+                 r: np.ndarray, R: np.ndarray, n: int) -> np.ndarray:
     """shell_integral(GradientPower(alpha_i, beta_i, power_i), r_i, R_i, n)
-    of every row on which it stops after its first rule, else None.
+    of every row on which it stops after its first rule, else NaN.
 
     QUADPACK's dqagse starts with one 21-point Gauss-Kronrod rule (dqk21)
     over [r, R] and returns it when its error estimate meets the tolerance.
@@ -396,8 +397,9 @@ def _gk21_shells(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
     integrand operations, each power by libm, and the sums accumulated
     node by node in dqk21's order, so a settled row equals the quadrature
     bit for bit.  Rows outside 0 < r < R or with a non-finite sum stay
-    None; so does every row when math.pow raises, so that the scalar call
-    raises the same error.
+    NaN; so does every row when math.pow raises, so that the scalar call
+    raises the same error.  A settled row is finite, so NaN marks only the
+    rows left to the quadrature.
     """
     with np.errstate(all="ignore"):
         centr = (0.5 * (r + R))[:, None]
@@ -409,7 +411,7 @@ def _gk21_shells(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
             # pow(t, 1.0) is t exactly
             f = f * (t if n == 2 else libm_pow(t, float(n - 1)))
         except (ArithmeticError, ValueError):
-            return [None] * len(r)
+            return np.full(len(r), np.nan)
         fc, fv1, fv2 = f[:, 0], f[:, 1:11], f[:, 11:]
         resg = 0.0
         resk = _WGK[10] * fc
@@ -441,25 +443,24 @@ def _gk21_shells(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
         bound = _EPSREL * np.abs(result)
         settled = ((abserr <= bound) & (abserr != resasc)) | (abserr == 0.0)
         settled &= np.isfinite(result) & (0.0 < r) & (r < R)
-        values = (n * 2.0 ** n * result).tolist()  # shell_integral's front * value
-    return [v if s else None for v, s in zip(values, settled.tolist())]
+        # shell_integral's front * value
+        return np.where(settled, n * 2.0 ** n * result, np.nan)
 
 
 def _shell_rows(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
-                r: np.ndarray, R: np.ndarray, n: int) -> Iterator[float]:
+                r: np.ndarray, R: np.ndarray, n: int) -> np.ndarray:
     """shell_integral(GradientPower(alpha_i, beta_i, power_i), r_i, R_i, n)
-    row by row, bit for bit and error for error.
+    of every row, bit for bit and error for error.
 
-    A row the first rule does not settle goes to shell_integral when it is
-    reached, so the errors come in the order a loop over the rows raises
-    them.
+    The rows the first rule does not settle go to shell_integral in row
+    order, so the error raised is the one a loop over the rows raises.
     """
-    for i, value in enumerate(_gk21_shells(alpha, beta, power, r, R, n)):
-        if value is None:
-            value = shell_integral(
-                GradientPower(float(alpha[i]), float(beta[i]), float(power[i])),
-                float(r[i]), float(R[i]), n)
-        yield value
+    shells = _gk21_shells(alpha, beta, power, r, R, n)
+    for i in np.flatnonzero(np.isnan(shells)).tolist():
+        shells[i] = shell_integral(
+            GradientPower(float(alpha[i]), float(beta[i]), float(power[i])),
+            float(r[i]), float(R[i]), n)
+    return shells
 
 
 def shell_integral_mc(phi, r: float, R: float, n: int, samples: int,
@@ -514,38 +515,30 @@ def default_eps_grid(n: int, count: int) -> tuple[float, ...]:
 _TABLE_ROWS = 256
 
 
-def _annulus_table(pack: SequencePack, powers: Sequence[float]) -> Iterator[list[float]]:
+def _annulus_table(pack: SequencePack, powers: Sequence[float]) -> Iterator[np.ndarray]:
     """Per power, the per-depth totals 2^(nk) * shell_integral over the
-    depth-k annulus of (alpha_k + beta_k/t)^power, k = 1..K.
+    depth-k annulus of (alpha_k + beta_k/t)^power, k = 1..K, as (m, K)
+    blocks of m consecutive powers, so only one block is held.
 
-    The (power, k) rows go through _shell_rows a block at a time, so only
-    one block of the table is held.  Raises GaugeRangeError at the first
-    depth whose 2^(nk) passes binary64.
+    Raises GaugeRangeError when some depth's 2^(nk) passes binary64, after
+    the first power's shells through that depth, which a loop over the
+    table takes before its count.
     """
     n, K = pack.n, pack.K
-    # 2^(nk), the number of depth-k annuli, at the depths where it is a
-    # binary64 float
-    counts = [2.0 ** (n * k) for k in range(1, min(K, (sys.float_info.max_exp - 1) // n) + 1)]
     alpha, beta = np.array(pack.alpha[1:]), np.array(pack.beta[1:])
     r, R = np.array(pack.r[1:]), np.array(pack.r[:-1]) / 2.0
+    k = (sys.float_info.max_exp - 1) // n + 1  # first depth whose 2^(nk) is no float
+    if powers and k <= K:
+        _shell_rows(alpha[:k], beta[:k], np.full(k, float(powers[0])), r[:k], R[:k], n)
+        raise GaugeRangeError(f"annulus count 2^({n}*{k}) overflows binary64 at depth {k}")
+    counts = np.ldexp(1.0, n * np.arange(1, K + 1))  # 2^(nk) annuli at depth k
     step = max(1, _TABLE_ROWS // K)
     for lo in range(0, len(powers), step):
         block = np.array(powers[lo:lo + step], dtype=float)
         m = len(block)
         shells = _shell_rows(np.tile(alpha, m), np.tile(beta, m), np.repeat(block, K),
                              np.tile(r, m), np.tile(R, m), n)
-        for _ in range(m):
-            # zip draws the count before the shell, so it stops after the
-            # last count without drawing the next shell
-            row = [s * c for c, s in zip(counts, shells)]
-            if len(row) < K:
-                # as in the scalar loop, the shell integral is taken before
-                # its scale, so the shell's own error comes first
-                next(shells)
-                k = len(row) + 1
-                raise GaugeRangeError(
-                    f"annulus count 2^({n}*{k}) overflows binary64 at depth {k}")
-            yield row
+        yield shells.reshape(m, K) * counts
 
 
 def _core_term(pack: SequencePack, power: float) -> float:
@@ -573,7 +566,9 @@ def grand_norm_report(pmap: PonomarevMap, eps_grid: Sequence[float]) -> NormRepo
     const = n * 2.0 ** n
     values = []
     bounds = []
-    for e, terms in zip(eps_grid, _annulus_table(pack, [n - e for e in eps_grid])):
+    rows = (row for block in _annulus_table(pack, [n - e for e in eps_grid])
+            for row in block.tolist())
+    for e, terms in zip(eps_grid, rows):
         values.append(e * math.fsum(terms) + e * _core_term(pack, n - e))
         bounds.append(const * (1.0 - aK ** e) + e * 2.0 ** n * aK ** e * bK ** (n - e))
     return NormReport(
@@ -592,13 +587,9 @@ def sobolev_depth_profile(pmap: PonomarevMap, p: float) -> tuple[tuple[float, ..
     pack = pmap.pack
     if not 0.0 < p <= pack.n:
         raise ValueError("p must lie in (0, n]")
-    (terms,) = _annulus_table(pack, (p,))
-    running = []
-    acc = 0.0
-    for t in terms:
-        acc = math.fsum((acc, t))
-        running.append(acc)
-    return tuple(running), _core_term(pack, p)
+    (block,) = _annulus_table(pack, (p,))
+    # a correctly rounded sum of two finite floats is their float sum
+    return tuple(accumulate(block[0].tolist())), _core_term(pack, p)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,6 @@ class GaugeRangeError(PonomapError):
 class NoRootError(PonomapError):
     """The root equation has no sign change on the probe interval."""
 
-    def __init__(self, message, k=None):
-        super().__init__(message)
-        self.k = k
-
 
 class HypothesisViolatedError(PonomapError):
     """tau grows too fast near zero: t^n * tau(p*t) never drops below 1."""

@@ -351,16 +351,21 @@ def _identity_gap(tau, n: int, p: float, t: float) -> float:
     return t ** n * tau(p * t) - 1.0
 
 
-def _first_crossing_root(tau, p: float, n: int) -> float:
-    """First t in (0, 1] where g(t) = t^n * tau(p t) - 1 crosses to >= 0.
+def tau_root(tau: TauSpec, p: float, n: int) -> float:
+    """Solve 1/tau(p t) = t^n for the first crossing t_p in (0, 1]: the
+    first t where g(t) = t^n * tau(p t) - 1 crosses to >= 0.
 
     ``tau`` is called on floats and its ``values`` on arrays.  g is
     evaluated on the whole scan grid at once; grid points not clearly
     below 0 are decided again, in grid order, by the scalar g, and the
     first one at >= 0 closes the bracket for the bisection.  So g < 0 at
     all grid points below the returned root, which is the strict
-    inequality the construction relies on below the crossing.
+    inequality the construction relies on below the crossing.  Raises
+    NoRootError / HypothesisViolatedError when the gauge family does not
+    admit a crossing for this p.
     """
+    if not (0.0 < p <= 1.0):
+        raise ValueError("p must lie in (0, 1]")
 
     def g(t: float) -> float:
         return _identity_gap(tau, n, p, t)
@@ -397,23 +402,11 @@ def _first_crossing_root(tau, p: float, n: int) -> float:
     return root
 
 
-def tau_root(tau: TauSpec, p: float, n: int) -> float:
-    """Solve 1/tau(p t) = t^n for the first crossing t_p in (0, 1].
-
-    Below the returned point, t^n * tau(p t) < 1 holds on the scan grid.
-    Raises NoRootError / HypothesisViolatedError when the gauge family does
-    not admit a crossing for this p.
-    """
-    if not (0.0 < p <= 1.0):
-        raise ValueError("p must lie in (0, 1]")
-    return _first_crossing_root(tau, p, n)
-
-
 def finite_measure_sequence(tau: TauSpec, n: int, K: int) -> tuple[float, ...]:
     """Scale sequence a_0 = 1, a_k = root of t^n * tau(2^-k t) = 1, k = 1..K.
 
     The sequence is non-increasing; a failing root search raises NoRootError
-    carrying the failing k.
+    naming the failing k.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -422,7 +415,7 @@ def finite_measure_sequence(tau: TauSpec, n: int, K: int) -> tuple[float, ...]:
         try:
             root = tau_root(tau, 2.0 ** -k, n)
         except NoRootError as exc:
-            raise NoRootError(f"no root at k={k}: {exc}", k=k) from exc
+            raise NoRootError(f"no root at k={k}: {exc}") from exc
         if root > a[-1]:
             # roots are monotone in p; tolerate only float-level jitter
             if root > a[-1] * (1.0 + 1e-12):

@@ -573,6 +573,18 @@ def test_norm_table_matches_quadrature_loop(monkeypatch):
     assert scalar_calls["exp_inverse"] > 0
 
 
+@pytest.mark.parametrize("K", [300, 511])
+def test_norm_table_matches_quadrature_loop_deep(K):
+    # at K = 300 a block holds one power (_TABLE_ROWS // K = 0); K = 511 is
+    # the deepest n = 2 pack whose annulus count 2^(2K) is a float
+    pack = SequencePack.from_standard(2, finite_measure_sequence(
+        TauSpec.from_dict({"family": "log", "shift": math.e}), 2, K))
+    eps = (1e-3, 1.0)
+    m = build(pack)
+    assert repr(grand_norm_report(m, eps).values) == repr(reference_grand_norm_values(pack, eps))
+    assert repr(sobolev_depth_profile(m, 2.0)) == repr(reference_depth_profile(pack, 2.0))
+
+
 def scalar_outcome(alpha, beta, power, r, R, n):
     try:
         return repr(shell_integral(GradientPower(alpha, beta, power), r, R, n))
@@ -582,9 +594,9 @@ def scalar_outcome(alpha, beta, power, r, R, n):
 
 def table_outcomes(rows, n):
     columns = [np.array(c, dtype=float) for c in zip(*rows)]
-    settled = analysis._gk21_shells(*columns, n)
+    settled = analysis._gk21_shells(*columns, n).tolist()
     try:
-        every = [repr(v) for v in analysis._shell_rows(*columns, n)]
+        every = [repr(v) for v in analysis._shell_rows(*columns, n).tolist()]
     except Exception as exc:
         every = (type(exc), exc.args)
     return settled, every
@@ -594,7 +606,7 @@ def assert_table_matches_scalar(rows, n):
     settled, every = table_outcomes(rows, n)
     expected = [scalar_outcome(*row, n) for row in rows]
     for value, want in zip(settled, expected):
-        assert value is None or repr(value) == want
+        assert math.isnan(value) or repr(value) == want
     errors = [e for e in expected if isinstance(e, tuple)]
     assert every == (errors[0] if errors else expected)
     return settled
@@ -619,14 +631,14 @@ def test_block_kernel_raises_as_the_scalar_path():
     overflow = (0.5, 1e200, 2.0, 1e-100, 0.5)
     # the subdivision row leaves the block and stops quad after 200 intervals
     settled = assert_table_matches_scalar([good, subdivisions, good], 2)
-    assert settled[0] is not None and settled[1] is None
+    assert not math.isnan(settled[0]) and math.isnan(settled[1])
     with pytest.raises(ToleranceError, match="maximum number of subdivisions"):
-        list(analysis._shell_rows(*[np.array(c) for c in zip(good, subdivisions)], 2))
+        analysis._shell_rows(*[np.array(c) for c in zip(good, subdivisions)], 2)
     # math.pow overflows inside the block, so every row goes to quad, whose
     # integrand raises on the overflow row with float ** 's own message
-    assert assert_table_matches_scalar([good, overflow], 2) == [None, None]
+    assert all(map(math.isnan, assert_table_matches_scalar([good, overflow], 2)))
     with pytest.raises(OverflowError) as exc:
-        list(analysis._shell_rows(*[np.array(c) for c in zip(good, overflow)], 2))
+        analysis._shell_rows(*[np.array(c) for c in zip(good, overflow)], 2)
     assert exc.value.args == (34, "Numerical result out of range")
 
 

@@ -21,7 +21,6 @@ from ponomap.gauge import (
     _SCAN_DECADES,
     _SCAN_GRID,
     _SCAN_MARGIN,
-    _first_crossing_root,
     check_gauge_monotone,
     check_tau_invariants,
 )
@@ -166,17 +165,17 @@ class _ExprTau:
 
 def test_tau_root_error_paths():
     with pytest.raises(HypothesisViolatedError):
-        _first_crossing_root(_ExprTau(lambda t: 1.0 / t ** 3), 1.0, 2)
+        tau_root(_ExprTau(lambda t: 1.0 / t ** 3), 1.0, 2)
     with pytest.raises(HypothesisViolatedError):
         tau_root(TauSpec(family="constant", value=1e30), 1.0, 2)
     with pytest.raises(NoRootError):
-        _first_crossing_root(_ExprTau(lambda t: 0.5), 1.0, 2)
+        tau_root(_ExprTau(lambda t: 0.5), 1.0, 2)
     with pytest.raises(ValueError):
         tau_root(LOG_E, 0.0, 2)
 
 
 def reference_first_crossing_root(tau_fn, p, n):
-    """Scalar reference for ``_first_crossing_root``: g at every grid point
+    """Scalar reference for ``tau_root``: g at every grid point
     in order up to the first at >= 0, then the same bisection."""
 
     def g(t):
@@ -245,7 +244,7 @@ def test_roots_equal_reference_scan(n, monkeypatch):
         for p in (1.0, 0.3, 2.0 ** -33):
             assert tau_root(tau, p, n) == reference_first_crossing_root(tau, p, n)
     got = [finite_measure_sequence(tau, n, 40) for tau in FAMILIES + CLAMPED]
-    monkeypatch.setattr(gauge, "_first_crossing_root", reference_first_crossing_root)
+    monkeypatch.setattr(gauge, "tau_root", reference_first_crossing_root)
     assert got == [finite_measure_sequence(tau, n, 40) for tau in FAMILIES + CLAMPED]
 
 
