@@ -10,13 +10,13 @@ is computable and checkable at desk scale.
 
 from .cantor import (
     SequencePack,
-    VertexWord,
     all_words,
     center,
     dyadic_cube,
     dyadic_preimage,
     geometric_sequence,
     harmonic_sequence,
+    word_text,
 )
 from .errors import (
     ConstructionError,
@@ -84,7 +84,6 @@ __all__ = [
     "SequencePack",
     "TauSpec",
     "ToleranceError",
-    "VertexWord",
     "all_words",
     "build",
     "canonical_cover",
@@ -105,4 +104,5 @@ __all__ = [
     "shell_integral_mc",
     "sobolev_depth_profile",
     "tau_root",
+    "word_text",
 ]

@@ -38,11 +38,12 @@ import numpy as np
 
 from .cantor import (
     SequencePack,
-    VertexWord,
     all_words,
     center,
     descendant_count,
     half_edge,
+    vertices,
+    word_text,
 )
 from .errors import CoverageError, DepthError, GaugeRangeError, ToleranceError
 from .gauge import GaugeSpec, eval_h
@@ -80,9 +81,10 @@ class CoverReport:
 
 @dataclass(frozen=True)
 class Ball:
-    """Closed Euclidean ball anchored at the center of an addressed cube."""
+    """Closed Euclidean ball anchored at the center of an addressed cube;
+    ``word`` is that cube's ``word_text``."""
 
-    word: VertexWord
+    word: str
     radius: float
     center: tuple[float, ...]
 
@@ -185,7 +187,7 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
     """
     n = pack.n
     fan = 2 ** n
-    verts = np.array([w.signs[0] for w in all_words(n, 1)], dtype=float)
+    verts = vertices(n)
     min_depth = np.zeros(len(cover), dtype=np.int64)
     intersecting = np.zeros(len(cover), dtype=np.int64)
     contained = np.zeros(len(cover), dtype=np.int64)
@@ -238,10 +240,8 @@ def canonical_cover(pack: SequencePack, m: int) -> list[Ball]:
     if not 1 <= m <= pack.K:
         raise DepthError(f"depth {m} outside 1..{pack.K}")
     rho = math.sqrt(pack.n) * pack.r[m]
-    out = []
-    for word in all_words(pack.n, m):
-        out.append(Ball(word=word, radius=rho, center=center(word, pack)))
-    return out
+    return [Ball(word=word_text(word, pack.n, m), radius=rho, center=center(word, m, pack))
+            for word in all_words(pack.n, m).tolist()]
 
 
 def random_cover(pack: SequencePack, m: int, rng: np.random.Generator) -> list[Ball]:
@@ -257,17 +257,18 @@ def random_cover(pack: SequencePack, m: int, rng: np.random.Generator) -> list[B
     if m + ANCHOR_DEPTH > pack.K:
         raise DepthError(f"anchors {ANCHOR_DEPTH} levels below depth {m} pass the pack "
                          f"depth {pack.K}")
-    verts = [w.signs[0] for w in all_words(pack.n, 1)]
-    sqrt_n = math.sqrt(pack.n)
+    n = pack.n
+    sqrt_n = math.sqrt(n)
     out = []
-    for word in all_words(pack.n, m):
+    for word in all_words(n, m).tolist():
         anchor = word
         for _ in range(ANCHOR_DEPTH):
-            anchor = anchor.child(verts[rng.integers(len(verts))])
-        c = center(anchor, pack)
-        zu = center(word, pack)
+            anchor = anchor << n | int(rng.integers(2 ** n))
+        c = center(anchor, m + ANCHOR_DEPTH, pack)
+        zu = center(word, m, pack)
         dist = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(c, zu)))
-        out.append(Ball(word=anchor, radius=dist + sqrt_n * pack.r[m], center=c))
+        out.append(Ball(word=word_text(anchor, n, m + ANCHOR_DEPTH),
+                        radius=dist + sqrt_n * pack.r[m], center=c))
     return out
 
 
@@ -291,7 +292,7 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Sequence[Ball
     first, count, inner, covered = _probe_walk(pack, cover, level)
     stats = tuple(
         BallProbe(
-            word=str(ball.word),
+            word=ball.word,
             radius=ball.radius,
             min_contained_depth=d or None,
             intersecting_count=u,
@@ -606,31 +607,22 @@ class PushforwardReport:
     exact: bool
 
 
-_PUSHFORWARD_WORDS = 2 ** 20  # largest depth-k population enumerated
-
-
 def pushforward_check(pack: SequencePack, k: int, j: int) -> PushforwardReport:
     """Share of the depth-k cover sum carried by each depth-j word.
 
     All depth-k cubes carry the same gauge value, so each share is the
     exact rational (descendants of the word) / 2^(nk) and must equal
     2^(-jn).  Descendants are counted by exhaustive enumeration of the
-    depth-k words, of which there may be at most 2^20.
+    depth-k words, of which there may be at most WORD_CAP: the depth-j
+    prefix of a word is its top n*j bits.
     """
     if not 0 <= j <= k <= pack.K:
         raise DepthError("need 0 <= j <= k <= K")
     n = pack.n
-    total = 2 ** (n * k)
-    if total > _PUSHFORWARD_WORDS:
-        raise DepthError(f"{total} depth-{k} words exceed the enumeration cap "
-                         f"{_PUSHFORWARD_WORDS}")
+    words = all_words(n, k)
+    total = len(words)
     expected = Fraction(1, 2 ** (n * j))
-    counts: dict[tuple, int] = {}
-    for word in all_words(n, k):
-        key = word.signs[:j]
-        counts[key] = counts.get(key, 0) + 1
-    ratios = tuple(
-        Fraction(counts.get(w.signs, 0), total) for w in all_words(n, j)
-    )
+    counts = np.bincount(words >> n * (k - j), minlength=2 ** (n * j))
+    ratios = tuple(Fraction(c, total) for c in counts.tolist())
     exact = all(rho == expected for rho in ratios)
     return PushforwardReport(expected=expected, ratios=ratios, exact=exact)

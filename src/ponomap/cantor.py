@@ -10,14 +10,18 @@ sit an outer cube of half-edge r_{k-1}/2 and an inner cube of half-edge
 r_k; the outer cubes at depth k tile the inner cube of the parent, so every
 interior point lands either in a unique annulus (outer minus inner) at some
 depth, or survives to the core cubes at the truncation depth.
+
+A depth-k word is an n*k-bit integer.  Level 1 takes the top n bits, and
+within a level coordinate 0 takes the top bit; bit 1 means sign +1.  So
+the child of word w at vertex index v in 0..2^n - 1 is ``w << n | v``, and
+integer order is the lexicographic order of the signs, -1 before +1.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -28,38 +32,28 @@ Side = Literal["domain", "target"]
 _ULPS = 4  # allowed gluing residual, in units of spacing at the result's scale
 
 
-@dataclass(frozen=True)
-class VertexWord:
-    """Address of a cube: one vertex of {-1,+1}^n per level."""
-
-    n: int
-    signs: tuple[tuple[int, ...], ...] = ()
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        for level in self.signs:
-            if len(level) != self.n or any(s not in (-1, 1) for s in level):
-                raise ValueError(f"invalid vertex {level!r} for n={self.n}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.signs)
-
-    def child(self, vertex: Sequence[int]) -> "VertexWord":
-        return VertexWord(self.n, self.signs + (tuple(vertex),))
-
-    def __str__(self) -> str:
-        return "|".join(
-            "".join("+" if s > 0 else "-" for s in level) for level in self.signs
-        )
+WORD_CAP = 2 ** 20  # largest population of words enumerated at once
 
 
-def all_words(n: int, depth: int) -> Iterator[VertexWord]:
+def all_words(n: int, depth: int) -> np.ndarray:
     """All 2^(n*depth) words at the given depth, in lexicographic bit order."""
-    vertices = list(itertools.product((-1, 1), repeat=n))
-    for combo in itertools.product(vertices, repeat=depth):
-        yield VertexWord(n, combo)
+    total = 2 ** (n * depth)
+    if total > WORD_CAP:
+        raise DepthError(f"{total} depth-{depth} words exceed the enumeration cap {WORD_CAP}")
+    return np.arange(total)
+
+
+def vertices(n: int) -> np.ndarray:
+    """The 2^n vertices of [-1,1]^n as rows; row v is the vertex of index v."""
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return np.where(bits == 1, 1.0, -1.0)
+
+
+def word_text(word: int, n: int, depth: int) -> str:
+    """The word's signs, one group of n per level: ``"++|-+"``."""
+    bits = n * depth
+    signs = "".join("+" if word >> (bits - 1 - i) & 1 else "-" for i in range(bits))
+    return "|".join(signs[i:i + n] for i in range(0, bits, n))
 
 
 def harmonic_sequence(K: int) -> tuple[float, ...]:
@@ -359,61 +353,70 @@ def descend_batch(x: np.ndarray, pack: SequencePack,
     return BatchDescent(depth, core, z, zt, m, x)
 
 
-def center(word: VertexWord, pack: SequencePack, side: Side = "domain") -> tuple[float, ...]:
+def center(word: int, depth: int, pack: SequencePack,
+           side: Side = "domain") -> tuple[float, ...]:
     """Center z_v = sum (r_{i-1}/2) v_i (or rt on the target side)."""
-    k = word.depth
-    if k > pack.K:
-        raise DepthError(f"word depth {k} exceeds pack depth {pack.K}")
+    if depth > pack.K:
+        raise DepthError(f"word depth {depth} exceeds pack depth {pack.K}")
+    n = pack.n
     radii = pack.r if side == "domain" else pack.rt
-    z = [0.0] * word.n
-    for i, level in enumerate(word.signs):
+    z = [0.0] * n
+    shift = n * depth
+    for i in range(depth):
         half = 0.5 * radii[i]
-        for c in range(word.n):
-            z[c] += half * level[c]
+        for c in range(n):
+            shift -= 1
+            z[c] += half if word >> shift & 1 else -half
     return tuple(z)
 
 
-def dyadic_cube(word: VertexWord) -> tuple[tuple[float, ...], float]:
-    """Binary coding of a word: the level-k dyadic cube (corner, size 2^-k).
-
-    Coordinate i of the corner reads the i-th coordinate signs of the word
-    as binary digits after the point (+1 -> 1, -1 -> 0).
-    """
-    k = word.depth
-    if k > 52:
-        raise PrecisionError("dyadic corners are exact only up to depth 52")
-    corner = []
-    for i in range(word.n):
-        bits = 0
-        for level in word.signs:
-            bits = (bits << 1) | (1 if level[i] > 0 else 0)
-        corner.append(math.ldexp(float(bits), -k))
-    return tuple(corner), math.ldexp(1.0, -k)
-
-
-def dyadic_preimage(corner: Sequence[float], k: int, n: int | None = None) -> VertexWord:
-    """Inverse of dyadic_cube on level-k grid corners in [0, 1)^n."""
+def _check_bits(n: int, k: int) -> None:
     if k < 0 or k > 52:
         raise PrecisionError("level k must lie in 0..52")
-    pts = tuple(float(c) for c in corner)
-    if n is None:
-        n = len(pts)
-    if len(pts) != n:
-        raise ValueError("corner dimension mismatch")
-    cols = []
-    for c in pts:
-        if not 0.0 <= c < 1.0:
-            raise PrecisionError(f"corner coordinate {c!r} outside [0, 1)")
-        scaled = math.ldexp(c, k)
-        bits = round(scaled)
-        if bits != scaled:
-            raise PrecisionError(f"{c!r} is not a level-{k} dyadic corner")
-        cols.append(bits)
-    levels = []
+    if n * k > 62:
+        raise PrecisionError(f"depth-{k} words of {n * k} bits pass the int64 limit of 62")
+
+
+def dyadic_cube(words, n: int, k: int) -> tuple[np.ndarray, float]:
+    """Binary coding of depth-k words: the level-k dyadic cubes (corner, size 2^-k).
+
+    Coordinate i of a corner reads the i-th coordinate signs of the word
+    as binary digits after the point (+1 -> 1, -1 -> 0).  ``words`` of any
+    shape give corners of that shape plus a last axis of n.
+    """
+    _check_bits(n, k)
+    words = np.asarray(words, dtype=np.int64)
+    corners = np.empty(words.shape + (n,))
+    for i in range(n):
+        bits = np.zeros_like(words)
+        for j in range(k):
+            bits = bits << 1 | words >> (n * (k - 1 - j) + n - 1 - i) & 1
+        corners[..., i] = np.ldexp(bits, -k)
+    return corners, math.ldexp(1.0, -k)
+
+
+def dyadic_preimage(corners, k: int) -> np.ndarray:
+    """Inverse of dyadic_cube on level-k grid corners in [0, 1)^n.
+
+    ``corners`` has a last axis of n; the words have the shape before it.
+    """
+    c = np.asarray(corners, dtype=np.float64)
+    n = c.shape[-1]
+    _check_bits(n, k)
+    inside = (c >= 0.0) & (c < 1.0)  # NaN fails the comparison too
+    scaled = np.ldexp(np.where(inside, c, 0.0), k)
+    bad = np.flatnonzero(~inside | (np.round(scaled) != scaled))
+    if bad.size:
+        first = c.flat[bad[0]].item()
+        if not inside.flat[bad[0]]:
+            raise PrecisionError(f"corner coordinate {first!r} outside [0, 1)")
+        raise PrecisionError(f"{first!r} is not a level-{k} dyadic corner")
+    cols = scaled.astype(np.int64)
+    words = np.zeros(c.shape[:-1], dtype=np.int64)
     for j in range(k):
-        shift = k - 1 - j
-        levels.append(tuple(1 if (bits >> shift) & 1 else -1 for bits in cols))
-    return VertexWord(n, tuple(levels))
+        for i in range(n):
+            words = words << 1 | cols[..., i] >> (k - 1 - j) & 1
+    return words
 
 
 def descendant_count(from_depth: int, to_depth: int, n: int) -> int:

@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis
-from .cantor import (SequencePack, VertexWord, all_words, center, dyadic_cube,
-                     dyadic_preimage, in_cube)
+from .cantor import SequencePack, all_words, center, dyadic_cube, dyadic_preimage, in_cube
 from .errors import PonomapError
 # eval_h is not called here; perfbench/tracer.py counts its calls at this name
 from .gauge import (  # noqa: F401
@@ -30,6 +29,7 @@ from .gauge import (  # noqa: F401
 from .mapping import PonomarevMap, build
 
 ULP1 = math.ulp(1.0)
+_CODING_BLOCK = 2 ** 16  # words per coding-check block: bounds its arrays at every n
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,24 @@ class VerifyScale:
             low = 2 if f.name == "mc_samples" else 1
             if getattr(self, f.name) < low:
                 raise ValueError(f"{f.name} must be >= {low}")
+        # the disjointness check lists the 2^depth_cap one-dimensional centres
+        if self.depth_cap > 20:
+            raise ValueError("depth_cap must be <= 20")
 
 
 def _sup(a: Sequence[float], b: Sequence[float]) -> float:
     return max(abs(x - y) for x, y in zip(a, b))
 
 
-def _random_word(rng, n: int, depth: int) -> VertexWord:
-    return VertexWord(n, tuple(
-        tuple(1 if rng.uniform() > 0.5 else -1 for _ in range(n))
-        for _ in range(depth)
-    ))
+def _random_word(rng, n: int, depth: int) -> int:
+    word = 0
+    for _ in range(n * depth):
+        word = word << 1 | (rng.uniform() > 0.5)
+    return word
 
 
-def _annulus_point(pack, word, rng, band=(0.15, 0.85)):
-    k = word.depth
-    z = center(word, pack)
+def _annulus_point(pack, word, k, rng, band=(0.15, 0.85)):
+    z = center(word, k, pack)
     lo, hi = pack.r[k], pack.r[k - 1] / 2.0
     radius = lo + (hi - lo) * rng.uniform(*band)
     j = int(rng.integers(pack.n))
@@ -152,24 +154,24 @@ def _check_cantor(s: _Suite, pack: SequencePack, scale: VerifyScale):
         worst = min(worst, gap / (2.0 * pack.r[k]))
     s.add("cantor.disjointness_gap_ratio", worst, 1.0, worst >= 1.0)
 
+    n = pack.n
     bad = 0
-    upto = min(5, pack.K)
     count = 0
-    for k in range(0, upto + 1):
-        for w in all_words(pack.n, k):
-            corner, size = dyadic_cube(w)
-            if dyadic_preimage(corner, k, pack.n) != w:
-                bad += 1
-            count += 1
+    for k in range(0, min(5, pack.K) + 1):
+        words = all_words(n, k)
+        for block in words.reshape(-1, min(len(words), _CODING_BLOCK)):
+            corners, _ = dyadic_cube(block, n, k)
+            bad += int(np.count_nonzero(dyadic_preimage(corners, k) != block))
+        count += len(words)
     s.add("cantor.coding_bijection_failures", bad, 0.0, bad == 0,
           note=f"{count} words")
 
     mism = 0
     for m in range(0, 3):
         for l in range(m, 5):
-            expect = 2 ** (pack.n * (l - m))
-            got = sum(1 for w in all_words(pack.n, l)
-                      if all(v == -1 for lv in w.signs[:m] for v in lv))
+            expect = 2 ** (n * (l - m))
+            # the words under the all -1 prefix: top n*m bits clear
+            got = int(np.count_nonzero(all_words(n, l) >> n * (l - m) == 0))
             if got != expect:
                 mism += 1
     s.add("cantor.counting_identity_failures", mism, 0.0, mism == 0)
@@ -213,7 +215,7 @@ def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
                    _gradient_bound(pack, min(depth + 1, pack.K)))
         for _ in range(scale.face_points):
             w = _random_word(rng, n, depth)
-            z = center(w, pack)
+            z = center(w, depth, pack)
             j = int(rng.integers(n))
             direction = [float(rng.uniform(-0.7, 0.7)) for _ in range(n)]
             direction[j] = 1.0
@@ -235,8 +237,8 @@ def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
         cond = max(1.0, pack.b[depth] / pack.a[depth])
         for _ in range(20):
             w = _random_word(rng, n, depth)
-            xs.append(center(w, pack, "domain"))
-            targets.append(center(w, pack, "target"))
+            xs.append(center(w, depth, pack, "domain"))
+            targets.append(center(w, depth, pack, "target"))
             conds.append(cond)
     err = _sup_rows(pmap.eval_batch(_rows(xs, n)), _rows(targets, n))
     worst = _fold_max(err / (ULP1 * np.array(conds)))
@@ -247,8 +249,8 @@ def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
         cond = max(1.0, _gradient_bound(pack, depth))
         for _ in range(20):
             w = _random_word(rng, n, depth)
-            z = center(w, pack)
-            zt = center(w, pack, "target")
+            z = center(w, depth, pack)
+            zt = center(w, depth, pack, "target")
             j = int(rng.integers(n))
             direction = [float(rng.uniform(-1.0, 1.0)) for _ in range(n)]
             direction[j] = 1.0 if rng.uniform() > 0.5 else -1.0
@@ -264,8 +266,8 @@ def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
     for depth in (1, min(3, pack.K), min(6, pack.K)):
         for _ in range(10):
             w = _random_word(rng, n, depth)
-            z = center(w, pack)
-            zt = center(w, pack, "target")
+            z = center(w, depth, pack)
+            zt = center(w, depth, pack, "target")
             direction = [float(rng.uniform(-0.6, 0.6)) for _ in range(n)]
             direction[0] = 1.0
             radii = np.linspace(pack.r[depth] * 1.01,
@@ -330,7 +332,7 @@ def _check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
     for _ in range(scale.fd_points):
         depth = int(rng.integers(1, min(7, pack.K) + 1))
         w = _random_word(rng, n, depth)
-        x = _annulus_point(pack, w, rng, band=(0.3, 0.7))
+        x = _annulus_point(pack, w, depth, rng, band=(0.3, 0.7))
         loc = pmap.locate(x)
         mat = pmap.derivative(x, loc)
         m = loc.m
@@ -355,7 +357,7 @@ def _check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
     for _ in range(scale.fd_points):
         depth = int(rng.integers(1, min(10, pack.K) + 1))
         w = _random_word(rng, n, depth)
-        x = _annulus_point(pack, w, rng)
+        x = _annulus_point(pack, w, depth, rng)
         loc = pmap.locate(x)
         mat = pmap.derivative(x, loc)
         closed = pmap.jacobian_det(x, loc)

@@ -39,7 +39,7 @@ def reference_check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
                    _gradient_bound(pack, min(depth + 1, pack.K)))
         for _ in range(scale.face_points):
             w = _random_word(rng, n, depth)
-            z = center(w, pack)
+            z = center(w, depth, pack)
             j = int(rng.integers(n))
             direction = [float(rng.uniform(-0.7, 0.7)) for _ in range(n)]
             direction[j] = 1.0
@@ -59,8 +59,8 @@ def reference_check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
         cond = max(1.0, pack.b[depth] / pack.a[depth])
         for _ in range(20):
             w = _random_word(rng, n, depth)
-            got = pmap.eval(center(w, pack, "domain"))
-            err = _sup(got, center(w, pack, "target"))
+            got = pmap.eval(center(w, depth, pack, "domain"))
+            err = _sup(got, center(w, depth, pack, "target"))
             worst = max(worst, err / (ULP1 * cond))
     s.add_le("map.center_invariance_ulps", worst, 8.0)
 
@@ -69,8 +69,8 @@ def reference_check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
         cond = max(1.0, _gradient_bound(pack, depth))
         for _ in range(20):
             w = _random_word(rng, n, depth)
-            z = center(w, pack)
-            zt = center(w, pack, "target")
+            z = center(w, depth, pack)
+            zt = center(w, depth, pack, "target")
             j = int(rng.integers(n))
             direction = [float(rng.uniform(-1.0, 1.0)) for _ in range(n)]
             direction[j] = 1.0 if rng.uniform() > 0.5 else -1.0
@@ -84,8 +84,8 @@ def reference_check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
     for depth in (1, min(3, pack.K), min(6, pack.K)):
         for _ in range(10):
             w = _random_word(rng, n, depth)
-            z = center(w, pack)
-            zt = center(w, pack, "target")
+            z = center(w, depth, pack)
+            zt = center(w, depth, pack, "target")
             direction = [float(rng.uniform(-0.6, 0.6)) for _ in range(n)]
             direction[0] = 1.0
             radii = np.linspace(pack.r[depth] * 1.01,
@@ -150,7 +150,7 @@ def reference_check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifySc
     for _ in range(scale.fd_points):
         depth = int(rng.integers(1, min(7, pack.K) + 1))
         w = _random_word(rng, n, depth)
-        x = _annulus_point(pack, w, rng, band=(0.3, 0.7))
+        x = _annulus_point(pack, w, depth, rng, band=(0.3, 0.7))
         loc = pmap.locate(x)
         mat = pmap.derivative(x, loc)
         m = loc.m
@@ -175,7 +175,7 @@ def reference_check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifySc
     for _ in range(scale.fd_points):
         depth = int(rng.integers(1, min(10, pack.K) + 1))
         w = _random_word(rng, n, depth)
-        x = _annulus_point(pack, w, rng)
+        x = _annulus_point(pack, w, depth, rng)
         loc = pmap.locate(x)
         mat = pmap.derivative(x, loc)
         closed = pmap.jacobian_det(x, loc)

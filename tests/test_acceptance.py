@@ -18,7 +18,6 @@ from ponomap import (
     RidgeSetError,
     SequencePack,
     TauSpec,
-    VertexWord,
     all_words,
     build,
     canonical_cover,
@@ -82,9 +81,10 @@ def test_acceptance_02_homeomorphism_sanity():
     worst_face = 0.0
     for depth in range(1, 13):
         for _ in range(42):
-            signs = tuple(tuple(1 if rng.uniform() > 0.5 else -1 for _ in range(2))
-                          for _ in range(depth))
-            z = center(VertexWord(2, signs), pack)
+            word = 0
+            for _ in range(2 * depth):
+                word = word << 1 | (rng.uniform() > 0.5)
+            z = center(word, depth, pack)
             j = int(rng.integers(2))
             direction = [float(rng.uniform(-0.7, 0.7)) for _ in range(2)]
             direction[j] = 1.0
@@ -291,7 +291,7 @@ def test_acceptance_08_lower_bound_probe():
 
         # vectorized brute-force oracle for the per-ball neighbor counts
         centers_by_depth = {
-            d: np.array([center(w, pack) for w in all_words(2, d)])
+            d: np.array([center(w, d, pack) for w in all_words(2, d).tolist()])
             for d in range(1, 8)
         }
 
@@ -340,10 +340,11 @@ def test_acceptance_09_coding_pushforward():
             assert rep.exact
             assert all(rho == Fraction(1, 4 ** j) for rho in rep.ratios)
     for k in range(0, 7):
-        for w in all_words(2, k):
-            corner, size = dyadic_cube(w)
-            assert size == 2.0 ** -k
-            assert dyadic_preimage(corner, k) == w
+        words = all_words(2, k)
+        corners, size = dyadic_cube(words, 2, k)
+        assert size == 2.0 ** -k
+        assert np.array_equal(dyadic_preimage(corners, k), words)
+        assert len(np.unique(corners, axis=0)) == len(words)
     _report("9 coding/pushforward", t0, 5.0)
 
 

@@ -14,7 +14,6 @@ from ponomap import (
     RawGauge,
     SequencePack,
     TauSpec,
-    VertexWord,
     all_words,
     build,
     canonical_cover,
@@ -32,6 +31,7 @@ from ponomap import (
     shell_integral,
     shell_integral_mc,
     sobolev_depth_profile,
+    word_text,
 )
 from ponomap import analysis
 from ponomap.analysis import (
@@ -47,6 +47,7 @@ from ponomap.cantor import descendant_count
 from ponomap.cli import json_data
 from ponomap.errors import ToleranceError
 from reference_norms import reference_depth_profile, reference_grand_norm_values
+import reference_words
 
 LOG_TAU = TauSpec(family="iterated_log", iterations=1, exponent=1.0, shift=math.e)
 LOG_GAUGE = GaugeSpec(n=2, tau=LOG_TAU)
@@ -133,8 +134,9 @@ def test_upper_sum_finite_measure_band():
 
 def test_lower_probe_trivial_cover():
     pack = log_pack()
-    word = VertexWord(2, tuple(((1, 1),) * 8))
-    ball = Ball(word=word, radius=2.0 * math.sqrt(2), center=center(word, pack))
+    word = 2 ** 16 - 1  # ++ at all 8 levels
+    ball = Ball(word=word_text(word, 2, 8), radius=2.0 * math.sqrt(2),
+                center=center(word, 8, pack))
     rep = hausdorff_lower_probe(LOG_GAUGE, pack, [ball], 4)
     assert rep.ratio >= 1.0
     assert rep.balls[0].min_contained_depth == 1
@@ -180,21 +182,21 @@ def test_lower_probe_counts_match_brute_force():
     for ball, probe in zip(cover, rep.balls):
         m = probe.min_contained_depth
         brute_intersect = sum(
-            1 for w in all_words(2, m)
-            if _dist_to_cube(ball.center, center(w, pack), pack.r[m]) <= ball.radius
+            1 for w in all_words(2, m).tolist()
+            if _dist_to_cube(ball.center, center(w, m, pack), pack.r[m]) <= ball.radius
         )
         assert brute_intersect == probe.intersecting_count
         brute_contained = sum(
-            1 for w in all_words(2, 4)
-            if _cube_in_ball(ball.center, center(w, pack), pack.r[4], ball.radius)
+            1 for w in all_words(2, 4).tolist()
+            if _cube_in_ball(ball.center, center(w, 4, pack), pack.r[4], ball.radius)
         )
         assert brute_contained == probe.contained_count
 
 
 def test_lower_probe_coverage_error():
     pack = log_pack()
-    word = VertexWord(2, ((1, 1),))
-    small = Ball(word=word, radius=pack.r[1], center=center(word, pack))
+    word = 0b11  # ++
+    small = Ball(word=word_text(word, 2, 1), radius=pack.r[1], center=center(word, 1, pack))
     with pytest.raises(CoverageError):
         hausdorff_lower_probe(LOG_GAUGE, pack, [small], 3)
 
@@ -205,7 +207,7 @@ def test_lower_probe_coverage_error():
 
 def _ref_children(pack, zc, depth):
     half = 0.5 * pack.r[depth - 1]
-    for v in (w.signs[0] for w in all_words(pack.n, 1)):
+    for v in (w.signs[0] for w in reference_words.all_words(pack.n, 1)):
         yield tuple(zc[i] + half * v[i] for i in range(pack.n))
 
 
@@ -252,7 +254,7 @@ def reference_lower_probe(h, pack, cover, level):
                    for zc in frontier):
                 min_depth, intersecting = d, len(frontier)
                 break
-        stats.append(BallProbe(word=str(ball.word), radius=ball.radius,
+        stats.append(BallProbe(word=ball.word, radius=ball.radius,
                                min_contained_depth=min_depth,
                                intersecting_count=intersecting,
                                contained_count=contained,
@@ -327,10 +329,9 @@ def _tie_balls(pack, m):
     where the left-to-right float sum of the squares differs from fsum, so
     a decision taken from that sum alone would differ from the scalar one.
     """
-    words = list(all_words(pack.n, m))
-    word, r = words[0], pack.r[m]
-    c = center(word, pack)
-    ties = [(c, _dist_to_cube(c, center(words[j], pack), r))
+    r = pack.r[m]
+    c = center(0, m, pack)
+    ties = [(c, _dist_to_cube(c, center(j, m, pack), r))
             for j in (1, 2 ** pack.n - 1)]
     ties.append((c, _containment_tie(c, c, r)))
     if pack.n >= 3:
@@ -345,6 +346,7 @@ def _tie_balls(pack, m):
         else:
             raise AssertionError("no rounding difference found")
         ties.append((off, _containment_tie(off, c, r)))
+    word = word_text(0, pack.n, m)
     return [(Ball(word=word, radius=rho, center=at),
              Ball(word=word, radius=math.nextafter(rho, 0.0), center=at))
             for at, rho in ties]

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ponomap import DomainError, RidgeSetError, VertexWord, build, center
+from ponomap import DomainError, RidgeSetError, build
 from ponomap.cantor import descend, descend_batch
 from ponomap.mapping import _RIDGE_RTOL
+from reference_words import VertexWord, center
 from tie_points import log_pack, tie_heavy_points
 
 

@@ -9,7 +9,6 @@ from ponomap import (
     DomainError,
     PrecisionError,
     SequencePack,
-    VertexWord,
     all_words,
     build,
     center,
@@ -17,10 +16,12 @@ from ponomap import (
     dyadic_preimage,
     geometric_sequence,
     harmonic_sequence,
+    word_text,
 )
-from ponomap.cantor import (Descent, check_point, descend, descend_batch, descendant_count,
-                            outside_message)
+from ponomap.cantor import (WORD_CAP, Descent, check_point, descend, descend_batch,
+                            descendant_count, outside_message, vertices)
 from tie_points import log_pack, tie_heavy_points
+import reference_words
 
 
 def std_pack(K=10, n=2):
@@ -28,15 +29,43 @@ def std_pack(K=10, n=2):
 
 
 def test_word_format():
-    w = VertexWord(2, ((1, 1), (-1, 1)))
-    assert str(w) == "++|-+"
-    assert w.depth == 2
-    assert w.child((1, -1)).signs == ((1, 1), (-1, 1), (1, -1))
-    assert str(VertexWord(2)) == ""
-    with pytest.raises(ValueError):
-        VertexWord(2, ((1, 0),))
-    with pytest.raises(ValueError):
-        VertexWord(2, ((1, 2),))
+    w = 0b1101
+    assert word_text(w, 2, 2) == "++|-+"
+    assert word_text(w << 2 | 0b10, 2, 3) == "++|-+|+-"
+    assert word_text(0, 2, 0) == ""
+    assert word_text(0b011, 3, 1) == "-++"
+    assert vertices(2).tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+
+
+def test_word_enumeration_cap():
+    assert all_words(2, 3).tolist() == list(range(64))
+    assert len(all_words(4, 5)) == WORD_CAP
+    with pytest.raises(DepthError, match="^33554432 depth-5 words exceed the "
+                                         "enumeration cap 1048576$"):
+        all_words(5, 5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_words_match_reference_words(n):
+    # integer words against the per-word oracle: the same order and text,
+    # centres to the last bit on both sides, corners, sizes and inverses.
+    # Past 4,096 words (n = 4, depth 4) every 15th word is checked: an odd
+    # stride still meets every vertex at every level
+    pack = log_pack(n, 8)
+    for k in range(0, 5):
+        step = 1 if n * k <= 12 else 15
+        words = all_words(n, k)[::step]
+        oracle = list(reference_words.all_words(n, k))[::step]
+        assert [word_text(w, n, k) for w in words.tolist()] == [str(ref) for ref in oracle]
+        for side in ("domain", "target"):
+            assert [repr(center(w, k, pack, side)) for w in words.tolist()] == \
+                [repr(reference_words.center(ref, pack, side)) for ref in oracle]
+        corners, size = dyadic_cube(words, n, k)
+        ref_cubes = [reference_words.dyadic_cube(ref) for ref in oracle]
+        assert corners.tolist() == [list(corner) for corner, _ in ref_cubes]
+        assert {size} == {ref_size for _, ref_size in ref_cubes}
+        assert np.array_equal(dyadic_preimage(corners, k), words)
+        assert [reference_words.dyadic_preimage(corner, k) for corner, _ in ref_cubes] == oracle
 
 
 def test_pack_standard_coefficients_exact():
@@ -95,18 +124,20 @@ def test_pack_truncate():
 
 def test_center_hand_values():
     pack = std_pack()
-    w = VertexWord(2, ((1, 1),))
-    assert center(w, pack, "domain") == (0.5, 0.5)
-    assert center(w, pack, "target") == (0.5, 0.5)
-    assert center(VertexWord(2), pack) == (0.0, 0.0)
-    w2 = VertexWord(2, ((1, 1), (-1, 1)))
+    w = 0b11  # ++
+    assert center(w, 1, pack, "domain") == (0.5, 0.5)
+    assert center(w, 1, pack, "target") == (0.5, 0.5)
+    assert center(0, 0, pack) == (0.0, 0.0)
+    w2 = 0b1101  # ++|-+
     r1 = pack.r[1]
-    assert center(w2, pack) == (0.5 - r1 / 2.0, 0.5 + r1 / 2.0)
+    assert center(w2, 2, pack) == (0.5 - r1 / 2.0, 0.5 + r1 / 2.0)
+    with pytest.raises(DepthError):
+        center(0, 11, pack)
 
 
-def in_cell(loc, w, pack):
-    """The descent ended in the cube of word w: its depth and both centres."""
-    return (loc.depth, loc.z, loc.zt) == (w.depth, center(w, pack), center(w, pack, "target"))
+def in_cell(loc, w, k, pack):
+    """The descent ended in the cube of depth-k word w: its depth and both centres."""
+    return (loc.depth, loc.z, loc.zt) == (k, center(w, k, pack), center(w, k, pack, "target"))
 
 
 def test_locate_boundary_is_depth_one_annulus():
@@ -119,22 +150,22 @@ def test_locate_boundary_is_depth_one_annulus():
 
 def test_locate_center_is_core():
     pack = std_pack(8)
-    for w in [VertexWord(2, ((1, 1),)), VertexWord(2, ((1, -1), (-1, 1))),
-              VertexWord(2, ((-1, -1), (-1, 1), (1, 1)))]:
-        z = center(w, pack)
-        loc = descend(z, pack.truncate(w.depth))
+    # ++, +-|-+ and --|-+|++
+    for w, k in [(0b11, 1), (0b1001, 2), (0b000111, 3)]:
+        z = center(w, k, pack)
+        loc = descend(z, pack.truncate(k))
         assert loc.region == "core"
-        assert in_cell(loc, w, pack)
+        assert in_cell(loc, w, k, pack)
 
 
 def test_locate_round_trip_random_annulus_points():
     pack = std_pack(8)
     rng = np.random.default_rng(7)
-    words = list(all_words(2, 3))
+    words = all_words(2, 3).tolist()
+    k = 3
     for _ in range(200):
         w = words[rng.integers(len(words))]
-        k = w.depth
-        z = center(w, pack)
+        z = center(w, k, pack)
         lo, hi = pack.r[k], pack.r[k - 1] / 2.0
         radius = lo + (hi - lo) * rng.uniform(0.05, 0.95)
         j = rng.integers(2)
@@ -143,7 +174,7 @@ def test_locate_round_trip_random_annulus_points():
         x = tuple(z[i] + radius * direction[i] for i in range(2))
         loc = descend(x, pack)
         assert loc.region == "annulus"
-        assert in_cell(loc, w, pack)
+        assert in_cell(loc, w, k, pack)
 
 
 def reference_descend(x, pack, max_depth, side="domain"):
@@ -208,33 +239,44 @@ def test_outside_text_is_one_text(row):
 
 
 def test_dyadic_cube_hand_values():
-    corner, size = dyadic_cube(VertexWord(2))
-    assert corner == (0.0, 0.0) and size == 1.0
-    corner, size = dyadic_cube(VertexWord(2, ((-1, 1),)))
-    assert corner == (0.0, 0.5) and size == 0.5
-    w = VertexWord(2, tuple(((1, 1),) * 5))
-    corner, size = dyadic_cube(w)
-    assert corner == (1.0 - 2.0 ** -5, 1.0 - 2.0 ** -5)
+    corner, size = dyadic_cube(0, 2, 0)
+    assert corner.tolist() == [0.0, 0.0] and size == 1.0
+    corner, size = dyadic_cube(0b01, 2, 1)  # -+
+    assert corner.tolist() == [0.0, 0.5] and size == 0.5
+    corner, size = dyadic_cube([2 ** 10 - 1], 2, 5)  # ++ at all 5 levels
+    assert corner.tolist() == [[1.0 - 2.0 ** -5, 1.0 - 2.0 ** -5]]
 
 
 def test_dyadic_preimage_hand_values():
-    assert dyadic_preimage((0.5, 0.0), 1).signs == ((1, -1),)
-    assert dyadic_preimage((0.75, 0.25), 2).signs == ((1, -1), (1, 1))
-    with pytest.raises(PrecisionError):
+    assert dyadic_preimage((0.5, 0.0), 1) == 0b10  # +-
+    assert dyadic_preimage([(0.75, 0.25)], 2).tolist() == [0b1011]  # +-|++
+    with pytest.raises(PrecisionError, match="0.3 is not a level-2 dyadic corner"):
         dyadic_preimage((0.3, 0.0), 2)
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError, match="1.0 outside"):
         dyadic_preimage((1.0, 0.0), 1)
+    with pytest.raises(PrecisionError, match="nan outside"):
+        dyadic_preimage([(0.5, 0.0), (0.25, math.nan)], 2)
+    with pytest.raises(PrecisionError):
+        dyadic_preimage((0.0, 0.0), 53)
+
+
+def test_coding_refuses_words_past_int64():
+    # 4 * 16 = 64 bits: more than an int64 word holds
+    with pytest.raises(PrecisionError, match="int64"):
+        dyadic_cube([0], 4, 16)
+    with pytest.raises(PrecisionError, match="int64"):
+        dyadic_preimage((0.0,) * 4, 16)
+    corner, _ = dyadic_cube([2 ** 62 - 1], 2, 31)
+    assert dyadic_preimage(corner, 31).tolist() == [2 ** 62 - 1]
 
 
 def test_coding_bijection_exhaustive():
     for k in range(0, 7):
-        seen = set()
-        for w in all_words(2, k):
-            corner, size = dyadic_cube(w)
-            assert size == 2.0 ** -k
-            assert dyadic_preimage(corner, k) == w
-            seen.add(corner)
-        assert len(seen) == 4 ** k
+        words = all_words(2, k)
+        corners, size = dyadic_cube(words, 2, k)
+        assert size == 2.0 ** -k
+        assert np.array_equal(dyadic_preimage(corners, k), words)
+        assert len(np.unique(corners, axis=0)) == 4 ** k
 
 
 def test_disjointness_one_dimensional_reduction():
@@ -254,8 +296,8 @@ def test_disjointness_one_dimensional_reduction():
 
 def test_disjointness_exhaustive_small_depth():
     pack = std_pack(4)
-    words = list(all_words(2, 3))
-    cents = [center(w, pack) for w in words]
+    words = all_words(2, 3).tolist()
+    cents = [center(w, 3, pack) for w in words]
     r = pack.r[3]
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
@@ -266,12 +308,12 @@ def test_disjointness_exhaustive_small_depth():
 def test_nesting_sampled_corners():
     pack = std_pack(8)
     rng = np.random.default_rng(3)
-    words = list(all_words(2, 4))
+    words = all_words(2, 4).tolist()
+    k = 4
     for _ in range(100):
         w = words[rng.integers(len(words))]
-        k = w.depth
-        z = center(w, pack)
-        zp = center(VertexWord(2, w.signs[:k - 1]), pack)
+        z = center(w, k, pack)
+        zp = center(w >> 2, k - 1, pack)
         # inner corners inside the outer cube and inside the parent's inner cube
         for sx in (-1, 1):
             for sy in (-1, 1):
@@ -286,6 +328,6 @@ def test_counting_identity():
     for m in range(0, 3):
         for l in range(m, 5):
             expect = 2 ** (2 * (l - m))
-            got = sum(1 for w in all_words(2, l)
-                      if w.signs[:m] == tuple(((-1, -1),) * m))
+            # the words under the all -1 prefix: top 2m bits clear
+            got = int(np.count_nonzero(all_words(2, l) >> 2 * (l - m) == 0))
             assert got == expect == descendant_count(m, l, 2)

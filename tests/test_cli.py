@@ -66,9 +66,9 @@ def test_eval_round_trip_columns(config_path, tmp_path):
 
     tau = pm.TauSpec(family="log", shift=math.e)
     pack = pm.SequencePack.from_standard(2, pm.finite_measure_sequence(tau, 2, 10))
-    word = pm.VertexWord(2, ((1, -1), (-1, 1)))
-    zc = pm.center(word, pack, "domain")
-    zt = pm.center(word, pack, "target")
+    word = 0b1001  # +-|-+
+    zc = pm.center(word, 2, pack, "domain")
+    zt = pm.center(word, 2, pack, "target")
 
     pts = tmp_path / "pts.csv"
     pts.write_text(
@@ -231,6 +231,31 @@ def test_golden_bytes_norms(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in NORMS_GOLDEN_SHA256}
     assert got == NORMS_GOLDEN_SHA256
+
+
+# SHA-256 of verify.json at n = 3 and n = 4 and of hausdorff.json at n = 3,
+# recorded from the per-word tuple enumeration that integer words replaced:
+# they pin the word order of n >= 3 into bytes
+WORDS_GOLDEN_CONFIGS = {"n3": (3, 10), "n4": (4, 8)}
+WORDS_GOLDEN_SHA256 = {
+    "n3/verify.json": "3fab4c416c6564acd34611acc9b102ef384c9a871b3307fc38259c517bdc3c83",
+    "n3/hausdorff.json": "f16cf99f8358766477da46d3cd17e11703ccf57fa8d362ef9cfd42873322df10",
+    "n4/verify.json": "a309ff6b39441f674861bc43f57d6d0f7d79f4fbb9523430f6ce5b4d5b0db870",
+}
+
+
+def test_golden_bytes_words(config_path, tmp_path):
+    base = json.loads(config_path.read_text())
+    for name in WORDS_GOLDEN_SHA256:
+        dims, artifact = name.split("/")
+        n, depth = WORDS_GOLDEN_CONFIGS[dims]
+        path = tmp_path / f"{dims}.json"
+        path.write_text(json.dumps({**base, "gauge": {**base["gauge"], "n": n}, "depth": depth}))
+        command = artifact.removesuffix(".json")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / dims)]) == EXIT_OK
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in WORDS_GOLDEN_SHA256}
+    assert got == WORDS_GOLDEN_SHA256
 
 
 # rows that each fail differently: non-finite and overflowing coordinates,
@@ -471,6 +496,8 @@ def test_config_errors(tmp_path, capsys):
         ("sequence", {"depth": True}, "depth"),
         ("sequence", {"seed": True}, "seed"),
         ("verify", {"verify": {"mc_samples": 2.7}}, "mc_samples"),
+        # the disjointness check lists 2^depth_cap centres
+        ("verify", {"verify": {"depth_cap": 21}}, "depth_cap"),
         ("hausdorff", {"hausdorff": {"probe_level": 4.9}}, "probe_level"),
         ("sequence", {"gauge": {"n": 2, "tau": {"family": "iterated_log",
                                                 "iterations": 2.5}}}, "iterations"),
@@ -549,6 +576,19 @@ def test_norms_past_binary64_annulus_count_exits_4(tmp_path):
     assert proc.returncode == EXIT_NUMERIC
     assert "Traceback" not in proc.stderr
     assert "annulus count 2^(2*512) overflows binary64 at depth 512" in proc.stderr
+
+
+def test_verify_n5_exits_4_at_the_word_cap(config_path, tmp_path):
+    # the coding check would enumerate 2^25 depth-5 words
+    base = json.loads(config_path.read_text())
+    path = tmp_path / "n5.json"
+    path.write_text(json.dumps({**base, "gauge": {**base["gauge"], "n": 5}, "depth": 6}))
+    proc = run_python("-m", "ponomap.cli", "verify", "--config", str(path),
+                      "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_NUMERIC
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("numeric error: 33554432 depth-5 words exceed the "
+                           "enumeration cap 1048576\n")
 
 
 def test_render_rejects_other_dimensions(tmp_path):

@@ -11,10 +11,7 @@ from ponomap import (
     DomainError,
     RidgeSetError,
     SequencePack,
-    VertexWord,
-    all_words,
     build,
-    center,
     geometric_sequence,
     harmonic_sequence,
 )
@@ -22,6 +19,7 @@ from ponomap import (
 from ponomap.cantor import descend
 from ponomap.mapping import libm_pow
 from ponomap.verify import _gradient_bound
+from reference_words import VertexWord, all_words, center
 from tie_points import log_pack, tie_heavy_points
 
 ULP1 = math.ulp(1.0)

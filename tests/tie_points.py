@@ -4,8 +4,9 @@ builds its points file."""
 import math
 import random
 
-from ponomap import SequencePack, VertexWord, center
+from ponomap import SequencePack
 from ponomap.gauge import TauSpec, finite_measure_sequence
+from reference_words import VertexWord, center
 
 LOG_TAU = {"family": "log", "shift": math.e}
 
