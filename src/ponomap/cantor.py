@@ -245,6 +245,15 @@ def check_point(x: Sequence[float], n: int) -> tuple[float, ...]:
     return pt
 
 
+def _radii(pack: SequencePack, side: Side) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The half-edges that drive the geometry on ``side``, then the other side's."""
+    if side == "domain":
+        return pack.r, pack.rt
+    if side == "target":
+        return pack.rt, pack.r
+    raise ValueError(f"side must be 'domain' or 'target', got {side!r}")
+
+
 def descend(x: Sequence[float], pack: SequencePack,
             side: Side = "domain") -> Descent:
     """Walk the hierarchy containing x to the pack depth K, tracking both
@@ -256,31 +265,46 @@ def descend(x: Sequence[float], pack: SequencePack,
     child.  x is validated here only; the map reads the checked point
     back from the returned ``Descent``.  A shallower descent is that of
     ``pack.truncate(depth)``.
+
+    Coordinate i's sign, its two centre sums and u_i = x_i - base_i at
+    each level read x_i alone; the coordinates meet only in the exit test
+    max_i |u_i| > drive_k, which holds exactly when some |u_i| > drive_k.
+    So each coordinate descends on its own: the first pass walks the
+    driving chain of each one, no deeper than the shallowest exit found so
+    far, and the second rebuilds both centres and m at that depth.  Both
+    passes make the level-by-level additions of one walk over all
+    coordinates, so every field is the same bit for bit.
     """
     n, K = pack.n, pack.K
     x = check_point(x, n)
-    r, rt = pack.r, pack.rt
-    drive = r if side == "domain" else rt
-    z = [0.0] * n
-    zt = [0.0] * n
-    base = z if side == "domain" else zt
-    coords = range(n)
-    m = max(map(abs, x))
-    # u = x - base for the current centre: it gives this level's m and the
-    # next level's signs (x - 0.0 is x, so the first level reads x itself)
-    u = x
-    for k in range(1, K + 1):
-        v = [1 if c > 0.0 else -1 for c in u]
-        half = 0.5 * r[k - 1]
-        halft = 0.5 * rt[k - 1]
-        for i in coords:
-            z[i] += half * v[i]
-            zt[i] += halft * v[i]
-        u = [x[i] - base[i] for i in coords]
-        m = max(map(abs, u))
-        if m > drive[k]:
-            return Descent("annulus", k, tuple(z), tuple(zt), m, x)
-    return Descent("core", K, tuple(z), tuple(zt), m, x)
+    drive, other = _radii(pack, side)
+    depth = K
+    for c in x:
+        b, u = 0.0, c
+        for k in range(1, depth + 1):
+            half = 0.5 * drive[k - 1]
+            b = b + half if u > 0.0 else b - half
+            u = c - b
+            if abs(u) > drive[k]:
+                depth = k
+                break
+    base, rest, m = [], [], 0.0
+    for c in x:
+        b, o, u = 0.0, 0.0, c
+        for k in range(depth):
+            if u > 0.0:
+                b += 0.5 * drive[k]
+                o += 0.5 * other[k]
+            else:
+                b -= 0.5 * drive[k]
+                o -= 0.5 * other[k]
+            u = c - b
+        base.append(b)
+        rest.append(o)
+        m = max(m, abs(u))
+    z, zt = (base, rest) if side == "domain" else (rest, base)
+    region = "annulus" if m > drive[depth] else "core"
+    return Descent(region, depth, tuple(z), tuple(zt), m, x)
 
 
 @dataclass(frozen=True)
@@ -324,7 +348,7 @@ def descend_batch(x: np.ndarray, pack: SequencePack,
     if outside.size:
         raise DomainError(outside_message(x[outside[0]], n))
     r, rt = pack.r, pack.rt
-    drive = r if side == "domain" else rt
+    drive = _radii(pack, side)[0]
     N = len(x)
     depth = np.full(N, K)
     core = np.zeros(N, dtype=bool)
@@ -359,7 +383,7 @@ def center(word: int, depth: int, pack: SequencePack,
     if depth > pack.K:
         raise DepthError(f"word depth {depth} exceeds pack depth {pack.K}")
     n = pack.n
-    radii = pack.r if side == "domain" else pack.rt
+    radii = _radii(pack, side)[0]
     z = [0.0] * n
     shift = n * depth
     for i in range(depth):

@@ -18,22 +18,7 @@ from ponomap import DomainError, RidgeSetError, build
 from ponomap.cantor import descend, descend_batch
 from ponomap.mapping import _RIDGE_RTOL
 from reference_words import VertexWord, center
-from tie_points import log_pack, tie_heavy_points
-
-
-def inner_face_points(pack, side, count, rng):
-    """Points at sup distance r_k (rt_k on the target side) from a depth-k
-    centre, where ``m > r_k`` decides between the annulus and descending."""
-    n, radii = pack.n, pack.r if side == "domain" else pack.rt
-    pts = []
-    for _ in range(count):
-        k = rng.randint(1, 12)
-        z = center(VertexWord(n, tuple(tuple(rng.choice((-1, 1)) for _ in range(n))
-                                       for _ in range(k))), pack, side)
-        u = [radii[k] * rng.uniform(-0.9, 0.9) for _ in range(n)]
-        u[rng.randrange(n)] = rng.choice((-1.0, 1.0)) * radii[k]
-        pts.append(tuple(z[i] + u[i] for i in range(n)))
-    return pts
+from tie_points import inner_face_points, log_pack, tie_heavy_points
 
 
 @functools.lru_cache(maxsize=None)

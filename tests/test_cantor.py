@@ -1,7 +1,12 @@
+import functools
+import itertools
 import math
+import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ponomap import (
     ConstructionError,
@@ -20,7 +25,8 @@ from ponomap import (
 )
 from ponomap.cantor import (WORD_CAP, Descent, check_point, descend, descend_batch,
                             descendant_count, outside_message, vertices)
-from tie_points import log_pack, tie_heavy_points
+from ponomap.render import _pixel_points
+from tie_points import inner_face_points, log_pack, tie_heavy_points
 import reference_words
 
 
@@ -200,17 +206,79 @@ def reference_descend(x, pack, max_depth, side="domain"):
     return Descent("core", max_depth, tuple(z), tuple(zt), m, x)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+def scales_pack(n):
+    """A pack that is not standard (alpha_k = 3 * 2^-k) with dyadic radii
+    r_k = 4^-k and rt_k = 8^-k, so inner-face points lie exactly on the face
+    (to depth 17 on the target side, where centre and radius share 53 bits)."""
+    return SequencePack.from_scales(n, geometric_sequence(20), geometric_sequence(20, 0.25))
+
+
+def signed_points(n):
+    """Every point with coordinates +-0.0 and +-5e-324: first-level ties and
+    the smallest steps off them."""
+    return list(itertools.product((0.0, -0.0, 5e-324, -5e-324), repeat=n))
+
+
+@functools.lru_cache(maxsize=None)
+def descent_case(n, kind):
+    """A pack, special points of its domain (tie-heavy, signed, inner faces
+    at every depth) and special points of its target (their images, signed,
+    inner faces)."""
+    pack = log_pack(n) if kind == "log" else scales_pack(n)
+    rng = random.Random(n)
+    pts = tie_heavy_points(n, 60, pack) + signed_points(n)
+    pts += inner_face_points(pack, "domain", 60, rng, pack.K)
+    pmap = build(pack)
+    targets = [pmap.eval(x) for x in pts] + signed_points(n)
+    return pack, pts, targets + inner_face_points(pack, "target", 60, rng, pack.K)
+
+
+def assert_descents_match(points, pack, depth, side):
+    cut = pack.truncate(depth)
+    got = [repr(descend(x, cut, side)) for x in points]
+    assert got == [repr(reference_descend(x, pack, depth, side)) for x in points], (side, depth)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_descend_matches_reference_on_tie_heavy_points(n):
-    pack = log_pack(n)
-    pts = tie_heavy_points(n, 60, pack)
-    targets = [build(pack).eval(x) for x in pts]
-    shallow = {depth: pack.truncate(depth) for depth in (1, 12, pack.K)}
-    for side, points in (("domain", pts), ("target", targets)):
-        for x in points:
-            for depth, cut in shallow.items():
-                got = descend(x, cut, side)
-                assert repr(got) == repr(reference_descend(x, pack, depth, side)), x
+    for kind in ("log", "scales"):
+        pack, pts, targets = descent_case(n, kind)
+        for side, points in (("domain", pts), ("target", targets)):
+            for depth in (1, 12, pack.K):
+                assert_descents_match(points, pack, depth, side)
+
+
+def test_descend_matches_reference_on_the_pixel_grid():
+    # every pixel of a 65^2 render and its image, as the render descends them
+    pack = log_pack(2)
+    pts = _pixel_points(65)
+    pmap = build(pack)
+    for side, points in (("domain", pts), ("target", [pmap.eval(x) for x in pts])):
+        assert_descents_match(points, pack, pack.K, side)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_descend_matches_reference_property(data):
+    n = data.draw(st.integers(1, 4))
+    pack, specials, images = descent_case(n, "log")
+    point = st.one_of(st.tuples(*[st.floats(-1.0, 1.0)] * n), st.sampled_from(specials),
+                      st.sampled_from(images))
+    points = data.draw(st.lists(point, min_size=1, max_size=20))
+    depth = data.draw(st.integers(1, pack.K))
+    assert_descents_match(points, pack, depth, data.draw(st.sampled_from(("domain", "target"))))
+
+
+@pytest.mark.parametrize("side", ["targt", "Domain", ""])
+def test_unknown_side_raises(side):
+    pack = std_pack()
+    text = re.escape(f"side must be 'domain' or 'target', got {side!r}")
+    with pytest.raises(ValueError, match=text):
+        descend((0.3, 0.2), pack, side)
+    with pytest.raises(ValueError, match=text):
+        center(0b11, 1, pack, side)
+    with pytest.raises(ValueError, match=text):
+        descend_batch(np.array([[0.3, 0.2]]), pack, side)
 
 
 def test_locate_outside_raises():

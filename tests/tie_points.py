@@ -47,3 +47,19 @@ def tie_heavy_points(seed: int, per_kind: int, pack: SequencePack) -> list[tuple
         pts.append(tuple(z[i] + 0.9 * r[K] * rng.uniform(-1.0, 1.0) for i in range(n)))
     return pts
 
+
+def inner_face_points(pack, side, count, rng, deepest=12):
+    """Points at sup distance r_k (rt_k on the target side) from a depth-k
+    centre, k in 1..deepest, where ``m > r_k`` decides between the annulus
+    and descending.  The distance is exact where the centre and the radius
+    are dyadic and fit in 53 bits together."""
+    n, radii = pack.n, pack.r if side == "domain" else pack.rt
+    pts = []
+    for _ in range(count):
+        k = rng.randint(1, deepest)
+        z = center(VertexWord(n, tuple(tuple(rng.choice((-1, 1)) for _ in range(n))
+                                       for _ in range(k))), pack, side)
+        u = [radii[k] * rng.uniform(-0.9, 0.9) for _ in range(n)]
+        u[rng.randrange(n)] = rng.choice((-1.0, 1.0)) * radii[k]
+        pts.append(tuple(z[i] + u[i] for i in range(n)))
+    return pts
