@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
 from . import analysis
-from .cantor import SequencePack, all_words, center, dyadic_cube, dyadic_preimage, in_cube
+from .cantor import (SequencePack, all_words, center, descend_batch, dyadic_cube,
+                     dyadic_preimage, in_cube)
 from .errors import PonomapError
 # eval_h is not called here; perfbench/tracer.py counts its calls at this name
 from .gauge import (  # noqa: F401
@@ -73,15 +73,10 @@ class VerifyScale:
             raise ValueError("depth_cap must be <= 20")
 
 
-def _sup(a: Sequence[float], b: Sequence[float]) -> float:
-    return max(abs(x - y) for x, y in zip(a, b))
-
-
 def _random_word(rng, n: int, depth: int) -> int:
-    word = 0
-    for _ in range(n * depth):
-        word = word << 1 | (rng.uniform() > 0.5)
-    return word
+    # one bit per uniform draw, the first drawn the most significant
+    bits = np.packbits(rng.uniform(size=n * depth) > 0.5)
+    return int.from_bytes(bits.tobytes(), "big") >> (-n * depth % 8)
 
 
 def _annulus_point(pack, word, k, rng, band=(0.15, 0.85)):
@@ -142,15 +137,13 @@ def _check_pack(s: _Suite, pack: SequencePack):
 
 
 def _check_cantor(s: _Suite, pack: SequencePack, scale: VerifyScale):
-    depth_cap = min(scale.depth_cap, pack.K)
+    # the one-dimensional centres of depth k, each parent's two children in turn
+    centers = np.zeros(1)
     worst = math.inf
-    for k in range(1, depth_cap + 1):
-        centers = [0.0]
-        for i in range(k):
-            half = pack.r[i] / 2.0
-            centers = [c + sgn * half for c in centers for sgn in (-1.0, 1.0)]
-        centers.sort()
-        gap = min(b - a for a, b in zip(centers, centers[1:]))
+    for k in range(1, min(scale.depth_cap, pack.K) + 1):
+        half = pack.r[k - 1] / 2.0
+        centers = (centers[:, None] + [-half, half]).ravel()
+        gap = float(np.diff(np.sort(centers)).min())
         worst = min(worst, gap / (2.0 * pack.r[k]))
     s.add("cantor.disjointness_gap_ratio", worst, 1.0, worst >= 1.0)
 
@@ -182,7 +175,7 @@ def _rows(points: list, n: int) -> np.ndarray:
 
 
 def _sup_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_sup`` of each pair of rows."""
+    """The sup distance of each pair of rows."""
     return np.abs(a - b).max(axis=1)
 
 
@@ -280,21 +273,17 @@ def _check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
     bad_rays = int(np.count_nonzero((img[:, 1:] <= img[:, :-1]).any(axis=1)))
     s.add("map.monotone_radial_failures", bad_rays, 0.0, bad_rays == 0)
 
-    # The round trip stays one point at a time: the certify workload of
-    # perfbench/tracer.py must reach the scalar eval_inverse, and only this
-    # loop calls it.
-    worst_ann = 0.0
-    worst_core = 0.0
-    for _ in range(scale.roundtrip_points):
-        x = tuple(float(rng.uniform(-1.0, 1.0)) for _ in range(n))
-        y = pmap.eval(x)
-        err = _sup(pmap.eval(pmap.eval_inverse(y)), y)
-        loc = pmap.locate(y)
-        if loc.region == "core":
-            worst_core = max(worst_core, err)
-        else:
-            cond = max(1.0, _gradient_bound(pack, loc.depth))
-            worst_ann = max(worst_ann, err / cond)
+    # The return leg pmap.eval(pmap.eval_inverse(y)) stays scalar: it is the
+    # certify workload's only scalar inverse chain, and perfbench/tracer.py
+    # requires both calls.  y is classified by its domain descent (locate).
+    x = rng.uniform(-1.0, 1.0, size=(scale.roundtrip_points, n))
+    y = pmap.eval_batch(x)
+    back = _rows([pmap.eval(pmap.eval_inverse(row)) for row in y.tolist()], n)
+    err = _sup_rows(back, y)
+    loc = descend_batch(y, pack)
+    cond = [max(1.0, _gradient_bound(pack, k)) for k in loc.depth[~loc.core].tolist()]
+    worst_ann = _fold_max(err[~loc.core] / np.array(cond))
+    worst_core = _fold_max(err[loc.core])
     s.add_le("map.inverse_roundtrip_annulus_ulps", worst_ann / ULP1, 8.0)
     # twice the truncation error, but never under the 8-ulp budget of the
     # other map checks: past depth about 50 it falls below one ulp
@@ -325,34 +314,36 @@ def _check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
     min_det = min([math.inf, *det[~np.isnan(det)].tolist()])
     s.add("jacobian.min_det", min_det, 0.0, min_det > 0.0)
 
-    # The finite-difference and determinant-identity loops stay one point at
-    # a time: they keep the scalar locate, derivative, jacobian_det and eval
-    # in the calls that perfbench/tracer.py requires of the certify workload.
-    worst = 0.0
+    # The finite-difference loop keeps its draws, the scalar locate and the
+    # scalar derivative (no batch derivative exists); the 2n displaced
+    # copies of its points are mapped in two eval_batch calls.
+    xs, steps, mats = [], [], []
     for _ in range(scale.fd_points):
         depth = int(rng.integers(1, min(7, pack.K) + 1))
         w = _random_word(rng, n, depth)
         x = _annulus_point(pack, w, depth, rng, band=(0.3, 0.7))
         loc = pmap.locate(x)
-        mat = pmap.derivative(x, loc)
-        m = loc.m
+        mats.append(pmap.derivative(x, loc))
+        xs.append(x)
         # the step must stay representable against coordinates of order one
-        h = max(1e-7 * m, 64.0 * ULP1)
-        fd = np.zeros((n, n))
-        for l in range(n):
-            xp = list(x)
-            xm = list(x)
-            xp[l] += h
-            xm[l] -= h
-            delta = xp[l] - xm[l]
-            fp = pmap.eval(tuple(xp))
-            fm = pmap.eval(tuple(xm))
-            for i in range(n):
-                fd[i, l] = (fp[i] - fm[i]) / delta
-        ref = float(np.max(np.abs(mat)))
-        worst = max(worst, float(np.max(np.abs(fd - mat))) / ref)
+        steps.append(max(1e-7 * loc.m, 64.0 * ULP1))
+    # row (p, l) of each copy is point p moved by its step along coordinate l
+    diag, h = np.arange(n), np.array(steps)[:, None]
+    xp = np.repeat(_rows(xs, n)[:, None, :], n, axis=1)
+    xm = xp.copy()
+    xp[:, diag, diag] += h
+    xm[:, diag, diag] -= h
+    delta = xp[:, diag, diag] - xm[:, diag, diag]
+    fp, fm = (pmap.eval_batch(v.reshape(-1, n)).reshape(-1, n, n) for v in (xp, xm))
+    # fp[p, l, i] is component i of the image of copy l: column l of the fd matrix
+    fd = ((fp - fm) / delta[:, :, None]).transpose(0, 2, 1)
+    mat = np.array(mats)
+    worst = _fold_max(np.abs(fd - mat).max(axis=(1, 2)) / np.abs(mat).max(axis=(1, 2)))
     s.add_le("jacobian.fd_relative_error", worst, 1e-6)
 
+    # The determinant-identity loop stays one point at a time: its scalar
+    # locate, derivative and jacobian_det are the ones perfbench/tracer.py
+    # requires of the certify workload.
     worst = 0.0
     for _ in range(scale.fd_points):
         depth = int(rng.integers(1, min(10, pack.K) + 1))

@@ -1,24 +1,72 @@
 """The scalar sampling loops of ``verify._check_map`` and
 ``verify._check_jacobian``, one map call per sample, kept as the oracle of
 the batched loops: the same ``rng`` draws in the same order must give the
-same checks."""
+same checks.  ``reference_check_cantor`` is ``verify._check_cantor`` with
+the disjointness centres as Python lists."""
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from ponomap.cantor import center
+from ponomap.cantor import SequencePack, all_words, center, dyadic_cube, dyadic_preimage
 from ponomap.errors import PonomapError, RidgeSetError
 from ponomap.mapping import PonomarevMap, build
 from ponomap.verify import (
+    _CODING_BLOCK,
     ULP1,
     VerifyScale,
     _annulus_point,
     _gradient_bound,
-    _random_word,
-    _sup,
     _Suite,
 )
+
+
+def _sup(a: Sequence[float], b: Sequence[float]) -> float:
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+def _random_word(rng, n: int, depth: int) -> int:
+    word = 0
+    for _ in range(n * depth):
+        word = word << 1 | (rng.uniform() > 0.5)
+    return word
+
+
+def reference_check_cantor(s: _Suite, pack: SequencePack, scale: VerifyScale):
+    depth_cap = min(scale.depth_cap, pack.K)
+    worst = math.inf
+    for k in range(1, depth_cap + 1):
+        centers = [0.0]
+        for i in range(k):
+            half = pack.r[i] / 2.0
+            centers = [c + sgn * half for c in centers for sgn in (-1.0, 1.0)]
+        centers.sort()
+        gap = min(b - a for a, b in zip(centers, centers[1:]))
+        worst = min(worst, gap / (2.0 * pack.r[k]))
+    s.add("cantor.disjointness_gap_ratio", worst, 1.0, worst >= 1.0)
+
+    n = pack.n
+    bad = 0
+    count = 0
+    for k in range(0, min(5, pack.K) + 1):
+        words = all_words(n, k)
+        for block in words.reshape(-1, min(len(words), _CODING_BLOCK)):
+            corners, _ = dyadic_cube(block, n, k)
+            bad += int(np.count_nonzero(dyadic_preimage(corners, k) != block))
+        count += len(words)
+    s.add("cantor.coding_bijection_failures", bad, 0.0, bad == 0,
+          note=f"{count} words")
+
+    mism = 0
+    for m in range(0, 3):
+        for l in range(m, 5):
+            expect = 2 ** (n * (l - m))
+            # the words under the all -1 prefix: top n*m bits clear
+            got = int(np.count_nonzero(all_words(n, l) >> n * (l - m) == 0))
+            if got != expect:
+                mism += 1
+    s.add("cantor.counting_identity_failures", mism, 0.0, mism == 0)
 
 
 def reference_check_map(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):

@@ -17,13 +17,18 @@ from ponomap.cli import json_data
 from ponomap.mapping import build
 from ponomap.verify import (
     VerifyScale,
+    _check_cantor,
     _check_jacobian,
     _check_map,
     _check_measures,
     _Suite,
     run_suite,
 )
-from reference_verify import reference_check_jacobian, reference_check_map
+from reference_verify import (
+    reference_check_cantor,
+    reference_check_jacobian,
+    reference_check_map,
+)
 from tie_points import log_pack
 
 FAST = VerifyScale(
@@ -141,7 +146,9 @@ def _steep_pack():
     (lambda: SequencePack.from_scales(2, geometric_sequence(10), geometric_sequence(10)),
      FAST, 3),
     (lambda: log_pack(2, 12), TINY, 4),
-], ids=["log-n2-K40", "log-n3-K20", "exp_inverse-theorem2", "identity", "tiny-scale"])
+    (lambda: log_pack(4, 12), FAST, 5),
+], ids=["log-n2-K40", "log-n3-K20", "exp_inverse-theorem2", "identity", "tiny-scale",
+        "log-n4-K12"])
 def test_check_map_matches_scalar_reference(make_pack, scale, seed):
     # the batched sampling loops against the one-sample-at-a-time loops they
     # replace: the same checks, bit for bit, and the same rng state after
@@ -156,3 +163,21 @@ def test_check_map_matches_scalar_reference(make_pack, scale, seed):
     reference_check_jacobian(ref, pmap, ref_rng, scale)
     assert repr(got.checks) == repr(ref.checks)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("make_pack, caps", [
+    (lambda: log_pack(2, 30), [*range(1, 17), 20]),
+    (_steep_pack, range(1, 17)),
+    (lambda: SequencePack.from_scales(2, geometric_sequence(20), geometric_sequence(20, 0.25)),
+     range(1, 17)),
+], ids=["log-K30", "exp_inverse-theorem2", "from_scales"])
+def test_check_cantor_matches_list_reference(make_pack, caps):
+    # the array disjointness centres against the list form they replace.  The
+    # list form at cap 20 takes about 0.7 s, so only one pack runs the top cap
+    pack = make_pack()
+    for depth_cap in caps:
+        scale = VerifyScale(depth_cap=depth_cap)
+        got, ref = _Suite(), _Suite()
+        _check_cantor(got, pack, scale)
+        reference_check_cantor(ref, pack, scale)
+        assert repr(got.checks) == repr(ref.checks)
