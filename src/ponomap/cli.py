@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -285,9 +286,8 @@ def read_points(lines: Iterable[str], n: int) -> Iterator[tuple[float, ...] | st
 
 
 def _parse_point(line: str, n: int) -> tuple[float, ...] | str:
-    parts = [p for p in line.replace(",", " ").split() if p]
     try:
-        vals = tuple(float(p) for p in parts)
+        vals = tuple(map(float, line.replace(",", " ").split()))
     except ValueError:
         return f"unparsable row: {line!r}"
     if len(vals) != n:
@@ -313,15 +313,10 @@ def cmd_eval(cfg: RunConfig, out: Path, points_path: Path) -> int:
             rows = read_points(src, n)
             for line in provenance(cfg):
                 f.write(f"# {line}\n")
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(
-                [f"x{i + 1}" for i in range(n)]
-                + [f"y{i + 1}" for i in range(n)]
-                + [f"back{i + 1}" for i in range(n)]
-                + ["depth", "region"]
-            )
+            f.write(",".join([f"{c}{i + 1}" for c in ("x", "y", "back") for i in range(n)]
+                             + ["depth", "region"]) + "\n")
             while block := list(itertools.islice(rows, _EVAL_BLOCK)):
-                _write_eval_block(writer, pmap, block)
+                _write_eval_block(f, pmap, block)
     except UnicodeDecodeError as exc:
         # the file is decoded as it is read: drop the rows written before
         target.unlink()
@@ -329,36 +324,43 @@ def cmd_eval(cfg: RunConfig, out: Path, points_path: Path) -> int:
     return EXIT_OK
 
 
-def _write_eval_block(writer, pmap: PonomarevMap,
+def _write_eval_block(f, pmap: PonomarevMap,
                       block: list[tuple[float, ...] | str]) -> None:
     """One domain descent, ``eval_batch``, one target descent and
-    ``eval_inverse_batch`` for the block's points; a point outside the cube,
-    or whose image is, gets an error row that names that point."""
+    ``eval_inverse_batch`` for the block's points, then the block's rows in
+    one write; a point outside the cube, or whose image is, gets an error
+    row that names that point."""
     n = pmap.n
-    at = [i for i, row in enumerate(block) if not isinstance(row, str)]
-    x = np.array([block[i] for i in at], dtype=np.float64).reshape(len(at), n)
+    at = np.array([i for i, row in enumerate(block) if not isinstance(row, str)], dtype=int)
+    x = np.array([block[i] for i in at.tolist()], dtype=np.float64).reshape(len(at), n)
     inside = in_cube(x)
     loc = descend_batch(x[inside], pmap.pack)
     y = pmap.eval_batch(loc.x, loc)
     y_in = in_cube(y)
     back = pmap.eval_inverse_batch(y[y_in])
+    lines = [_error_line([""] * n, row, n) if isinstance(row, str) else "" for row in block]
+    for i in at[~inside].tolist():
+        lines[i] = _error_line(list(map(repr, block[i])), outside_message(block[i], n), n)
     # the block index of each point in the cube, in the order of loc and y
-    index = np.array(at, dtype=int)[inside]
-    done = dict(zip(
-        index[y_in].tolist(),
-        zip(y[y_in].tolist(), back.tolist(), loc.depth[y_in].tolist(),
-            np.where(loc.core[y_in], "core", "annulus").tolist())))
-    image_out = dict(zip(index[~y_in].tolist(), y[~y_in].tolist()))
-    for i, row in enumerate(block):
-        if isinstance(row, str):
-            writer.writerow([""] * (3 * n) + ["", f"error: {row}"])
-        elif i in done:
-            fy, fback, depth, region = done[i]
-            writer.writerow([repr(v) for v in row] + [repr(v) for v in fy]
-                            + [repr(v) for v in fback] + [depth, region])
-        else:
-            outside = outside_message(image_out.get(i, row), n)
-            writer.writerow([repr(v) for v in row] + [""] * (2 * n) + ["", f"error: {outside}"])
+    index = at[inside]
+    for i, fy in zip(index[~y_in].tolist(), y[~y_in].tolist()):
+        lines[i] = _error_line(list(map(repr, block[i])), outside_message(fy, n), n)
+    values = np.concatenate((x[inside][y_in], y[y_in], back), axis=1).tolist()
+    for i, row, depth, core in zip(index[y_in].tolist(), values, loc.depth[y_in].tolist(),
+                                   loc.core[y_in].tolist()):
+        lines[i] = f"{','.join(map(repr, row))},{depth},{'core' if core else 'annulus'}\n"
+    f.write("".join(lines))
+
+
+def _error_line(coords: list[str], message: str, n: int) -> str:
+    """The eval.csv row of an error: ``coords``, blank image, inverse and
+    depth, then ``error: message``.  The message of a row that is no point
+    quotes its input line, which can hold ``,``, ``"`` and ``'``, so the
+    row takes csv.writer's quoting."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(
+        coords + [""] * (2 * n + 1) + [f"error: {message}"])
+    return buf.getvalue()
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:

@@ -79,13 +79,12 @@ class PonomarevMap:
         """
         pack = self.pack
         d = descend(x, pack, "domain") if located is None else located
-        x = d.x
         if d.region == "annulus":
             k = d.depth
             scale = (pack.alpha[k] * d.m + pack.beta[k]) / d.m
         else:
             scale = pack.rt[pack.K] / pack.r[pack.K]
-        return tuple(d.zt[i] + scale * (x[i] - d.z[i]) for i in range(pack.n))
+        return tuple([zt + scale * (c - z) for zt, c, z in zip(d.zt, d.x, d.z)])
 
     def eval_batch(self, x: np.ndarray,
                    located: BatchDescent | None = None) -> np.ndarray:
@@ -104,14 +103,13 @@ class PonomarevMap:
         """Structural inverse: the same descent run on the target hierarchy."""
         pack = self.pack
         d = descend(y, pack, "target")
-        y = d.x
         if d.region == "annulus":
             k = d.depth
             s = (d.m - pack.beta[k]) / pack.alpha[k]
             scale = s / d.m
         else:
             scale = pack.r[pack.K] / pack.rt[pack.K]
-        return tuple(d.z[i] + scale * (y[i] - d.zt[i]) for i in range(pack.n))
+        return tuple([z + scale * (c - zt) for z, c, zt in zip(d.z, d.x, d.zt)])
 
     def eval_inverse_batch(self, y: np.ndarray) -> np.ndarray:
         """``eval_inverse`` of every row of an (N, n) array, bit for bit."""
@@ -130,18 +128,18 @@ class PonomarevMap:
         return descend(x, self.pack)
 
     def _annulus_state(self, x: Sequence[float], located: Descent | None):
-        pack = self.pack
-        d = descend(x, pack, "domain") if located is None else located
+        """The descent of x and, on an annulus, u = x - z_v (None on a
+        core); RidgeSetError where the two largest |u_i| tie within rtol."""
+        d = descend(x, self.pack, "domain") if located is None else located
         if d.region == "core":
             return d, None
-        u = [d.x[i] - d.z[i] for i in range(pack.n)]
-        mags = sorted((abs(c) for c in u), reverse=True)
-        if len(mags) > 1 and mags[0] - mags[1] <= _RIDGE_RTOL * mags[0]:
+        u = [c - z for c, z in zip(d.x, d.z)]
+        mags = sorted(map(abs, u))
+        if len(mags) > 1 and mags[-1] - mags[-2] <= _RIDGE_RTOL * mags[-1]:
             raise RidgeSetError(
                 f"sup norm attained by two coordinates within rtol {_RIDGE_RTOL:g}"
             )
-        active = max(range(pack.n), key=lambda i: abs(u[i]))
-        return d, (u, active)
+        return d, u
 
     def derivative(self, x: Sequence[float],
                    located: Descent | None = None) -> np.ndarray:
@@ -156,11 +154,11 @@ class PonomarevMap:
         within relative tolerance 1e-12.  ``located`` is as in ``eval``.
         """
         pack = self.pack
-        d, annulus = self._annulus_state(x, located)
+        d, u = self._annulus_state(x, located)
         n = pack.n
-        if annulus is None:
+        if u is None:
             return pack.rt[pack.K] / pack.r[pack.K] * np.eye(n)
-        u, j = annulus
+        j = max(range(n), key=lambda i: abs(u[i]))
         k = d.depth
         alpha, beta, m = pack.alpha[k], pack.beta[k], d.m
         sigma = 1.0 if u[j] > 0.0 else -1.0
@@ -175,8 +173,8 @@ class PonomarevMap:
         (rt_K/r_K)^n on cores; strictly positive throughout.  ``located`` is
         as in ``eval``."""
         pack = self.pack
-        d, annulus = self._annulus_state(x, located)
-        if annulus is None:
+        d, u = self._annulus_state(x, located)
+        if u is None:
             return (pack.rt[pack.K] / pack.r[pack.K]) ** pack.n
         k = d.depth
         alpha, beta = pack.alpha[k], pack.beta[k]

@@ -2,16 +2,16 @@
 
 Pixel (row, col) of an S x S render maps to the source point
 
-    x1 = -1 + 2*col/(S-1),    x2 = 1 - 2*row/(S-1),
+    x1 = -1 + 2*col/(S-1),    x2 = -(-1 + 2*row/(S-1)),
 
-so row 0 is the top edge x2 = +1 and the grid includes the boundary
-exactly.  All images are pure functions of the map and resolution; byte
-output is deterministic.
+the column axis value and the negated row axis value, so row 0 is the top
+edge x2 = +1 and the grid includes the boundary exactly.  For an odd S the
+centre row's axis value is 0.0, so its x2 is -0.0.  All images are pure
+functions of the map and resolution; byte output is deterministic.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -150,14 +150,15 @@ def write_ppm(path, pixels: np.ndarray, comments: Sequence[str] = ()) -> None:
 
 
 def write_grid_csv(path, grid: Grid, comments: Sequence[str] = ()) -> None:
-    """One row per pixel, row-major: source point, image, depth and region."""
+    """One row per pixel, row-major: source point, image, depth and region.
+    Every field is a float's repr, an integer or a word, so no field needs
+    CSV quoting."""
     with open(path, "w", newline="") as f:
         for c in comments:
             f.write(f"# {c}\n")
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["x1", "x2", "y1", "y2", "depth", "region"])
-        for (x1, x2), (y1, y2), depth, core in zip(
+        f.write("x1,x2,y1,y2,depth,region\n")
+        f.write("".join(
+            f"{x1!r},{x2!r},{y1!r},{y2!r},{depth},{'core' if core else 'annulus'}\n"
+            for (x1, x2), (y1, y2), depth, core in zip(
                 grid.x.reshape(-1, 2).tolist(), grid.y.reshape(-1, 2).tolist(),
-                grid.depth.ravel().tolist(), grid.core.ravel().tolist()):
-            writer.writerow([repr(x1), repr(x2), repr(y1), repr(y2), depth,
-                             "core" if core else "annulus"])
+                grid.depth.ravel().tolist(), grid.core.ravel().tolist())))

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ponomap
 from ponomap import cli
@@ -367,6 +368,9 @@ def test_eval_blocks_match_per_row_loop(tmp_path, monkeypatch, block):
         lines[8:12] = ["foo\n", "0.5\n", "1,2,3\n", "x,y\n"]
         lines[12:16] = ["nan,0.5\n", "1.5,0\n", "-1e400,0\n", "0,2\n"]
         lines[20:24] = ["# comment\n", "\n"] + bad[1:3]
+    # rows that are no points and whose quoted text holds the delimiter and
+    # both quote characters, so the error field needs CSV quoting
+    lines[30:33] = ['"0.1","0.2"\n', "it's,0\n", "a\"b'c,1\n"]
     text = "".join(lines)
     got = eval_csv_bytes(tmp_path, 2, text)
     assert eval_rows_of(got) == per_row_eval_rows(tmp_path / "pts.csv", 2)
@@ -384,6 +388,35 @@ def test_read_points_splits_lines_as_splitlines(tmp_path):
     with open(path) as f:
         assert list(cli.read_points(f, 2)) == expect
     assert len(expect) == 12
+
+
+def reference_parse_point(line: str, n: int) -> tuple[float, ...] | str:
+    """``cli._parse_point`` as the per-element form first wrote it."""
+    parts = [p for p in line.replace(",", " ").split() if p]
+    try:
+        vals = tuple(float(p) for p in parts)
+    except ValueError:
+        return f"unparsable row: {line!r}"
+    if len(vals) != n:
+        return f"expected {n} coordinates: {line!r}"
+    return vals
+
+
+# pieces of a points line: numbers in the forms float() takes or refuses,
+# with digit separators, non-finite words, signs and a non-ASCII digit,
+# amid commas, runs of ASCII and non-ASCII whitespace and stray text
+PARSE_PIECES = st.sampled_from([
+    "0.5", "-0.0", "1e400", "1e-320", "+.25", "1_000", "1__0", "_1", "1_", "0x1",
+    "inf", "-Infinity", "nan", "-NaN", "nan(1)", ",", ",,", " ", "  ", "\t",
+    "\u00a0", "\u2003", "\u3000", "\x1c", "\u0660", "e", "'", '"'])
+
+
+@settings(deadline=None, max_examples=150)
+@given(pieces=st.lists(PARSE_PIECES | st.text(max_size=2), max_size=8),
+       n=st.integers(1, 3))
+def test_parse_point_matches_reference(pieces, n):
+    line = "".join(pieces)
+    assert repr(cli._parse_point(line, n)) == repr(reference_parse_point(line, n))
 
 
 def test_eval_image_outside_cube_writes_error_row(tmp_path, monkeypatch):
