@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cantor import BatchDescent, Descent, SequencePack, descend, descend_batch
+from .cantor import BatchDescent, Descent, SequencePack, Walk, descend, descend_batch
 from .errors import RidgeSetError
 
 _RIDGE_RTOL = 1e-12
@@ -99,10 +99,12 @@ class PonomarevMap:
         scale[ann] = (np.take(pack.alpha, k) * m + np.take(pack.beta, k)) / m
         return d.zt + scale[:, None] * (d.x - d.z)
 
-    def eval_inverse(self, y: Sequence[float]) -> tuple[float, ...]:
-        """Structural inverse: the same descent run on the target hierarchy."""
+    def eval_inverse(self, y: Sequence[float],
+                     walks: dict[float, Walk] | None = None) -> tuple[float, ...]:
+        """Structural inverse: the same descent run on the target hierarchy.
+        ``walks`` is a target-side walk table of this pack, as in ``descend``."""
         pack = self.pack
-        d = descend(y, pack, "target")
+        d = descend(y, pack, "target", walks)
         if d.region == "annulus":
             k = d.depth
             s = (d.m - pack.beta[k]) / pack.alpha[k]
@@ -122,10 +124,12 @@ class PonomarevMap:
         scale[ann] = s / m
         return d.z + scale[:, None] * (d.x - d.zt)
 
-    def locate(self, x: Sequence[float]) -> Descent:
+    def locate(self, x: Sequence[float],
+               walks: dict[float, Walk] | None = None) -> Descent:
         """Domain descent of x to depth K.  Inner cubes are closed, so face
-        points keep descending."""
-        return descend(x, self.pack)
+        points keep descending.  ``walks`` is a domain-side walk table of
+        this pack, as in ``descend``."""
+        return descend(x, self.pack, "domain", walks)
 
     def _annulus_state(self, x: Sequence[float], located: Descent | None):
         """The descent of x and, on an annulus, u = x - z_v (None on a

@@ -23,8 +23,8 @@ from ponomap import (
     harmonic_sequence,
     word_text,
 )
-from ponomap.cantor import (WORD_CAP, Descent, check_point, descend, descend_batch,
-                            descendant_count, outside_message, vertices)
+from ponomap.cantor import (WORD_CAP, Descent, _radii, _walk, check_point, descend,
+                            descend_batch, descendant_count, outside_message, vertices)
 from ponomap.render import _pixel_points
 from tie_points import inner_face_points, log_pack, tie_heavy_points
 import reference_words
@@ -233,28 +233,54 @@ def descent_case(n, kind):
     return pack, pts, targets + inner_face_points(pack, "target", 60, rng, pack.K)
 
 
-def assert_descents_match(points, pack, depth, side):
+def assert_descents_match(points, pack, depth, side, walks=None):
     cut = pack.truncate(depth)
-    got = [repr(descend(x, cut, side)) for x in points]
+    got = [repr(descend(x, cut, side, walks)) for x in points]
     assert got == [repr(reference_descend(x, pack, depth, side)) for x in points], (side, depth)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_descend_matches_reference_on_tie_heavy_points(n):
+    # two-pass, and through one walk table per (pack, side)
     for kind in ("log", "scales"):
         pack, pts, targets = descent_case(n, kind)
         for side, points in (("domain", pts), ("target", targets)):
             for depth in (1, 12, pack.K):
                 assert_descents_match(points, pack, depth, side)
+                assert_descents_match(points, pack, depth, side, {})
 
 
 def test_descend_matches_reference_on_the_pixel_grid():
-    # every pixel of a 65^2 render and its image, as the render descends them
+    # every pixel of a 65^2 render on both sides, as eval_grid and
+    # grid_distortion descend them, and every pixel's image on the target
+    # side; then the pixels again through one walk table per side, shared
+    # by every pixel as the render shares it
     pack = log_pack(2)
     pts = _pixel_points(65)
     pmap = build(pack)
-    for side, points in (("domain", pts), ("target", [pmap.eval(x) for x in pts])):
+    images = [pmap.eval(x) for x in pts]
+    for side, points in (("domain", pts), ("target", pts), ("target", images)):
         assert_descents_match(points, pack, pack.K, side)
+    for side in ("domain", "target"):
+        walks = {}
+        assert_descents_match(pts, pack, pack.K, side, walks)
+        assert len(walks) == 65
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_signed_zeros_share_one_walk(n):
+    # at odd S the centre column of the pixel grid is 0.0 and the centre row
+    # -0.0, and the two are one key of a walk table.  Both take the -1 vertex
+    # at level 1 and walk alike from there, and every walk leaves at depth
+    # >= 1, so no centre sum, exit or m reads the sign
+    assert {repr(c) for x in _pixel_points(65) for c in x} >= {"0.0", "-0.0"}
+    for kind in ("log", "scales"):
+        pack = descent_case(n, kind)[0]
+        for side in ("domain", "target"):
+            drive, other = _radii(pack, side)
+            walk = _walk(0.0, drive, other, pack.K)
+            assert repr(_walk(-0.0, drive, other, pack.K)) == repr(walk)
+            assert walk[0] >= 1 and walk[1][1] == -0.5
 
 
 @settings(deadline=None, max_examples=60)
@@ -267,6 +293,23 @@ def test_descend_matches_reference_property(data):
     points = data.draw(st.lists(point, min_size=1, max_size=20))
     depth = data.draw(st.integers(1, pack.K))
     assert_descents_match(points, pack, depth, data.draw(st.sampled_from(("domain", "target"))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_walk_table_matches_reference_property(data):
+    # points drawn from a small pool of coordinate values, so one walk
+    # table's entries serve many points and several coordinate positions
+    n = data.draw(st.integers(1, 4))
+    pack, specials, images = descent_case(n, data.draw(st.sampled_from(("log", "scales"))))
+    special = sorted({c for x in specials + images for c in x})  # signed zeros, 5e-324, faces
+    value = st.one_of(st.floats(-1.0, 1.0), st.sampled_from(special),
+                      st.sampled_from((0.0, -0.0, 5e-324, -5e-324)))
+    pool = data.draw(st.lists(value, min_size=1, max_size=6))
+    points = data.draw(st.lists(st.tuples(*[st.sampled_from(pool)] * n), min_size=1, max_size=30))
+    depth = data.draw(st.integers(1, pack.K))
+    side = data.draw(st.sampled_from(("domain", "target")))
+    assert_descents_match(points, pack, depth, side, {})
 
 
 @pytest.mark.parametrize("side", ["targt", "Domain", ""])
