@@ -37,6 +37,7 @@ from typing import Callable, Iterator, Literal, Sequence
 import numpy as np
 
 from .cantor import (
+    WORD_CAP,
     SequencePack,
     all_words,
     center,
@@ -282,12 +283,16 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Sequence[Ball
     the ball intersects, dominated cube sums at the reference level), and
     the ratio of the cover sum to the upper cube sum at the reference
     level.  Intersection counts are compared against the 4^n counting
-    bound.
+    bound.  The walk keeps one coverage flag per depth-``level`` cube, so
+    more than WORD_CAP of them raise DepthError before anything is walked.
     """
     if h.n != pack.n:
         raise ValueError("gauge dimension does not match the pack")
     if not 1 <= level <= pack.K:
         raise DepthError(f"level {level} outside 1..{pack.K}")
+    cubes = 2 ** (pack.n * level)
+    if cubes > WORD_CAP:
+        raise DepthError(f"{cubes} depth-{level} cubes exceed the probe cap {WORD_CAP}")
     reference = upper_sum_at_scale(h, level, pack.a[level])
     first, count, inner, covered = _probe_walk(pack, cover, level)
     stats = tuple(

@@ -20,8 +20,8 @@ integer order is the lexicographic order of the signs, -1 before +1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from dataclasses import dataclass, field
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,70 +99,55 @@ def standard_scales(a: Sequence[float]) -> tuple[tuple[float, ...], ...]:
 
 @dataclass(frozen=True)
 class SequencePack:
-    """Scales of one construction to depth K.
+    """Scales of one construction to depth K = len(a) - 1.
 
     r_k = 2^-k a_k and rt_k = 2^-k b_k are the domain/target inner
-    half-edges at depth k.  alpha_k, beta_k solve the two gluing equations
+    half-edges at depth k, derived from the scales at construction.
+    alpha_k, beta_k solve the two gluing equations
 
         alpha_k r_k + beta_k = rt_k
         alpha_k r_{k-1}/2 + beta_k = rt_{k-1}/2
 
     so the radial factor s -> alpha_k s + beta_k carries the annulus
-    [r_k, r_{k-1}/2] onto [rt_k, rt_{k-1}/2].  ``standard`` packs use
+    [r_k, r_{k-1}/2] onto [rt_k, rt_{k-1}/2].  ``standard`` packs have
     b_k = (1 + a_k)/2, which makes alpha_k = 1/2 and beta_k = 2^(-k-1)
     exactly.
     """
 
     n: int
-    K: int
     a: tuple[float, ...]
     b: tuple[float, ...]
-    r: tuple[float, ...]
-    rt: tuple[float, ...]
     alpha: tuple[float, ...]  # index 0 unused (nan)
     beta: tuple[float, ...]
-    standard: bool
+    K: int = field(init=False)
+    r: tuple[float, ...] = field(init=False)
+    rt: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "K", len(self.a) - 1)
+        object.__setattr__(self, "r", half_edges(self.a))
+        object.__setattr__(self, "rt", half_edges(self.b))
         self.validate()
+
+    @property
+    def standard(self) -> bool:
+        """Whether b_k = (1 + a_k)/2 at every depth, as ``from_standard`` builds."""
+        return all(y == (1.0 + x) / 2.0 for x, y in zip(self.a, self.b))
 
     @classmethod
     def from_standard(cls, n: int, a: Sequence[float]) -> "SequencePack":
         """Pack with b_k = (1 + a_k)/2 and exact gluing coefficients."""
         a = tuple(float(x) for x in a)
-        b, r, rt, alpha, beta = standard_scales(a)
-        return cls(n=n, K=len(a) - 1, a=a, b=b, r=r, rt=rt, alpha=alpha,
-                   beta=beta, standard=True)
-
-    @classmethod
-    def from_scales(cls, n: int, a: Sequence[float],
-                    b: Sequence[float]) -> "SequencePack":
-        """Pack for arbitrary target scales; gluing solved numerically."""
-        a = tuple(float(x) for x in a)
-        b = tuple(float(x) for x in b)
-        if len(a) != len(b):
-            raise ConstructionError("a and b must have equal length")
-        K = len(a) - 1
-        r, rt = half_edges(a), half_edges(b)
-        alpha = [math.nan]
-        beta = [math.nan]
-        for k in range(1, K + 1):
-            denom = r[k - 1] / 2.0 - r[k]
-            if denom <= 0.0:
-                raise ConstructionError(f"empty annulus at depth {k}")
-            al = (rt[k - 1] / 2.0 - rt[k]) / denom
-            alpha.append(al)
-            beta.append(rt[k] - al * r[k])
-        return cls(n=n, K=K, a=a, b=b, r=r, rt=rt, alpha=tuple(alpha),
-                   beta=tuple(beta), standard=False)
+        b, _, _, alpha, beta = standard_scales(a)
+        return cls(n=n, a=a, b=b, alpha=alpha, beta=beta)
 
     def validate(self) -> None:
         if self.n < 1:
             raise ConstructionError("n must be >= 1")
         if self.K < 1:
             raise ConstructionError("K must be >= 1")
-        if len(self.a) != self.K + 1 or len(self.b) != self.K + 1:
-            raise ConstructionError("scale arrays must have length K+1")
+        if not len(self.a) == len(self.b) == len(self.alpha) == len(self.beta):
+            raise ConstructionError("scale and gluing arrays must have equal length")
         if self.a[0] != 1.0 or self.b[0] != 1.0:
             raise ConstructionError("a_0 and b_0 must equal 1")
         for k in range(self.K + 1):
@@ -194,25 +179,15 @@ class SequencePack:
                     raise ConstructionError(
                         f"standard pack must carry alpha=1/2, beta=2^-(k+1) (depth {k})"
                     )
-                if self.b[k] != (1.0 + self.a[k]) / 2.0:
-                    raise ConstructionError(
-                        f"standard pack requires b=(1+a)/2 (depth {k})"
-                    )
 
     def truncate(self, K: int) -> "SequencePack":
         if not 1 <= K <= self.K:
             raise DepthError(f"cannot truncate depth-{self.K} pack to {K}")
-        return SequencePack(
-            n=self.n, K=K,
-            a=self.a[:K + 1], b=self.b[:K + 1],
-            r=self.r[:K + 1], rt=self.rt[:K + 1],
-            alpha=self.alpha[:K + 1], beta=self.beta[:K + 1],
-            standard=self.standard,
-        )
+        return SequencePack(n=self.n, a=self.a[:K + 1], b=self.b[:K + 1],
+                            alpha=self.alpha[:K + 1], beta=self.beta[:K + 1])
 
 
-@dataclass(frozen=True)
-class Descent:
+class Descent(NamedTuple):
     """Where a point sits in the hierarchy, down to the pack depth K.
 
     ``region`` and ``depth`` name the annulus at the first depth with

@@ -122,8 +122,10 @@ def grid_distortion(pmap: PonomarevMap, resolution: int) -> np.ndarray:
         raise ValueError("grid rendering supports n = 2 only")
     walks = {}
     x = np.array([pmap.eval_inverse(y, walks) for y in _pixel_points(resolution)])
-    spots = np.array([-1.0 + 2.0 * i / 8 for i in range(9)])
-    near = np.abs(x[:, :, None] - spots).min(axis=(1, 2))
+    # a running minimum over the lines keeps the temporaries at (S^2, 2)
+    near = np.full(len(x), np.inf)
+    for spot in (-1.0 + 2.0 * i / 8 for i in range(9)):
+        np.minimum(near, np.abs(x - spot).min(axis=1), out=near)
     return np.where(near <= 0.01, 255, 0).astype(np.uint8).reshape(resolution, resolution)
 
 

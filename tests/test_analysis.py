@@ -46,6 +46,7 @@ from ponomap.analysis import (
 from ponomap.cantor import descendant_count
 from ponomap.cli import json_data
 from ponomap.errors import ToleranceError
+from reference_packs import pack_from_scales
 from reference_norms import reference_depth_profile, reference_grand_norm_values
 import reference_words
 
@@ -191,6 +192,19 @@ def test_lower_probe_counts_match_brute_force():
             if _cube_in_ball(ball.center, center(w, 4, pack), pack.r[4], ball.radius)
         )
         assert brute_contained == probe.contained_count
+
+
+def test_lower_probe_refuses_levels_past_the_cap(monkeypatch):
+    # the walk keeps one coverage flag per depth-level cube
+    pack = log_pack()
+    word = 2 ** 16 - 1
+    ball = Ball(word=word_text(word, 2, 8), radius=2.0 * math.sqrt(2),
+                center=center(word, 8, pack))
+    rep = hausdorff_lower_probe(LOG_GAUGE, pack, [ball], 10)  # 2^20 cubes, the cap
+    assert rep.balls[0].contained_count == 2 ** 20
+    monkeypatch.setattr(analysis, "_probe_walk", lambda *args: pytest.fail("walked"))
+    with pytest.raises(DepthError, match="4194304 depth-11 cubes exceed the probe cap 1048576"):
+        hausdorff_lower_probe(LOG_GAUGE, pack, [ball], 11)
 
 
 def test_lower_probe_coverage_error():
@@ -463,7 +477,7 @@ def test_grand_norm_schema():
 
 def test_grand_norm_requires_standard_pack():
     a = geometric_sequence(8)
-    m = build(SequencePack.from_scales(2, a, a))
+    m = build(pack_from_scales(2, a, a))
     with pytest.raises(ValueError):
         grand_norm_report(m, default_eps_grid(2, 64))
     with pytest.raises(ValueError):
@@ -487,7 +501,7 @@ def sobolev_total(m, p):
 
 def test_sobolev_identity_pack():
     a = geometric_sequence(10)
-    m = build(SequencePack.from_scales(2, a, a))
+    m = build(pack_from_scales(2, a, a))
     for p in (0.5, 1.0, 1.7, 2.0):
         assert sobolev_total(m, p) == pytest.approx(4.0, rel=1e-12)
 

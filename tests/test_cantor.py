@@ -24,8 +24,10 @@ from ponomap import (
     word_text,
 )
 from ponomap.cantor import (WORD_CAP, Descent, _radii, _walk, check_point, descend,
-                            descend_batch, descendant_count, outside_message, vertices)
+                            descend_batch, descendant_count, half_edges, outside_message,
+                            vertices)
 from ponomap.render import _pixel_points
+from reference_packs import pack_from_scales
 from tie_points import inner_face_points, log_pack, tie_heavy_points
 import reference_words
 
@@ -94,10 +96,19 @@ def test_pack_gluing_residuals():
 
 def test_pack_identity_scales():
     a = geometric_sequence(8)
-    pack = SequencePack.from_scales(2, a, a)
+    pack = pack_from_scales(2, a, a)
     for k in range(1, 9):
         assert pack.alpha[k] == 1.0
         assert pack.beta[k] == 0.0
+
+
+def test_pack_derives_depth_radii_and_standard():
+    pack = std_pack(6)
+    assert pack.K == 6 and pack.standard and pack.truncate(3).standard
+    assert pack.r == half_edges(pack.a) and pack.rt == half_edges(pack.b)
+    assert not pack_from_scales(2, pack.a, pack.a).standard
+    with pytest.raises(TypeError):
+        SequencePack(n=2, a=pack.a, b=pack.b, alpha=pack.alpha, beta=pack.beta, K=6)
 
 
 def test_pack_rejects_bad_scales():
@@ -210,7 +221,7 @@ def scales_pack(n):
     """A pack that is not standard (alpha_k = 3 * 2^-k) with dyadic radii
     r_k = 4^-k and rt_k = 8^-k, so inner-face points lie exactly on the face
     (to depth 17 on the target side, where centre and radius share 53 bits)."""
-    return SequencePack.from_scales(n, geometric_sequence(20), geometric_sequence(20, 0.25))
+    return pack_from_scales(n, geometric_sequence(20), geometric_sequence(20, 0.25))
 
 
 def signed_points(n):

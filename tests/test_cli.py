@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,10 +8,11 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ponomap
 from ponomap import cli
@@ -624,6 +626,19 @@ def test_verify_n5_exits_4_at_the_word_cap(config_path, tmp_path):
                            "enumeration cap 1048576\n")
 
 
+def test_hausdorff_probe_past_the_cap_exits_4(tmp_path):
+    # the probe would keep one flag for each of the 2^80 depth-40 cubes
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"gauge": {"n": 2, "tau": LOG_TAU}, "theorem": 1, "depth": 40,
+                                "hausdorff": {"probe_level": 40, "random_covers": 0}}))
+    proc = run_python("-m", "ponomap.cli", "hausdorff", "--config", str(path),
+                      "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_NUMERIC
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ("numeric error: 1208925819614629174706176 depth-40 cubes exceed "
+                           "the probe cap 1048576\n")
+
+
 def test_render_rejects_other_dimensions(tmp_path):
     cfg = tmp_path / "n3.json"
     cfg.write_text(json.dumps({
@@ -644,3 +659,100 @@ def test_flag_overrides_change_digest(config_path, tmp_path):
     d2 = json.loads((out2 / "sequence.json").read_text())
     assert d1["config_digest"] != d2["config_digest"]
     assert len(d2["a"]) == 12
+
+
+# ---------------------------------------------------------------------------
+# no traceback for any input
+
+# stand-ins for a config value: wrong types, out of range, NaN, or no key
+ODD_VALUES = [None, True, -1, 0, 2.5, math.nan, "x", [], {}, "<delete>"]
+FLAG_VALUES = {
+    "--depth": ["-1", "0", "1", "7", "12", "x"],
+    "--seed": ["0", "-1", "3", "x"],
+    "--eps-grid": ["1e-3:1:2", "0:1:2", "1e-3:1:0", "x"],
+    "--resolution": ["1", "2", "17", "x"],
+    "--theorem": ["1", "2", "3"],
+}
+COORDS = ["0", "0.5", "-1", "1", "1.5", "-0.0", "nan", "inf", "5e-324", "x", ""]
+
+
+def key_paths(node, path=()):
+    """The key path of every value in a nested dict, inner dicts included."""
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, path + (key,))
+
+
+@st.composite
+def cli_inputs(draw):
+    """A subcommand, a small config with up to two values spoiled, flag
+    overrides and the bytes of a points file."""
+    command = draw(st.sampled_from(["sequence", "eval", "verify", "norms", "hausdorff",
+                                    "render"]))
+    n = draw(st.integers(2, 3))
+    depth = draw(st.integers(1, 12))
+    small = st.integers(1, 4)
+    cfg = {
+        "gauge": {"n": n, "tau": {"family": "log", "shift": math.e}},
+        "theorem": draw(st.sampled_from([1, 2, "custom"])),
+        "sequence": {"kind": draw(st.sampled_from(["harmonic", "geometric"]))},
+        "depth": depth,
+        "seed": draw(st.integers(0, 3)),
+        "resolution": draw(st.integers(2, 17)),
+        "eps_grid": f"1e-3:{n - 1}:2",
+        "verify": {"boundary_points": draw(small), "face_points": draw(small),
+                   "face_depth": draw(st.integers(1, 12)), "roundtrip_points": draw(small),
+                   "jacobian_points": draw(small), "fd_points": draw(small),
+                   "injectivity_pairs": draw(small), "mc_samples": draw(st.integers(2, 50)),
+                   "depth_cap": draw(small)},
+        "hausdorff": {"depths": [0, 1], "probe_depth": draw(st.integers(1, 2)),
+                      "probe_level": draw(st.integers(1, depth)),
+                      "random_covers": draw(st.integers(0, 1))},
+    }
+    # half the draws keep every value, so that most commands run to the end
+    spoil = st.lists(st.sampled_from(list(key_paths(cfg))), min_size=1, max_size=2)
+    for path in draw(st.just([]) | spoil):
+        node = cfg
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            value = draw(st.sampled_from(ODD_VALUES))
+            if value == "<delete>":
+                node.pop(path[-1], None)
+            else:
+                node[path[-1]] = value
+    flags = []
+    override = st.lists(st.sampled_from(sorted(FLAG_VALUES)), min_size=1, max_size=2, unique=True)
+    for flag in draw(st.just([]) | override):
+        flags += [flag, draw(st.sampled_from(FLAG_VALUES[flag]))]
+    lines = st.lists(st.lists(st.sampled_from(COORDS), max_size=4).map(",".join), max_size=5)
+    points = draw(st.one_of(st.binary(max_size=30),
+                            lines.map(lambda rows: "\n".join(rows).encode())))
+    return command, cfg, flags, points
+
+
+# 2^66 depth-11 cubes at n = 6: past the probe cap, and past numpy's array
+# size limit, which the probe's coverage flags once met with a ValueError
+@example(("hausdorff", {"gauge": {"n": 6, "tau": LOG_TAU}, "depth": 11, "eps_grid": "1e-3:1:2",
+                        "hausdorff": {"probe_depth": 1, "probe_level": 11,
+                                      "random_covers": 0}}, [], b""))
+@settings(deadline=None, max_examples=100)
+@given(cli_inputs())
+def test_cli_exits_with_a_code_never_a_traceback(inputs):
+    command, cfg, flags, points = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cfg.json").write_text(json.dumps(cfg))
+        (tmp / "pts.csv").write_bytes(points)
+        argv = [command, "--config", str(tmp / "cfg.json"), "--out", str(tmp / "out"), *flags]
+        if command == "eval":
+            argv += ["--points", str(tmp / "pts.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error, which exits 2
+                code = exc.code
+    assert code in (EXIT_OK, cli.EXIT_VERIFY_FAILED, EXIT_CONFIG, EXIT_NUMERIC), err.getvalue()
+    assert "Traceback" not in err.getvalue()

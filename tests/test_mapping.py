@@ -19,6 +19,7 @@ from ponomap import (
 from ponomap.cantor import descend
 from ponomap.mapping import libm_pow
 from ponomap.verify import _gradient_bound
+from reference_packs import pack_from_scales
 from reference_words import VertexWord, all_words, center
 from tie_points import log_pack, tie_heavy_points
 
@@ -69,7 +70,7 @@ def test_build_rejects_tampered_pack():
 
 def test_identity_pack_is_identity():
     a = geometric_sequence(10)
-    m = build(SequencePack.from_scales(2, a, a))
+    m = build(pack_from_scales(2, a, a))
     rng = np.random.default_rng(5)
     for _ in range(300):
         x = tuple(rng.uniform(-1.0, 1.0, size=2))

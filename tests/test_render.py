@@ -21,6 +21,7 @@ from ponomap.render import (
     write_pgm,
     write_ppm,
 )
+from reference_packs import pack_from_scales
 from tie_points import log_pack
 
 
@@ -33,7 +34,7 @@ def test_pixel_grid_includes_boundary():
 
 def test_identity_pack_renders_flat():
     a = geometric_sequence(6)
-    m = build(SequencePack.from_scales(2, a, a))
+    m = build(pack_from_scales(2, a, a))
     grid = eval_grid(m, 17)
     disp = displacement_field(grid)
     assert np.max(disp) <= 4e-16

@@ -21,9 +21,11 @@ from ponomap.verify import (
     _check_jacobian,
     _check_map,
     _check_measures,
+    _check_norms,
     _Suite,
     run_suite,
 )
+from reference_packs import pack_from_scales
 from reference_verify import (
     reference_check_cantor,
     reference_check_jacobian,
@@ -97,7 +99,7 @@ def test_suite_passes_null_measure():
 
 def test_suite_passes_identity_pack():
     a = geometric_sequence(10)
-    pack = SequencePack.from_scales(2, a, a)
+    pack = pack_from_scales(2, a, a)
     rep = run_custom(pack, seed=1)
     assert rep.passed
     jac = next(c for c in rep.checks if c.name == "jacobian.min_det")
@@ -143,7 +145,7 @@ def _steep_pack():
     (lambda: log_pack(2, 40), VerifyScale(), 0),
     (lambda: log_pack(3, 20), VerifyScale(), 1),
     (_steep_pack, FAST, 2),
-    (lambda: SequencePack.from_scales(2, geometric_sequence(10), geometric_sequence(10)),
+    (lambda: pack_from_scales(2, geometric_sequence(10), geometric_sequence(10)),
      FAST, 3),
     (lambda: log_pack(2, 12), TINY, 4),
     (lambda: log_pack(4, 12), FAST, 5),
@@ -165,10 +167,20 @@ def test_check_map_matches_scalar_reference(make_pack, scale, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_shell_mc_sigma_without_spread_fails():
+    # two Monte Carlo samples often both miss a thin shell (at depth 3 of
+    # this pack, with probability 0.6), and an estimate with a zero standard
+    # error fails the check instead of dividing by zero
+    s = _Suite()
+    _check_norms(s, build(log_pack(2, 6)), np.random.default_rng(3), TINY)
+    sigma = next(c for c in s.checks if c.name == "norm.shell_mc_sigma")
+    assert sigma.observed == math.inf and not sigma.passed
+
+
 @pytest.mark.parametrize("make_pack, caps", [
     (lambda: log_pack(2, 30), [*range(1, 17), 20]),
     (_steep_pack, range(1, 17)),
-    (lambda: SequencePack.from_scales(2, geometric_sequence(20), geometric_sequence(20, 0.25)),
+    (lambda: pack_from_scales(2, geometric_sequence(20), geometric_sequence(20, 0.25)),
      range(1, 17)),
 ], ids=["log-K30", "exp_inverse-theorem2", "from_scales"])
 def test_check_cantor_matches_list_reference(make_pack, caps):
