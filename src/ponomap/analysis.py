@@ -164,6 +164,9 @@ def _cube_in_ball(c, z, r, rho) -> bool:
 
 # balls walked together: bounds the (ball, cube) pairs held at once
 _BALL_CHUNK = 64
+# (ball, cube) pairs one level's expansion may make: past it the balls
+# walk on in smaller groups, each with all of its own pairs
+_PAIR_BUDGET = 2 ** 18
 # a numpy distance this close (relative) to its threshold is decided again
 # by the fsum test, so every decision equals the scalar one
 _TIE_REL = 1e-13
@@ -185,6 +188,11 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
     contained cube (0 if none), the number of cubes entered at that depth
     and the number of depth-``level`` cubes contained, plus one coverage
     flag per depth-``level`` cube.
+
+    Each ball's walk reads only its own pairs, so when a depth's expansion
+    would pass _PAIR_BUDGET pairs, the balls split into two groups that
+    each walk on from that depth with all of their own pairs, and every
+    result is unchanged.  A single ball is never split.
     """
     n = pack.n
     fan = 2 ** n
@@ -201,34 +209,42 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
         centers = np.array([b.center for b in chunk], dtype=float)
         radius = np.array([b.radius for b in chunk], dtype=float)
         slack = radius * _IN_BALL_SLACK
-        ball = np.arange(len(chunk))
-        index = np.zeros(len(chunk), dtype=np.int64)
-        z = np.zeros((len(chunk), n))
-        for d in range(1, level + 1):
-            r = pack.r[d]
-            z = (z[:, None, :] + (0.5 * pack.r[d - 1]) * verts).reshape(-1, n)
-            ball = np.repeat(ball, fan)
-            index = (index[:, None] * fan + np.arange(fan)).ravel()
-            diff = np.abs(centers[ball] - z)
-            gap = np.maximum(diff - r, 0.0)
-            hit = _decide(np.sqrt((gap * gap).sum(axis=1)), radius[ball],
-                          lambda i: _dist_to_cube(chunk[ball[i]].center, z[i].tolist(), r)
-                          <= chunk[ball[i]].radius)
-            ball, index, z, diff = ball[hit], index[hit], z[hit], diff[hit]
-            far = diff + r
-            inside = _decide(np.sqrt((far * far).sum(axis=1)), slack[ball],
-                             lambda i: _cube_in_ball(chunk[ball[i]].center, z[i].tolist(), r,
-                                                     chunk[ball[i]].radius))
-            held = np.bincount(ball[inside], minlength=len(chunk))
-            new = (held > 0) & (first == 0)
-            first[new] = d
-            count[new] = np.bincount(ball, minlength=len(chunk))[new]
-            span = descendant_count(d, level, n)
-            inner += held * span
-            covered.reshape(-1, span)[index[inside]] = True
-            ball, index, z = ball[~inside], index[~inside], z[~inside]
-            if not len(ball):
-                break
+        # groups of balls still to walk: the next depth, each pair's ball,
+        # the index of its cube at the depth before and that cube's centre
+        groups = [(1, np.arange(len(chunk)), np.zeros(len(chunk), dtype=np.int64),
+                   np.zeros((len(chunk), n)))]
+        while groups:
+            start, ball, index, z = groups.pop()
+            for d in range(start, level + 1):
+                if len(ball) * fan > _PAIR_BUDGET and len(live := np.unique(ball)) > 1:
+                    for part in np.array_split(live, 2):
+                        sel = np.isin(ball, part)
+                        groups.append((d, ball[sel], index[sel], z[sel]))
+                    break
+                r = pack.r[d]
+                z = (z[:, None, :] + (0.5 * pack.r[d - 1]) * verts).reshape(-1, n)
+                ball = np.repeat(ball, fan)
+                index = (index[:, None] * fan + np.arange(fan)).ravel()
+                diff = np.abs(centers[ball] - z)
+                gap = np.maximum(diff - r, 0.0)
+                hit = _decide(np.sqrt((gap * gap).sum(axis=1)), radius[ball],
+                              lambda i: _dist_to_cube(chunk[ball[i]].center, z[i].tolist(), r)
+                              <= chunk[ball[i]].radius)
+                ball, index, z, diff = ball[hit], index[hit], z[hit], diff[hit]
+                far = diff + r
+                inside = _decide(np.sqrt((far * far).sum(axis=1)), slack[ball],
+                                 lambda i: _cube_in_ball(chunk[ball[i]].center, z[i].tolist(),
+                                                         r, chunk[ball[i]].radius))
+                held = np.bincount(ball[inside], minlength=len(chunk))
+                new = (held > 0) & (first == 0)
+                first[new] = d
+                count[new] = np.bincount(ball, minlength=len(chunk))[new]
+                span = descendant_count(d, level, n)
+                inner += held * span
+                covered.reshape(-1, span)[index[inside]] = True
+                ball, index, z = ball[~inside], index[~inside], z[~inside]
+                if not len(ball):
+                    break
     return min_depth, intersecting, contained, covered
 
 

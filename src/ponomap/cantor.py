@@ -362,10 +362,22 @@ def descend_batch(x: np.ndarray, pack: SequencePack,
                   side: Side = "domain") -> BatchDescent:
     """``descend`` to depth K of every row of an (N, n) array at once.
 
-    One level per step over the points still inside, with the scalar
-    arithmetic in the scalar order (the ``> 0.0`` tie rule, centres summed
-    level by level, m = max|x - centre|), so every field equals the scalar
+    One level per step over the rows held, with the scalar arithmetic in
+    the scalar order (the ``> 0.0`` tie rule, centres summed level by
+    level, m = max|x - centre|), so every field equals the scalar
     descent's bit for bit.  A row outside the cube raises DomainError.
+
+    m is a running ``np.maximum`` over the n columns of |u|: a maximum
+    rounds nothing, and no NaN gets past the cube check, so it equals
+    ``max`` in any order, while an axis-1 reduction over so few columns
+    costs far more per row.  A row that leaves is recorded once, at its
+    depth, and marked dead; the rows held are compacted only when fewer
+    than half of them are alive.  Until then a dead row goes on summing
+    stale centres that nothing reads, and each row's own arithmetic never
+    depends on the others, so the rows recorded are those of a loop that
+    compacts at every level.  The rows stay (M, n) arrays: one 1-D array
+    per column would save the strided column reads, but it multiplies the
+    calls per level by n, which small batches, as verify's, pay for.
     """
     n, K = pack.n, pack.K
     x = np.asarray(x, dtype=np.float64)
@@ -377,30 +389,43 @@ def descend_batch(x: np.ndarray, pack: SequencePack,
     r, rt = pack.r, pack.rt
     drive = _radii(pack, side)[0]
     N = len(x)
-    depth = np.full(N, K)
-    core = np.zeros(N, dtype=bool)
+    depth = np.empty(N, dtype=np.int64)
     z, zt, m = np.empty((N, n)), np.empty((N, n)), np.empty(N)
-    # the rows still descending: their index, point, both centres and u = x - base
-    rows, xa, za, zta = np.arange(N), x, np.zeros((N, n)), np.zeros((N, n))
-    u = x
+    # the rows held: their index, whether still descending, point, both
+    # centres and u = x - base; ``live`` of them are still descending
+    rows, alive, xa = np.arange(N), np.ones(N, dtype=bool), x
+    za, zta, u = np.zeros((N, n)), np.zeros((N, n)), x
+    live = N
     for k in range(1, K + 1):
+        if not live:
+            break
         v = np.where(u > 0.0, 1.0, -1.0)
         za += (0.5 * r[k - 1]) * v
         zta += (0.5 * rt[k - 1]) * v
         u = xa - (za if side == "domain" else zta)
-        ma = np.abs(u).max(axis=1)
-        leave = ma > drive[k]
-        if k == K:
-            core[rows[~leave]] = True
-            leave[:] = True
-        if leave.any():
-            out = rows[leave]
-            depth[out] = k
-            z[out], zt[out], m[out] = za[leave], zta[leave], ma[leave]
-            stay = ~leave
-            rows, xa, za, zta, u = rows[stay], xa[stay], za[stay], zta[stay], u[stay]
-        if not rows.size:
-            break
+        au = np.abs(u)
+        ma = au[:, 0]
+        for j in range(1, n):
+            ma = np.maximum(ma, au[:, j])
+        if k < K:
+            leave = ma > drive[k]
+            if live < len(rows):
+                leave &= alive
+        else:
+            leave = alive
+        leave = leave.nonzero()[0]
+        if not leave.size:
+            continue
+        out = rows[leave]
+        depth[out] = k
+        z[out], zt[out], m[out] = za[leave], zta[leave], ma[leave]
+        alive[leave] = False
+        live -= leave.size
+        if 2 * live < len(rows):
+            rows, xa, za, zta, u = rows[alive], xa[alive], za[alive], zta[alive], u[alive]
+            alive = np.ones(live, dtype=bool)
+    # the rows still inside at depth K are the core
+    core = (depth == K) & ~(m > drive[K])
     return BatchDescent(depth, core, z, zt, m, x)
 
 

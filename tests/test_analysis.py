@@ -194,6 +194,24 @@ def test_lower_probe_counts_match_brute_force():
         assert brute_contained == probe.contained_count
 
 
+@pytest.mark.parametrize("n, m, level", [(2, 2, 5), (2, 4, 6), (3, 2, 4)])
+def test_lower_probe_pair_budget_changes_no_result(n, m, level, monkeypatch):
+    # a budget of one ball's first expansion splits every chunk down to
+    # single balls at depth 1; a larger one splits at some depths only.
+    # Balls never share pairs, so every array equals the unsplit walk's
+    pack = SequencePack.from_standard(n, finite_measure_sequence(LOG_TAU, n, 12))
+    cover = random_cover(pack, m, np.random.default_rng(n + m))
+    whole = analysis._probe_walk(pack, cover, level)
+    splits = []
+    array_split = np.array_split
+    monkeypatch.setattr(np, "array_split", lambda *a: splits.append(1) or array_split(*a))
+    for budget in (2 ** n, 2 ** (n + 4)):
+        monkeypatch.setattr(analysis, "_PAIR_BUDGET", budget)
+        split = analysis._probe_walk(pack, cover, level)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, split)), budget
+    assert splits
+
+
 def test_lower_probe_refuses_levels_past_the_cap(monkeypatch):
     # the walk keeps one coverage flag per depth-level cube
     pack = log_pack()

@@ -18,7 +18,7 @@ from ponomap import DomainError, RidgeSetError, build
 from ponomap.cantor import descend, descend_batch
 from ponomap.mapping import _RIDGE_RTOL
 from reference_words import VertexWord, center
-from tie_points import inner_face_points, log_pack, tie_heavy_points
+from tie_points import core_points, inner_face_points, log_pack, tie_heavy_points
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,6 +207,60 @@ def test_jacobian_det_batch_matches_scalar_property(n, data):
     pmap, specials = det_case(n)
     point = st.one_of(st.tuples(*[st.floats(-1.0, 1.0)] * n), st.sampled_from(specials))
     assert_det_batch_matches_scalar(pmap, data.draw(st.lists(point, min_size=1, max_size=40)))
+
+
+@functools.lru_cache(maxsize=None)
+def wide_case(n: int):
+    """The K = 40 log pack and, per side, a pool of tie-heavy points,
+    inner-face points and core points of that side."""
+    pack = log_pack(n, 40)
+    rng = random.Random(100 + n)
+    pools = {side: tie_heavy_points(n, 40, pack) + inner_face_points(pack, side, 100, rng)
+             + core_points(pack, side, 100, rng) for side in ("domain", "target")}
+    return pack, pools
+
+
+def assert_wide_batch_matches_scalar(pack, side, pts, cut):
+    """The batch of pts equals the scalar descents row by row, and the
+    batches of pts[:cut] and pts[cut:] laid end to end."""
+    x = np.array(pts, dtype=np.float64).reshape(len(pts), pack.n)
+    got = repr(batch_rows(descend_batch(x, pack, side)))
+    assert got == repr(scalar_rows(pts, pack, side)), side
+    parts = [batch_rows(descend_batch(part, pack, side)) for part in (x[:cut], x[cut:])]
+    assert repr(parts[0] + parts[1]) == got, (side, cut)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_wide_batch_matches_scalar_property(n, data):
+    # batches wide enough that rows leave at many depths between two
+    # compactions, and deep enough that the survivors reach the core
+    pack, pools = wide_case(n)
+    side = data.draw(st.sampled_from(("domain", "target")))
+    size = data.draw(st.integers(1, 400))
+    uniform = data.draw(st.floats(0.0, 1.0))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pts = [tuple(rng.uniform(-1.0, 1.0) for _ in range(n)) if rng.random() < uniform
+           else rng.choice(pools[side]) for _ in range(size)]
+    pts += data.draw(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * n), max_size=4))
+    assert_wide_batch_matches_scalar(pack, side, pts, data.draw(st.integers(0, len(pts))))
+
+
+@pytest.mark.parametrize("side", ["domain", "target"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_wide_batch_edge_cases(n, side):
+    pack, pools = wide_case(n)
+    rng = random.Random(n)
+    faces = [(rng.choice((-1.0, 1.0)),) + tuple(rng.uniform(-1.0, 1.0) for _ in range(n - 1))
+             for _ in range(300)]
+    cores = core_points(pack, side, 300, rng)
+    for pts in ([], pools[side][:1], faces, cores):
+        assert_wide_batch_matches_scalar(pack, side, pts, len(pts) // 3)
+    # a face of the cube lies outside every depth-1 inner cube
+    assert descend_batch(np.array(faces), pack, side).depth.tolist() == [1] * len(faces)
+    d = descend_batch(np.array(cores), pack, side)
+    assert d.core.all() and (d.depth == pack.K).all()
 
 
 def test_batch_of_no_points():

@@ -577,6 +577,23 @@ def run_python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
+def test_hausdorff_probe_memory_is_bounded(tmp_path):
+    # a 64-ball chunk of this n = 6 probe expands to 2^6 times its pairs at
+    # every depth; walked whole, the level-3 probe held about 2.4 GB, and
+    # in groups under the pair budget it holds about 135 MiB
+    cfg = tmp_path / "probe-n6.json"
+    cfg.write_text(json.dumps({
+        "gauge": {"n": 6, "tau": LOG_TAU}, "theorem": 1,
+        "depth": 11, "hausdorff": {"depths": [0, 1], "probe_depth": 1, "probe_level": 3,
+                                   "random_covers": 1}}))
+    proc = run_python("-c", "import resource, sys; from ponomap.cli import main; "
+                      "code = main(sys.argv[1:]); "
+                      "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)",
+                      "hausdorff", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 400 * 1024  # KiB
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is imported by the shell quadrature alone, on its first use
     proc = run_python("-c", "import sys, ponomap.cli; sys.exit('scipy' in sys.modules)")

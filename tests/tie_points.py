@@ -43,8 +43,7 @@ def tie_heavy_points(seed: int, per_kind: int, pack: SequencePack) -> list[tuple
         x[j] = z[j]
         pts.append(tuple(x))
         pts.append(center(word(rng.randint(1, K)), pack))
-        z = center(word(K), pack)
-        pts.append(tuple(z[i] + 0.9 * r[K] * rng.uniform(-1.0, 1.0) for i in range(n)))
+        pts += core_points(pack, "domain", 1, rng)
     return pts
 
 
@@ -62,4 +61,17 @@ def inner_face_points(pack, side, count, rng, deepest=12):
         u = [radii[k] * rng.uniform(-0.9, 0.9) for _ in range(n)]
         u[rng.randrange(n)] = rng.choice((-1.0, 1.0)) * radii[k]
         pts.append(tuple(z[i] + u[i] for i in range(n)))
+    return pts
+
+
+def core_points(pack, side, count, rng):
+    """Points within 0.9 r_K of a depth-K centre (rt_K on the target side),
+    inside a core cube of that side."""
+    n, K = pack.n, pack.K
+    radius = (pack.r if side == "domain" else pack.rt)[K]
+    pts = []
+    for _ in range(count):
+        z = center(VertexWord(n, tuple(tuple(rng.choice((-1, 1)) for _ in range(n))
+                                       for _ in range(K))), pack, side)
+        pts.append(tuple(z[i] + 0.9 * radius * rng.uniform(-1.0, 1.0) for i in range(n)))
     return pts
