@@ -232,12 +232,13 @@ def _radii(pack: SequencePack, side: Side) -> tuple[tuple[float, ...], tuple[flo
 Walk = tuple[int, list[float], list[float]]
 
 
-def _walk(c: float, drive: Sequence[float], other: Sequence[float], K: int) -> Walk:
-    """One coordinate's walk to its own exit depth e (K when it never
-    leaves): e, then its driving and other centre sums at levels 0..e."""
+def _walk(c: float, drive: Sequence[float], other: Sequence[float], limit: int) -> Walk:
+    """One coordinate's walk to its own exit depth e, or to ``limit`` when
+    it goes deeper: min(e, limit), then its driving and other centre sums
+    at levels 0..min(e, limit).  A shorter limit cuts the same walk."""
     b, o, u = 0.0, 0.0, c
     bs, os_ = [b], [o]
-    for k in range(K):
+    for k in range(limit):
         if u > 0.0:
             b += 0.5 * drive[k]
             o += 0.5 * other[k]
@@ -249,7 +250,7 @@ def _walk(c: float, drive: Sequence[float], other: Sequence[float], K: int) -> W
         u = c - b
         if abs(u) > drive[k + 1]:
             return k + 1, bs, os_
-    return K, bs, os_
+    return limit, bs, os_
 
 
 def descend(x: Sequence[float], pack: SequencePack,
@@ -267,68 +268,42 @@ def descend(x: Sequence[float], pack: SequencePack,
     Coordinate i's sign, its two centre sums and u_i = x_i - base_i at
     each level read x_i alone; the coordinates meet only in the exit test
     max_i |u_i| > drive_k, which holds exactly when some |u_i| > drive_k.
-    So each coordinate descends on its own: the first pass walks the
-    driving chain of each one, no deeper than the shallowest exit found so
-    far, and the second rebuilds both centres and m at that depth.  Both
-    passes make the level-by-level additions of one walk over all
-    coordinates, so every field is the same bit for bit.
+    So each coordinate walks on its own (``_walk``), no deeper than the
+    shallowest exit found so far.  The point's depth is the least exit of
+    its coordinates, and z, zt and m are read at that depth from the
+    centre sums, which are the level-by-level additions of one walk over
+    all coordinates, so every field is the same bit for bit.
 
-    ``walks``, when given, is a walk table that the caller owns: it maps a
-    coordinate value to that coordinate's walk to its own exit depth (the
-    exit, and both centre sums at every level down to it), and descend adds
-    each value it misses.  The point's depth is then the least exit of its
-    coordinates, and z, zt and m are read at that depth, so every field is
-    again the same bit for bit.  A walk depends on the radii, so a table
-    serves one (pack, side) only.  0.0 and -0.0 share a key: both take the
-    -1 vertex at level 1 and walk alike from there, and x keeps its sign.
-    The render passes a table, because every coordinate of a pixel is one
-    of the S axis values or its negation, and a hit walks nothing.  A miss
-    walks past the depth where the two passes would stop, and stores every
-    level: on 4,400 uniform random points a table cost 1.5-1.7x the two
-    passes, so callers with one-off points, as ``verify``, pass none.
+    ``walks``, when given, is a walk table that the caller owns, a memo of
+    ``_walk``: it maps a coordinate value to that coordinate's whole walk
+    to its own exit depth, and descend adds each value it misses.  A walk
+    depends on the radii, so a table serves one (pack, side) only.  0.0
+    and -0.0 share a key: both take the -1 vertex at level 1 and walk
+    alike from there, and x keeps its sign.  The render passes a table,
+    because every coordinate of a pixel is one of the S axis values or its
+    negation, and a hit walks nothing; callers with one-off points, as
+    ``verify``, pass none.
     """
     n, K = pack.n, pack.K
     x = check_point(x, n)
     drive, other = _radii(pack, side)
-    if walks is not None:
-        ws = []
-        for c in x:
+    ws, depth = [], K
+    for c in x:
+        if walks is None:
+            w = _walk(c, drive, other, depth)
+        else:
             w = walks.get(c)
             if w is None:
                 w = walks[c] = _walk(c, drive, other, K)
-            ws.append(w)
-        depth = min([w[0] for w in ws])
-        base, rest, m = [], [], 0.0
-        for c, (_, bs, os_) in zip(x, ws):
-            b = bs[depth]
-            base.append(b)
-            rest.append(os_[depth])
-            m = max(m, abs(c - b))
-    else:
-        depth = K
-        for c in x:
-            b, u = 0.0, c
-            for k in range(1, depth + 1):
-                half = 0.5 * drive[k - 1]
-                b = b + half if u > 0.0 else b - half
-                u = c - b
-                if abs(u) > drive[k]:
-                    depth = k
-                    break
-        base, rest, m = [], [], 0.0
-        for c in x:
-            b, o, u = 0.0, 0.0, c
-            for k in range(depth):
-                if u > 0.0:
-                    b += 0.5 * drive[k]
-                    o += 0.5 * other[k]
-                else:
-                    b -= 0.5 * drive[k]
-                    o -= 0.5 * other[k]
-                u = c - b
-            base.append(b)
-            rest.append(o)
-            m = max(m, abs(u))
+        ws.append(w)
+        if w[0] < depth:
+            depth = w[0]
+    base, rest, m = [], [], 0.0
+    for c, (_, bs, os_) in zip(x, ws):
+        b = bs[depth]
+        base.append(b)
+        rest.append(os_[depth])
+        m = max(m, abs(c - b))
     z, zt = (base, rest) if side == "domain" else (rest, base)
     region = "annulus" if m > drive[depth] else "core"
     return Descent(region, depth, tuple(z), tuple(zt), m, x)

@@ -305,7 +305,7 @@ def cmd_eval(cfg: RunConfig, out: Path, points_path: Path) -> int:
     target = out / "eval.csv"
     # the points file is opened first, so a missing one leaves no eval.csv
     try:
-        src = open(points_path, encoding="utf-8")
+        src = open(points_path, encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read points {points_path}: {exc}") from exc
     try:
@@ -483,18 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     out = args.out
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: cannot create {out}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        cfg = resolve_config(args)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create {out}: {exc}") from exc
         if args.command == "sequence":
             return cmd_sequence(cfg, out)
         if args.command == "eval":
@@ -510,8 +505,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PonomapError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+    except (PonomapError, MemoryError) as exc:
+        # a size past the address space (an eps grid, Monte Carlo samples)
+        # fails its allocation at once; a MemoryError of Python's own, as a
+        # list grows, carries no text
+        print(f"numeric error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERIC
     raise AssertionError("unreachable")
 

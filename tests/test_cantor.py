@@ -252,7 +252,7 @@ def assert_descents_match(points, pack, depth, side, walks=None):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_descend_matches_reference_on_tie_heavy_points(n):
-    # two-pass, and through one walk table per (pack, side)
+    # with no table, and through one walk table per (pack, side)
     for kind in ("log", "scales"):
         pack, pts, targets = descent_case(n, kind)
         for side, points in (("domain", pts), ("target", targets)):
@@ -306,21 +306,49 @@ def test_descend_matches_reference_property(data):
     assert_descents_match(points, pack, depth, data.draw(st.sampled_from(("domain", "target"))))
 
 
+def draw_case(data):
+    """A pack, a side, and the pool of coordinate values the walk tests
+    draw from: uniform, and the coordinates of the pack's special points
+    (signed zeros, 5e-324, ties and faces at every depth)."""
+    n = data.draw(st.integers(1, 4))
+    pack, specials, images = descent_case(n, data.draw(st.sampled_from(("log", "scales"))))
+    special = sorted({c for x in specials + images for c in x})
+    value = st.one_of(st.floats(-1.0, 1.0), st.sampled_from(special),
+                      st.sampled_from((0.0, -0.0, 5e-324, -5e-324)))
+    return pack, data.draw(st.sampled_from(("domain", "target"))), value
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_walk_to_a_limit_is_the_whole_walk_cut_property(data):
+    # a table stores whole walks, while a descent with no table stops each
+    # walk at the shallowest exit so far: both must read the same sums
+    pack, side, value = draw_case(data)
+    drive, other = _radii(pack, side)
+    for c in data.draw(st.lists(value, min_size=1, max_size=5)):
+        e, bs, os_ = _walk(c, drive, other, pack.K)
+        for limit in range(pack.K + 1):
+            cut = min(e, limit)
+            want = repr((cut, bs[:cut + 1], os_[:cut + 1]))
+            assert repr(_walk(c, drive, other, limit)) == want, (c, limit)
+
+
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_walk_table_matches_reference_property(data):
     # points drawn from a small pool of coordinate values, so one walk
-    # table's entries serve many points and several coordinate positions
-    n = data.draw(st.integers(1, 4))
-    pack, specials, images = descent_case(n, data.draw(st.sampled_from(("log", "scales"))))
-    special = sorted({c for x in specials + images for c in x})  # signed zeros, 5e-324, faces
-    value = st.one_of(st.floats(-1.0, 1.0), st.sampled_from(special),
-                      st.sampled_from((0.0, -0.0, 5e-324, -5e-324)))
+    # table's entries serve many points and several coordinate positions;
+    # each point is descended through the table and with none, in turn
+    pack, side, value = draw_case(data)
     pool = data.draw(st.lists(value, min_size=1, max_size=6))
-    points = data.draw(st.lists(st.tuples(*[st.sampled_from(pool)] * n), min_size=1, max_size=30))
+    points = data.draw(st.lists(st.tuples(*[st.sampled_from(pool)] * pack.n), min_size=1,
+                                max_size=30))
     depth = data.draw(st.integers(1, pack.K))
-    side = data.draw(st.sampled_from(("domain", "target")))
-    assert_descents_match(points, pack, depth, side, {})
+    cut, walks = pack.truncate(depth), {}
+    for x in points:
+        want = repr(reference_descend(x, pack, depth, side))
+        assert repr(descend(x, cut, side, walks)) == want, x
+        assert repr(descend(x, cut, side)) == want, x
 
 
 @pytest.mark.parametrize("side", ["targt", "Domain", ""])

@@ -446,13 +446,23 @@ def test_eval_image_outside_cube_writes_error_row(tmp_path, monkeypatch):
 
 
 
-@pytest.mark.parametrize("kind", ["missing", "not_utf8"])
+def test_eval_accepts_a_byte_order_mark(tmp_path):
+    # a file saved with a UTF-8 byte-order mark: the mark is not part of
+    # the first row
+    text = "0.5,0.25\n-0.125,1.0\n"
+    plain = eval_csv_bytes(tmp_path / "plain", 2, text)
+    assert eval_csv_bytes(tmp_path / "bom", 2, "\ufeff" + text) == plain
+    assert b"error" not in plain
+
+
+@pytest.mark.parametrize("kind", ["missing", "not_utf8", "bom_not_utf8"])
 def test_eval_unreadable_points_file_exits_3(config_path, tmp_path, capsys, kind):
     # the undecodable byte sits past the first block of rows, which the
     # streaming reader has already written when it meets the byte
     points = tmp_path / "pts.csv"
-    if kind == "not_utf8":
-        points.write_bytes(b"0.25,-0.5\n" * (cli._EVAL_BLOCK + 10) + b"0.1,\xff0.2\n")
+    if kind != "missing":
+        bom = b"\xef\xbb\xbf" if kind == "bom_not_utf8" else b""
+        points.write_bytes(bom + b"0.25,-0.5\n" * (cli._EVAL_BLOCK + 10) + b"0.1,\xff0.2\n")
     out = tmp_path / "out"
     assert main(["eval", "--config", str(config_path), "--out", str(out),
                  "--points", str(points)]) == EXIT_CONFIG
@@ -615,6 +625,25 @@ def test_numeric_error_exit(tmp_path):
         path.write_text(json.dumps(cfg))
         assert main([command, "--config", str(path),
                      "--out", str(tmp_path)]) == EXIT_NUMERIC, cfg
+
+
+@pytest.mark.parametrize("stage", ["config", "command"])
+def test_allocation_past_the_address_space_exits_4(config_path, tmp_path, capsys, stage):
+    # both arrays pass the 128 TiB user address space, so numpy's allocation
+    # fails at once and touches no memory: 10^17 eps values while the config
+    # is resolved, and 10^15 Monte Carlo points in verify's shell check
+    if stage == "config":
+        argv = ["norms", "--eps-grid", "1e-4:1:100000000000000000"]
+    else:
+        base = json.loads(config_path.read_text())
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({**base, "verify": {**base["verify"],
+                                                       "mc_samples": 10 ** 15}}))
+        argv = ["verify", "--config", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: Unable to allocate ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_norms_past_binary64_annulus_count_exits_4(tmp_path):
