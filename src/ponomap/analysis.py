@@ -162,11 +162,8 @@ def _cube_in_ball(c, z, r, rho) -> bool:
     return _farthest_corner(c, z, r) <= rho * _IN_BALL_SLACK
 
 
-# balls walked together: bounds the (ball, cube) pairs held at once
-_BALL_CHUNK = 64
-# (ball, cube) pairs one level's expansion may make: past it the balls
-# walk on in smaller groups, each with all of its own pairs
-_PAIR_BUDGET = 2 ** 18
+# (ball, cube) pairs one depth's expansion of a group may make
+_PAIR_BUDGET = 2 ** 13
 # a numpy distance this close (relative) to its threshold is decided again
 # by the fsum test, so every decision equals the scalar one
 _TIE_REL = 1e-13
@@ -189,63 +186,63 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
     and the number of depth-``level`` cubes contained, plus one coverage
     flag per depth-``level`` cube.
 
-    Each ball's walk reads only its own pairs, so when a depth's expansion
-    would pass _PAIR_BUDGET pairs, the balls split into two groups that
-    each walk on from that depth with all of their own pairs, and every
-    result is unchanged.  A single ball is never split.
+    The walk starts from one group holding the whole cover.  Each ball's
+    walk reads only its own pairs, so when a depth's expansion would pass
+    _PAIR_BUDGET pairs, the group's balls split into two groups that each
+    walk on from that depth with all of their own pairs, and every result
+    is unchanged; a single ball is never split.  A ``hausdorff`` run at
+    n = 3, level 5 (512 balls) peaks at about 40 MiB with 2^13 pairs (67
+    MiB with 2^18), and one at n = 6, level 3 at about 110 MiB (2.4 GB
+    with no bound).
     """
     n = pack.n
     fan = 2 ** n
     verts = vertices(n)
-    min_depth = np.zeros(len(cover), dtype=np.int64)
-    intersecting = np.zeros(len(cover), dtype=np.int64)
-    contained = np.zeros(len(cover), dtype=np.int64)
+    first = np.zeros(len(cover), dtype=np.int64)
+    count = np.zeros(len(cover), dtype=np.int64)
+    inner = np.zeros(len(cover), dtype=np.int64)
     covered = np.zeros(2 ** (n * level), dtype=bool)
-    for lo in range(0, len(cover), _BALL_CHUNK):
-        chunk = cover[lo:lo + _BALL_CHUNK]
-        first = min_depth[lo:lo + len(chunk)]
-        count = intersecting[lo:lo + len(chunk)]
-        inner = contained[lo:lo + len(chunk)]
-        centers = np.array([b.center for b in chunk], dtype=float)
-        radius = np.array([b.radius for b in chunk], dtype=float)
-        slack = radius * _IN_BALL_SLACK
-        # groups of balls still to walk: the next depth, each pair's ball,
-        # the index of its cube at the depth before and that cube's centre
-        groups = [(1, np.arange(len(chunk)), np.zeros(len(chunk), dtype=np.int64),
-                   np.zeros((len(chunk), n)))]
-        while groups:
-            start, ball, index, z = groups.pop()
-            for d in range(start, level + 1):
-                if len(ball) * fan > _PAIR_BUDGET and len(live := np.unique(ball)) > 1:
-                    for part in np.array_split(live, 2):
-                        sel = np.isin(ball, part)
-                        groups.append((d, ball[sel], index[sel], z[sel]))
-                    break
-                r = pack.r[d]
-                z = (z[:, None, :] + (0.5 * pack.r[d - 1]) * verts).reshape(-1, n)
-                ball = np.repeat(ball, fan)
-                index = (index[:, None] * fan + np.arange(fan)).ravel()
-                diff = np.abs(centers[ball] - z)
-                gap = np.maximum(diff - r, 0.0)
-                hit = _decide(np.sqrt((gap * gap).sum(axis=1)), radius[ball],
-                              lambda i: _dist_to_cube(chunk[ball[i]].center, z[i].tolist(), r)
-                              <= chunk[ball[i]].radius)
-                ball, index, z, diff = ball[hit], index[hit], z[hit], diff[hit]
-                far = diff + r
-                inside = _decide(np.sqrt((far * far).sum(axis=1)), slack[ball],
-                                 lambda i: _cube_in_ball(chunk[ball[i]].center, z[i].tolist(),
-                                                         r, chunk[ball[i]].radius))
-                held = np.bincount(ball[inside], minlength=len(chunk))
-                new = (held > 0) & (first == 0)
-                first[new] = d
-                count[new] = np.bincount(ball, minlength=len(chunk))[new]
-                span = descendant_count(d, level, n)
-                inner += held * span
-                covered.reshape(-1, span)[index[inside]] = True
-                ball, index, z = ball[~inside], index[~inside], z[~inside]
-                if not len(ball):
-                    break
-    return min_depth, intersecting, contained, covered
+    centers = np.array([b.center for b in cover], dtype=float).reshape(-1, n)
+    radius = np.array([b.radius for b in cover], dtype=float)
+    slack = radius * _IN_BALL_SLACK
+    # groups of balls still to walk: the next depth, each pair's ball
+    # (sorted, since no step reorders pairs: a ball's pairs are one run),
+    # the index of its cube at the depth before and that cube's centre
+    groups = [(1, np.arange(len(cover)), np.zeros(len(cover), dtype=np.int64),
+               np.zeros((len(cover), n)))]
+    while groups:
+        start, ball, index, z = groups.pop()
+        for d in range(start, level + 1):
+            if len(ball) * fan > _PAIR_BUDGET and len(live := np.unique(ball)) > 1:
+                for part in np.array_split(live, 2):
+                    sel = slice(*np.searchsorted(ball, [part[0], part[-1] + 1]))
+                    groups.append((d, ball[sel], index[sel], z[sel]))
+                break
+            r = pack.r[d]
+            z = (z[:, None, :] + (0.5 * pack.r[d - 1]) * verts).reshape(-1, n)
+            ball = np.repeat(ball, fan)
+            index = (index[:, None] * fan + np.arange(fan)).ravel()
+            diff = np.abs(centers[ball] - z)
+            gap = np.maximum(diff - r, 0.0)
+            hit = _decide(np.sqrt((gap * gap).sum(axis=1)), radius[ball],
+                          lambda i: _dist_to_cube(cover[ball[i]].center, z[i].tolist(), r)
+                          <= cover[ball[i]].radius)
+            ball, index, z, diff = ball[hit], index[hit], z[hit], diff[hit]
+            far = diff + r
+            inside = _decide(np.sqrt((far * far).sum(axis=1)), slack[ball],
+                             lambda i: _cube_in_ball(cover[ball[i]].center, z[i].tolist(),
+                                                     r, cover[ball[i]].radius))
+            span = descendant_count(d, level, n)
+            owners, held = np.unique(ball[inside], return_counts=True)
+            inner[owners] += held * span
+            new = owners[first[owners] == 0]
+            first[new] = d
+            count[new] = np.searchsorted(ball, new, "right") - np.searchsorted(ball, new)
+            covered.reshape(-1, span)[index[inside]] = True
+            ball, index, z = ball[~inside], index[~inside], z[~inside]
+            if not len(ball):
+                break
+    return first, count, inner, covered
 
 
 # levels below a random-cover ball's cube at which its centre is anchored

@@ -196,11 +196,13 @@ def test_lower_probe_counts_match_brute_force():
 
 @pytest.mark.parametrize("n, m, level", [(2, 2, 5), (2, 4, 6), (3, 2, 4)])
 def test_lower_probe_pair_budget_changes_no_result(n, m, level, monkeypatch):
-    # a budget of one ball's first expansion splits every chunk down to
+    # a budget of one ball's first expansion splits the cover down to
     # single balls at depth 1; a larger one splits at some depths only.
-    # Balls never share pairs, so every array equals the unsplit walk's
+    # Balls never share pairs, so every array equals the walk of one group
+    # that no budget splits
     pack = SequencePack.from_standard(n, finite_measure_sequence(LOG_TAU, n, 12))
     cover = random_cover(pack, m, np.random.default_rng(n + m))
+    monkeypatch.setattr(analysis, "_PAIR_BUDGET", math.inf)
     whole = analysis._probe_walk(pack, cover, level)
     splits = []
     array_split = np.array_split
@@ -231,6 +233,8 @@ def test_lower_probe_coverage_error():
     small = Ball(word=word_text(word, 2, 1), radius=pack.r[1], center=center(word, 1, pack))
     with pytest.raises(CoverageError):
         hausdorff_lower_probe(LOG_GAUGE, pack, [small], 3)
+    with pytest.raises(CoverageError, match="misses 64 of 64 depth-3 cubes"):
+        hausdorff_lower_probe(LOG_GAUGE, pack, [], 3)
 
 
 # scalar reference walk for the probe: every ball walked from the root by a
