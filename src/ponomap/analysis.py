@@ -42,6 +42,7 @@ from .cantor import (
     all_words,
     center,
     descendant_count,
+    fold_columns,
     half_edge,
     vertices,
     word_text,
@@ -194,6 +195,10 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
     n = 3, level 5 (512 balls) peaks at about 40 MiB with 2^13 pairs (67
     MiB with 2^18), and one at n = 6, level 3 at about 110 MiB (2.4 GB
     with no bound).
+
+    The distances sum their squares left to right (``fold_columns``); any
+    order moves them a few ulps, far inside the ``_TIE_REL`` band that
+    ``_decide`` decides again by ``math.fsum``, so no decision changes.
     """
     n = pack.n
     fan = 2 ** n
@@ -224,12 +229,12 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
             index = (index[:, None] * fan + np.arange(fan)).ravel()
             diff = np.abs(centers[ball] - z)
             gap = np.maximum(diff - r, 0.0)
-            hit = _decide(np.sqrt((gap * gap).sum(axis=1)), radius[ball],
+            hit = _decide(np.sqrt(fold_columns(np.add, gap * gap)), radius[ball],
                           lambda i: _dist_to_cube(cover[ball[i]].center, z[i].tolist(), r)
                           <= cover[ball[i]].radius)
             ball, index, z, diff = ball[hit], index[hit], z[hit], diff[hit]
             far = diff + r
-            inside = _decide(np.sqrt((far * far).sum(axis=1)), slack[ball],
+            inside = _decide(np.sqrt(fold_columns(np.add, far * far)), slack[ball],
                              lambda i: _cube_in_ball(cover[ball[i]].center, z[i].tolist(),
                                                      r, cover[ball[i]].radius))
             span = descendant_count(d, level, n)
@@ -488,12 +493,13 @@ def shell_integral_mc(phi, r: float, R: float, n: int, samples: int,
 
     Samples uniformly in [-R, R]^n and keeps the shell hit indicator, so it
     shares no machinery with the layer-cake identity used by
-    shell_integral.
+    shell_integral.  Each sample's sup norm is ``fold_columns`` of
+    ``np.maximum``, which rounds nothing, so it equals the row maximum.
     """
     if not 0.0 < r < R:
         raise ValueError("need 0 < r < R")
     pts = rng.uniform(-R, R, size=(samples, n))
-    sup = np.max(np.abs(pts), axis=1)
+    sup = fold_columns(np.maximum, np.abs(pts))
     vals = np.zeros(samples)
     mask = (sup > r) & (sup <= R)
     vals[mask] = phi(sup[mask])

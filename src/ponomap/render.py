@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cantor import fold_columns
 from .errors import RidgeSetError
 from .mapping import PonomarevMap
 
@@ -125,7 +126,7 @@ def grid_distortion(pmap: PonomarevMap, resolution: int) -> np.ndarray:
     # a running minimum over the lines keeps the temporaries at (S^2, 2)
     near = np.full(len(x), np.inf)
     for spot in (-1.0 + 2.0 * i / 8 for i in range(9)):
-        np.minimum(near, np.abs(x - spot).min(axis=1), out=near)
+        fold_columns(np.minimum, np.abs(x - spot), out=near)
     return np.where(near <= 0.01, 255, 0).astype(np.uint8).reshape(resolution, resolution)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis
 from .cantor import (SequencePack, all_words, center, descend_batch, dyadic_cube,
-                     dyadic_preimage, in_cube)
+                     dyadic_preimage, fold_columns, in_cube)
 from .errors import PonomapError
 # eval_h is not called here; perfbench/tracer.py counts its calls at this name
 from .gauge import (  # noqa: F401
@@ -176,7 +176,7 @@ def _rows(points: list, n: int) -> np.ndarray:
 
 def _sup_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The sup distance of each pair of rows."""
-    return np.abs(a - b).max(axis=1)
+    return fold_columns(np.maximum, np.abs(a - b))
 
 
 def _fold_max(values: np.ndarray, start: float = 0.0) -> float:

@@ -3,7 +3,8 @@
 Row by row, ``descend_batch``, ``eval_batch``, ``eval_inverse_batch`` and
 ``jacobian_det_batch`` must give what ``descend``, ``eval``,
 ``eval_inverse`` and ``jacobian_det`` give, compared by ``repr`` so that
-signed zeros and the last ulp count.
+signed zeros and the last ulp count; and ``fold_columns`` and its callers
+against the axis-1 reductions that they replaced.
 """
 
 import functools
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ponomap import DomainError, RidgeSetError, build
-from ponomap.cantor import descend, descend_batch
+from ponomap import DomainError, GradientPower, RidgeSetError, build
+from ponomap.analysis import shell_integral_mc
+from ponomap.cantor import descend, descend_batch, fold_columns, in_cube
 from ponomap.mapping import _RIDGE_RTOL
 from reference_words import VertexWord, center
 from tie_points import core_points, inner_face_points, log_pack, tie_heavy_points
@@ -280,3 +282,59 @@ def test_batch_rejects_points_outside_the_cube():
         pmap.eval_inverse_batch(np.array([[1.0000000000000002, 0.0]]))
     with pytest.raises(DomainError, match="expected an"):
         descend_batch(np.zeros((3, 3)), pmap.pack)
+
+
+# ---------------------------------------------------------------------------
+# the column fold against the axis-1 reductions it replaced
+
+
+@pytest.mark.parametrize("rows", [0, 1, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_fold_columns_max_equals_the_row_max(n, rows):
+    rng = np.random.default_rng(10 * n + rows)
+    a = rng.standard_normal((rows, n))
+    a[::5, 0] = np.inf
+    a[::7, -1] = -np.inf
+    a[::3, n // 2] = a[::3, 0]  # ties
+    before = a.copy()
+    assert (fold_columns(np.maximum, a).view(np.uint64).tolist()
+            == a.max(axis=1).view(np.uint64).tolist())
+    assert a.view(np.uint64).tolist() == before.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_in_cube_equals_the_bounds_test(n):
+    # each special value in each column position, the others inside
+    specials = [np.nan, np.inf, -np.inf, 1.0, -1.0, -0.0, 0.0,
+                np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.5]
+    x = np.full((len(specials) * n, n), 0.25)
+    for i, value in enumerate(specials):
+        x[i * n + np.arange(n), np.arange(n)] = value
+    x = np.vstack([x, np.repeat(np.array(specials)[:, None], n, axis=1)])
+    assert in_cube(x).tolist() == ((x >= -1.0) & (x <= 1.0)).all(axis=1).tolist()
+
+
+def reference_shell_integral_mc(phi, r, R, n, samples, rng):
+    """``shell_integral_mc`` as it took each sample's sup norm by an axis-1
+    maximum."""
+    pts = rng.uniform(-R, R, size=(samples, n))
+    sup = np.max(np.abs(pts), axis=1)
+    vals = np.zeros(samples)
+    mask = (sup > r) & (sup <= R)
+    vals[mask] = phi(sup[mask])
+    volume = (2.0 * R) ** n
+    est = volume * float(np.mean(vals))
+    stderr = volume * float(np.std(vals, ddof=1)) / math.sqrt(samples)
+    return est, stderr
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shell_integral_mc_matches_the_axis_reduction(n):
+    pack = log_pack(n, 40)
+    for seed in range(5):
+        k = 1 + 7 * seed
+        phi = GradientPower(pack.alpha[k], pack.beta[k], n - 0.1 * (seed + 1))
+        r, R = pack.r[k], pack.r[k - 1] / 2.0
+        got = shell_integral_mc(phi, r, R, n, 20_000, np.random.default_rng(seed))
+        want = reference_shell_integral_mc(phi, r, R, n, 20_000, np.random.default_rng(seed))
+        assert repr(got) == repr(want)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -591,15 +592,19 @@ def run_python(*args):
 def test_hausdorff_probe_memory_is_bounded(tmp_path):
     # each depth of this n = 6 probe expands a group's pairs 2^6-fold; with
     # no bound its 64 balls held about 2.4 GB at level 3, and in groups
-    # under the pair budget the run holds about 110 MiB
+    # under the pair budget the run holds about 110 MiB.  The child reads
+    # its own peak, VmHWM: its ru_maxrss would start at this test process's
+    # peak, which a vfork-and-exec child inherits (over 300 MiB once
+    # Hypothesis has built its Unicode tables)
     cfg = tmp_path / "probe-n6.json"
     cfg.write_text(json.dumps({
         "gauge": {"n": 6, "tau": LOG_TAU}, "theorem": 1,
         "depth": 11, "hausdorff": {"depths": [0, 1], "probe_depth": 1, "probe_level": 3,
                                    "random_covers": 1}}))
-    proc = run_python("-c", "import resource, sys; from ponomap.cli import main; "
+    proc = run_python("-c", "import sys; from ponomap.cli import main; "
                       "code = main(sys.argv[1:]); "
-                      "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)",
+                      "print(*[line.split()[1] for line in open('/proc/self/status') "
+                      "if line.startswith('VmHWM:')]); sys.exit(code)",
                       "hausdorff", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.split()[-1]) < 200 * 1024  # KiB
@@ -782,7 +787,10 @@ def cli_inputs(draw):
         for key in path[:-1]:
             node = node.get(key) if isinstance(node, dict) else None
         if isinstance(node, dict):
-            value = draw(st.sampled_from(ODD_VALUES))
+            # a fresh copy, so that no two spoils share one [] or {}: one
+            # spoil could store the shared {} under itself, and json.dumps
+            # of the config would then meet a circular reference
+            value = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
             if value == "<delete>":
                 node.pop(path[-1], None)
             else:
