@@ -12,10 +12,10 @@ statement:
 * Exact sup-norm shell integrals (layer-cake identity
   int_{shell} phi(||x||_inf) dx = n 2^n int phi(t) t^(n-1) dt) by adaptive
   quadrature, and a seeded Monte Carlo cross-check that does not use the
-  identity.  The norm reports integrate a whole block of annuli at once
-  with QUADPACK's first 21-point Gauss-Kronrod step in numpy, bit for bit
-  what the quadrature returns; a row that step does not settle goes
-  through the adaptive quadrature itself.
+  identity.  The norm reports integrate a block of powers over every
+  annulus at once with QUADPACK's first 21-point Gauss-Kronrod step in
+  numpy, bit for bit what the quadrature returns; an entry that step does
+  not settle goes through the adaptive quadrature itself.
 * Grand Lebesgue norm reports eps * int |Df_K|^(n-eps) over an eps grid,
   with the telescoping analytic bound, and classical p-norm sums with a
   per-depth profile for the p = n divergence probe.
@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -388,71 +388,83 @@ def shell_integral(phi: Callable[[float], float], r: float, R: float, n: int) ->
 
 # QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in its own decimals: the
 # Kronrod abscissae, whose odd-indexed entries are the 10-point Gauss nodes,
-# the Kronrod weights (the last is the centre's) and the Gauss weights
+# the Kronrod weights (the last is the centre's) and the Gauss weights;
+# the weights are columns over a block's (node, power, depth) axes
 _XGK = np.array((
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
     0.294392862701460198131126603103866, 0.148874338981631210884826001129720))
-_WGK = (
+_WGK = np.array((
     0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
     0.123491976262065851077208980544743, 0.134709217311473325928054001771707,
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821)
-_WG = (
+    0.149445554002916905664936468389821))[:, None, None]
+_WG = np.array((
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338)
+    0.295524224714752870173892994651338))[:, None, None]
+# the order of dqk21's resk and resabs sums: the Gauss nodes first
+_KRONROD_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
 
-def _gk21_shells(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
-                 r: np.ndarray, R: np.ndarray, n: int) -> np.ndarray:
-    """shell_integral(GradientPower(alpha_i, beta_i, power_i), r_i, R_i, n)
-    of every row on which it stops after its first rule, else NaN.
+def _gk21_table(base: np.ndarray, weight: np.ndarray, hlgth: np.ndarray,
+                valid: np.ndarray, powers: np.ndarray, n: int) -> np.ndarray:
+    """shell_integral(GradientPower(alpha_k, beta_k, power_i), r_k, R_k, n)
+    as an (m, K) table, on every entry settled by its first rule, else NaN.
 
     QUADPACK's dqagse starts with one 21-point Gauss-Kronrod rule (dqk21)
     over [r, R] and returns it when its error estimate meets the tolerance.
-    This runs that step for all rows at once: the same nodes, the same
-    integrand operations, each power by libm, and the sums accumulated
-    node by node in dqk21's order, so a settled row equals the quadrature
-    bit for bit.  Rows outside 0 < r < R or with a non-finite sum stay
-    NaN; so does every row when math.pow raises, so that the scalar call
-    raises the same error.  A settled row is finite, so NaN marks only the
-    rows left to the quadrature.
+    This runs that step on the nodes t that ``_shell_table`` builds:
+    ``base`` = alpha + beta/t and ``weight`` = t^(n-1) as (21, K) arrays,
+    and ``hlgth`` = (R - r)/2.  Each power is taken by libm and the sums
+    run node by node in dqk21's order, so a settled entry equals the
+    quadrature bit for bit.  Entries of a depth outside 0 < r < R (not
+    ``valid``) or with a non-finite sum stay NaN; so does every entry when
+    math.pow raises, so that the scalar call raises the same error.  A
+    settled entry is finite, so NaN marks only the entries left to the
+    quadrature.
     """
     with np.errstate(all="ignore"):
-        centr = (0.5 * (r + R))[:, None]
-        hlgth = 0.5 * (R - r)
-        absc = hlgth[:, None] * _XGK
-        t = np.concatenate((centr, centr - absc, centr + absc), axis=1)
         try:
-            f = libm_pow(alpha[:, None] + beta[:, None] / t, power[:, None])
-            # pow(t, 1.0) is t exactly
-            f = f * (t if n == 2 else libm_pow(t, float(n - 1)))
+            f = libm_pow(base[:, None], powers[:, None])  # (21, m, K)
         except (ArithmeticError, ValueError):
-            return np.full(len(r), np.nan)
-        fc, fv1, fv2 = f[:, 0], f[:, 1:11], f[:, 11:]
-        resg = 0.0
+            return np.full((len(powers), len(hlgth)), np.nan)
+        f *= weight[:, None]
+        fc, fv1, fv2 = f[0], f[1:11], f[11:]
+        # each node's weighted term is one array product; only the sums
+        # run node by node, each into its own (m, K) accumulator
+        fsum = fv1 + fv2
+        gauss = fsum[1::2] * _WG
+        fsum *= _WGK[:10]
+        resg = np.zeros_like(fc)
+        for term in gauss:
+            resg += term
         resk = _WGK[10] * fc
         resabs = np.abs(resk)
-        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss nodes first
-            fsum = fv1[:, j] + fv2[:, j]
-            if j % 2:
-                resg = resg + _WG[j // 2] * fsum
-            resk = resk + _WGK[j] * fsum
-            resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
-        reskh = resk * 0.5
-        resasc = _WGK[10] * np.abs(fc - reskh)
+        for j in _KRONROD_ORDER:
+            resk += fsum[j]
+        np.abs(fv1, out=fsum)
+        fsum += np.abs(fv2)
+        fsum *= _WGK[:10]
+        for j in _KRONROD_ORDER:
+            resabs += fsum[j]
+        # f is spent: it becomes |f - resk/2| in place
+        f -= resk * 0.5
+        np.abs(f, out=f)
+        resasc = _WGK[10] * fc
+        np.add(fv1, fv2, out=fsum)
+        fsum *= _WGK[:10]
         for j in range(10):
-            resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+            resasc += fsum[j]
         result = resk * hlgth
-        resabs = resabs * np.abs(hlgth)
-        resasc = resasc * np.abs(hlgth)
+        resabs *= np.abs(hlgth)
+        resasc *= np.abs(hlgth)
         abserr = np.abs((resk - resg) * hlgth)
         # dqk21 scales abserr by min(1, (200 abserr/resasc)^1.5); the clip
         # first gives the same value and keeps pow from overflowing
@@ -463,28 +475,40 @@ def _gk21_shells(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
                           np.maximum((_EPMACH * 50.0) * resabs, abserr), abserr)
         # dqagse's first-step exit with ier = 0; its roundoff exit (ier = 2)
         # needs abserr above the bound and never meets this test.  A settled
-        # row's abserr also passes shell_integral's 1e-10 check.
+        # entry's abserr also passes shell_integral's 1e-10 check.
         bound = _EPSREL * np.abs(result)
         settled = ((abserr <= bound) & (abserr != resasc)) | (abserr == 0.0)
-        settled &= np.isfinite(result) & (0.0 < r) & (r < R)
+        settled &= np.isfinite(result) & valid
         # shell_integral's front * value
         return np.where(settled, n * 2.0 ** n * result, np.nan)
 
 
-def _shell_rows(alpha: np.ndarray, beta: np.ndarray, power: np.ndarray,
-                r: np.ndarray, R: np.ndarray, n: int) -> np.ndarray:
-    """shell_integral(GradientPower(alpha_i, beta_i, power_i), r_i, R_i, n)
-    of every row, bit for bit and error for error.
+def _shell_table(alpha: np.ndarray, beta: np.ndarray, r: np.ndarray, R: np.ndarray,
+                 n: int, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Per array of powers in ``blocks``, the (m, K) table of
+    shell_integral(GradientPower(alpha_k, beta_k, power_i), r_k, R_k, n),
+    bit for bit and error for error.
 
-    The rows the first rule does not settle go to shell_integral in row
-    order, so the error raised is the one a loop over the rows raises.
+    The nodes are built once for all blocks.  The entries the first rule
+    does not settle go to shell_integral in power-major order, so the
+    error raised is the one a loop over the powers, then the depths, raises.
     """
-    shells = _gk21_shells(alpha, beta, power, r, R, n)
-    for i in np.flatnonzero(np.isnan(shells)).tolist():
-        shells[i] = shell_integral(
-            GradientPower(float(alpha[i]), float(beta[i]), float(power[i])),
-            float(r[i]), float(R[i]), n)
-    return shells
+    with np.errstate(all="ignore"):
+        centr = 0.5 * (r + R)
+        hlgth = 0.5 * (R - r)
+        absc = _XGK[:, None] * hlgth
+        t = np.concatenate((centr[None], centr - absc, centr + absc))  # (21, K)
+        base = alpha + beta / t
+        # pow(t, 1.0) is t exactly
+        weight = t if n == 2 else libm_pow(t, float(n - 1))
+    valid = (0.0 < r) & (r < R)
+    for powers in blocks:
+        shells = _gk21_table(base, weight, hlgth, valid, powers, n)
+        for i, k in np.argwhere(np.isnan(shells)).tolist():
+            shells[i, k] = shell_integral(
+                GradientPower(float(alpha[k]), float(beta[k]), float(powers[i])),
+                float(r[k]), float(R[k]), n)
+        yield shells
 
 
 def shell_integral_mc(phi, r: float, R: float, n: int, samples: int,
@@ -535,9 +559,11 @@ def default_eps_grid(n: int, count: int) -> tuple[float, ...]:
     return tuple(float(e) for e in np.geomspace(1e-4, n - 1.0, count))
 
 
-# annulus rows integrated together; bounds the arrays and node lists held
-# at once (1,024 rows raised a norms pass's peak memory by about 2.5 MiB)
-_TABLE_ROWS = 256
+# annulus entries (powers times depths) in one block of the norm table: 8
+# powers at K = 40, whose (21, 8, 40) node values, sums and numpy's
+# broadcast buffer for the powers peak at 186 KiB (tracemalloc), under the
+# 200 KiB of the earlier per-row layout at 256 rows; 512 entries took 245 KiB
+_TABLE_ROWS = 320
 
 
 def _annulus_table(pack: SequencePack, powers: Sequence[float]) -> Iterator[np.ndarray]:
@@ -554,16 +580,14 @@ def _annulus_table(pack: SequencePack, powers: Sequence[float]) -> Iterator[np.n
     r, R = np.array(pack.r[1:]), np.array(pack.r[:-1]) / 2.0
     k = (sys.float_info.max_exp - 1) // n + 1  # first depth whose 2^(nk) is no float
     if powers and k <= K:
-        _shell_rows(alpha[:k], beta[:k], np.full(k, float(powers[0])), r[:k], R[:k], n)
+        first = np.array(powers[:1], dtype=float)
+        next(_shell_table(alpha[:k], beta[:k], r[:k], R[:k], n, [first]))
         raise GaugeRangeError(f"annulus count 2^({n}*{k}) overflows binary64 at depth {k}")
     counts = np.ldexp(1.0, n * np.arange(1, K + 1))  # 2^(nk) annuli at depth k
     step = max(1, _TABLE_ROWS // K)
-    for lo in range(0, len(powers), step):
-        block = np.array(powers[lo:lo + step], dtype=float)
-        m = len(block)
-        shells = _shell_rows(np.tile(alpha, m), np.tile(beta, m), np.repeat(block, K),
-                             np.tile(r, m), np.tile(R, m), n)
-        yield shells.reshape(m, K) * counts
+    blocks = (np.array(powers[lo:lo + step], dtype=float) for lo in range(0, len(powers), step))
+    for shells in _shell_table(alpha, beta, r, R, n, blocks):
+        yield shells * counts
 
 
 def _core_term(pack: SequencePack, power: float) -> float:

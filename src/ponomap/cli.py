@@ -120,8 +120,12 @@ def parse_eps_grid(text: str, n: int) -> tuple[float, ...]:
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError as exc:
         raise ConfigError(f"bad eps grid {text!r}; expected 'lo:hi:count'") from exc
-    if not (0.0 < lo <= hi <= n - 1.0) or count < 1:
-        raise ConfigError(f"eps grid {text!r} outside (0, n-1]")
+    if count < 1:
+        raise ConfigError(f"eps grid {text!r} has count {count}; need at least 1")
+    if lo > hi:
+        raise ConfigError(f"eps grid {text!r} has lo {lo!r} above hi {hi!r}")
+    if not 0.0 < lo <= hi <= n - 1.0:
+        raise ConfigError(f"eps grid {text!r} outside (0, {n - 1}] at n = {n}")
     if count == 1:
         return (hi,)
     return tuple(float(e) for e in np.geomspace(lo, hi, count))

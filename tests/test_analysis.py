@@ -613,8 +613,9 @@ def test_norm_table_matches_quadrature_loop(monkeypatch):
 
 @pytest.mark.parametrize("K", [300, 511])
 def test_norm_table_matches_quadrature_loop_deep(K):
-    # at K = 300 a block holds one power (_TABLE_ROWS // K = 0); K = 511 is
-    # the deepest n = 2 pack whose annulus count 2^(2K) is a float
+    # a block holds one power at both depths, at K = 511 by the floor of
+    # one (_TABLE_ROWS // K = 0); K = 511 is the deepest n = 2 pack whose
+    # annulus count 2^(2K) is a float
     pack = SequencePack.from_standard(2, finite_measure_sequence(
         TauSpec.from_dict({"family": "log", "shift": math.e}), 2, K))
     eps = (1e-3, 1.0)
@@ -623,31 +624,54 @@ def test_norm_table_matches_quadrature_loop_deep(K):
     assert repr(sobolev_depth_profile(m, 2.0)) == repr(reference_depth_profile(pack, 2.0))
 
 
-def scalar_outcome(alpha, beta, power, r, R, n):
-    try:
-        return repr(shell_integral(GradientPower(alpha, beta, power), r, R, n))
-    except Exception as exc:  # the outcome compared is the error itself
-        return (type(exc), exc.args)
+def test_norm_table_is_the_same_for_any_block_size(monkeypatch):
+    eps = tuple(float(e) for e in np.geomspace(1e-6, 1.0, 24))
+    for name, pack in workload_packs().items():
+        m = build(pack)
+        want = repr((grand_norm_report(m, eps), sobolev_depth_profile(m, float(pack.n))))
+        # one power per block, then every power in one block
+        for rows in (pack.K, len(eps) * pack.K):
+            monkeypatch.setattr(analysis, "_TABLE_ROWS", rows)
+            got = repr((grand_norm_report(m, eps), sobolev_depth_profile(m, float(pack.n))))
+            assert got == want, (name, rows)
 
 
-def table_outcomes(rows, n):
-    columns = [np.array(c, dtype=float) for c in zip(*rows)]
-    settled = analysis._gk21_shells(*columns, n).tolist()
-    try:
-        every = [repr(v) for v in analysis._shell_rows(*columns, n).tolist()]
-    except Exception as exc:
-        every = (type(exc), exc.args)
-    return settled, every
+def scalar_table(depths, powers, n):
+    """The loop the table stands for: shell_integral per (power, depth) in
+    power-major order, each by repr, or the first error that loop raises."""
+    out = []
+    for power in powers:
+        for alpha, beta, r, R in depths:
+            try:
+                out.append(repr(shell_integral(GradientPower(alpha, beta, power), r, R, n)))
+            except Exception as exc:  # the outcome compared is the error itself
+                return (type(exc), exc.args)
+    return out
 
 
-def assert_table_matches_scalar(rows, n):
-    settled, every = table_outcomes(rows, n)
-    expected = [scalar_outcome(*row, n) for row in rows]
-    for value, want in zip(settled, expected):
-        assert math.isnan(value) or repr(value) == want
-    errors = [e for e in expected if isinstance(e, tuple)]
-    assert every == (errors[0] if errors else expected)
-    return settled
+def shell_table(depths, powers, n):
+    """``_shell_table`` of one block: depths (alpha, beta, r, R) by powers."""
+    columns = [np.array(c, dtype=float) for c in zip(*depths)]
+    (table,) = analysis._shell_table(*columns, n, [np.array(powers, dtype=float)])
+    return table
+
+
+def block_table(depths, powers, n):
+    """``shell_table``'s every entry by repr, or the error it raises, and
+    the (power, depth) entries it sent to shell_integral."""
+    sent = []
+
+    def counted(phi, r, R, n):
+        sent.append((powers.index(phi.power), [d[2:] for d in depths].index((r, R))))
+        return shell_integral(phi, r, R, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "shell_integral", counted)
+        try:
+            got = [repr(v) for v in shell_table(depths, powers, n).ravel().tolist()]
+        except Exception as exc:
+            got = (type(exc), exc.args)
+    return got, sent
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -655,29 +679,46 @@ def assert_table_matches_scalar(rows, n):
 @given(data=st.data())
 def test_block_kernel_matches_shell_integral_property(n, data):
     unit = st.floats(0.0, float(n), exclude_min=True)
-    row = st.tuples(unit, unit, unit, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                    st.floats(0.0, 1.0, exclude_min=True))
-    drawn = data.draw(st.lists(row, min_size=1, max_size=6))
-    rows = [(alpha, beta, power, frac * R, R) for alpha, beta, power, frac, R in drawn]
-    assume(all(0.0 < r < R for *_, r, R in rows))
-    assert_table_matches_scalar(rows, n)
+    depth = st.tuples(unit, unit, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      st.floats(0.0, 1.0, exclude_min=True))
+    drawn = data.draw(st.lists(depth, min_size=1, max_size=4))
+    depths = [(alpha, beta, frac * R, R) for alpha, beta, frac, R in drawn]
+    assume(all(0.0 < r < R for *_, r, R in depths))
+    assume(len({d[2:] for d in depths}) == len(depths))
+    powers = data.draw(st.lists(unit, min_size=1, max_size=4, unique=True))
+    got, sent = block_table(depths, powers, n)
+    assert got == scalar_table(depths, powers, n)
+    # the quadrature is reached in power-major order
+    assert sent == sorted(sent)
 
 
 def test_block_kernel_raises_as_the_scalar_path():
-    good = (0.5, 0.25, 1.9, 0.3, 0.5)
-    subdivisions = (0.5, 0.25, 2.0, 1e-100, 0.5)
-    overflow = (0.5, 1e200, 2.0, 1e-100, 0.5)
-    # the subdivision row leaves the block and stops quad after 200 intervals
-    settled = assert_table_matches_scalar([good, subdivisions, good], 2)
-    assert not math.isnan(settled[0]) and math.isnan(settled[1])
+    good = (0.5, 0.25, 0.3, 0.5)
+    subdivisions = (0.5, 0.25, 1e-100, 0.5)
+    # the power-2.0 entry of the subdivision depth leaves the block and
+    # stops quad after 200 intervals; the good depth settles at both powers
+    got, sent = block_table([good, subdivisions], [1.9, 2.0], 2)
+    assert got == scalar_table([good, subdivisions], [1.9, 2.0], 2)
+    assert (0, 0) not in sent and (1, 0) not in sent and sent[-1] == (1, 1)
     with pytest.raises(ToleranceError, match="maximum number of subdivisions"):
-        analysis._shell_rows(*[np.array(c) for c in zip(good, subdivisions)], 2)
-    # math.pow overflows inside the block, so every row goes to quad, whose
-    # integrand raises on the overflow row with float ** 's own message
-    assert all(map(math.isnan, assert_table_matches_scalar([good, overflow], 2)))
+        shell_table([good, subdivisions], [1.9, 2.0], 2)
+    # math.pow overflows inside the block, so every entry goes to quad, whose
+    # integrand raises on the overflow entry with float ** 's own message
+    overflow = (0.5, 1e200, 1e-100, 0.5)
+    got, sent = block_table([good, overflow], [1.9, 2.0], 2)
+    assert got == scalar_table([good, overflow], [1.9, 2.0], 2)
+    # the good entry too, up to the first entry that raises
+    assert sent == [(0, 0), (0, 1)]
     with pytest.raises(OverflowError) as exc:
-        analysis._shell_rows(*[np.array(c) for c in zip(good, overflow)], 2)
+        shell_table([good, overflow], [1.9, 2.0], 2)
     assert exc.value.args == (34, "Numerical result out of range")
+    # two failing entries: power-major order meets the power-1.0 entry of
+    # the reversed depth (0 < r < R fails) before the overflow of the
+    # power-2.0 entry, which a depth-major order would meet first
+    reversed_depth = (0.5, 0.25, 0.5, 0.3)
+    got, _ = block_table([overflow, reversed_depth], [1.0, 2.0], 2)
+    assert got == scalar_table([overflow, reversed_depth], [1.0, 2.0], 2)
+    assert got == (ValueError, ("need 0 < r < R",))
 
 
 # ---------------------------------------------------------------------------

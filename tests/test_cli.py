@@ -493,6 +493,19 @@ def test_verify_passes_past_one_ulp_truncation(config_path, tmp_path):
     assert core["observed"] > 0.0
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("1e-6:1:0", "eps grid '1e-6:1:0' has count 0; need at least 1"),
+    ("1:1e-6:5", "eps grid '1:1e-6:5' has lo 1.0 above hi 1e-06"),
+    ("1e-6:2:5", "eps grid '1e-6:2:5' outside (0, 1] at n = 2"),
+    ("0:1:5", "eps grid '0:1:5' outside (0, 1] at n = 2"),
+])
+def test_eps_grid_errors_say_what_is_wrong(tmp_path, capsys, grid, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eps_grid": grid}))
+    assert main(["norms", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_config_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["sequence", "--config", str(missing),
