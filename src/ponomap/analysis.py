@@ -218,7 +218,10 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
     while groups:
         start, ball, index, z = groups.pop()
         for d in range(start, level + 1):
-            if len(ball) * fan > _PAIR_BUDGET and len(live := np.unique(ball)) > 1:
+            if len(ball) * fan > _PAIR_BUDGET and ball[0] != ball[-1]:
+                # the group's balls are the heads of its runs; np.unique
+                # takes 60 MiB more at the 2^20-ball cap
+                live = ball[np.flatnonzero(np.diff(ball, prepend=-1))]
                 for part in np.array_split(live, 2):
                     sel = slice(*np.searchsorted(ball, [part[0], part[-1] + 1]))
                     groups.append((d, ball[sel], index[sel], z[sel]))

@@ -380,6 +380,36 @@ def test_eval_blocks_match_per_row_loop(tmp_path, monkeypatch, block):
     assert eval_rows_of(got) == per_row_eval_rows(tmp_path / "pts.csv", 2)
 
 
+def signed_boundary_coord(rng: random.Random) -> float:
+    """A face value +-1.0 with probability 0.25, a signed zero with
+    probability 0.10, else uniform in (-1, 1)."""
+    k = rng.random()
+    if k < 0.25:
+        return rng.choice((-1.0, 1.0))
+    if k < 0.35:
+        return rng.choice((-0.0, 0.0))
+    return rng.uniform(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eval_reuses_x_text_only_for_equal_bits(tmp_path, monkeypatch, n):
+    # boundary rows, where y and back equal x bit for bit and reuse its
+    # text, and signed zeros, where a y or back of 0.0 equals an x of -0.0
+    # by == but not by bits and needs its own text; blocks of 64 rows
+    monkeypatch.setattr(cli, "_EVAL_BLOCK", 64)
+    rng = random.Random(5)
+    text = "".join(",".join(repr(signed_boundary_coord(rng)) for _ in range(n)) + "\n"
+                   for _ in range(300))
+    got = eval_rows_of(eval_csv_bytes(tmp_path, n, text))
+    assert got == per_row_eval_rows(tmp_path / "pts.csv", n)
+    rows = list(csv.reader(io.StringIO(got)))
+    # both cases occur for y and for back
+    for side in (1, 2):
+        pairs = [(row[j], row[side * n + j]) for row in rows for j in range(n)]
+        assert ("-0.0", "0.0") in pairs
+        assert sum(a == b and abs(float(a)) == 1.0 for a, b in pairs) > 50
+
+
 def test_read_points_splits_lines_as_splitlines(tmp_path):
     # the file is read one line at a time, and each line is split again
     # where str.splitlines of the whole text splits it

@@ -18,6 +18,7 @@ from ponomap.render import (
     grid_distortion,
     jacobian_field,
     pixel_grid,
+    write_grid_csv,
     write_pgm,
     write_ppm,
 )
@@ -111,6 +112,32 @@ def test_jacobian_field_matches_per_pixel_loop(pack):
     assert np.array_equal(displacement_field(grid), disp)
     assert np.array_equal(jacobian_field(grid), jac, equal_nan=True)
     assert np.array_equal(grid_distortion(m, res), lines)
+
+
+def per_pixel_grid_csv(grid, comments) -> str:
+    """render_grid.csv as the per-pixel writer wrote it: every field of
+    every pixel formatted on its own."""
+    xs, ys = iter(grid.x.ravel().tolist()), iter(grid.y.ravel().tolist())
+    return "".join([f"# {c}\n" for c in comments] + ["x1,x2,y1,y2,depth,region\n"] + [
+        f"{x1!r},{x2!r},{y1!r},{y2!r},{depth},{'core' if core else 'annulus'}\n"
+        for x1, x2, y1, y2, depth, core in zip(
+            xs, xs, ys, ys, grid.depth.ravel().tolist(), grid.core.ravel().tolist())])
+
+
+@pytest.mark.parametrize("res", [2, 3, 4, 17])
+def test_grid_csv_matches_per_pixel_writer(tmp_path, res):
+    # the writer formats each axis value once, read from the first row and
+    # column of grid.x, so every pixel's source point must be the product
+    # (axis[c], -axis[r]) bit for bit; an odd S has the -0.0 centre row
+    grid = eval_grid(build(log_pack(2, 40)), res)
+    axis = np.array(pixel_grid(res))
+    product = np.stack(np.broadcast_arrays(axis[None, :], -axis[:, None]), axis=-1)
+    assert np.array_equal(grid.x.view(np.int64), product.view(np.int64))
+    path = tmp_path / "render_grid.csv"
+    write_grid_csv(path, grid, ["config_digest=abc", "seed=1"])
+    text = path.read_text()
+    assert text == per_pixel_grid_csv(grid, ["config_digest=abc", "seed=1"])
+    assert (",-0.0," in text) == (res % 2 == 1)
 
 
 def test_grid_distortion_deterministic_and_binary():
