@@ -42,7 +42,7 @@ from .gauge import (
 )
 from .mapping import PonomarevMap, build
 from .analysis import (
-    Ball,
+    Cover,
     CoverReport,
     GradientPower,
     LowerProbeReport,
@@ -62,8 +62,8 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball",
     "ConstructionError",
+    "Cover",
     "CoverReport",
     "CoverageError",
     "DepthError",

@@ -36,7 +36,8 @@ from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .cantor import (
+# center is not called here; perfbench/tracer.py counts its calls at this name
+from .cantor import (  # noqa: F401
     WORD_CAP,
     SequencePack,
     all_words,
@@ -82,13 +83,16 @@ class CoverReport:
 
 
 @dataclass(frozen=True)
-class Ball:
-    """Closed Euclidean ball anchored at the center of an addressed cube;
-    ``word`` is that cube's ``word_text``."""
+class Cover:
+    """Closed Euclidean balls, one row each: ball j has centre ``centers[j]``
+    (an (N, n) array) and radius ``radius[j]``, and is named by the
+    ``word_text`` of the depth-``depth`` word ``words[j]`` (int64, or Python
+    integers where the words pass 62 bits)."""
 
-    word: str
-    radius: float
-    center: tuple[float, ...]
+    words: np.ndarray
+    depth: int
+    centers: np.ndarray
+    radius: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -171,14 +175,23 @@ _TIE_REL = 1e-13
 
 
 def _decide(value: np.ndarray, limit: np.ndarray, scalar) -> np.ndarray:
-    """value <= limit per pair; near-ties are decided by ``scalar(i)``."""
-    out = value <= limit
+    """value <= limit per pair, flat; near-ties are decided by ``scalar(i)``."""
+    out = (value <= limit).ravel()
     for i in np.flatnonzero(np.abs(value - limit) <= _TIE_REL * limit):
         out[i] = scalar(int(i))
     return out
 
 
-def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
+def _vertex_sums(terms: np.ndarray) -> np.ndarray:
+    """(n, 2, P) coordinate terms summed left to right into (2^n, P) sums, a
+    row per vertex; a vertex takes term 1 where its sign is +1, else term 0."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = (acc[:, None] + t).reshape(2 * len(acc), -1)
+    return acc
+
+
+def _probe_walk(pack: SequencePack, cover: Cover, level: int):
     """Walk all (ball, cube) pairs down to depth ``level``, depth by depth.
 
     A cube is entered when it intersects the ball and its parent was
@@ -187,34 +200,37 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
     and the number of depth-``level`` cubes contained, plus one coverage
     flag per depth-``level`` cube.
 
+    Each coordinate of a pair's 2^n children takes one of two values, so
+    ``_vertex_sums`` builds the children's distances from (n, 2, P) terms,
+    coordinates along the first axis.  ``np.take`` and ``np.compress``
+    gather rows of n floats about 3x faster than indexing does.
+
     The walk starts from one group holding the whole cover.  Each ball's
     walk reads only its own pairs, so when a depth's expansion would pass
     _PAIR_BUDGET pairs, the group's balls split into two groups that each
     walk on from that depth with all of their own pairs, and every result
     is unchanged; a single ball is never split.  A ``hausdorff`` run at
-    n = 3, level 5 (512 balls) peaks at about 40 MiB with 2^13 pairs (67
-    MiB with 2^18), and one at n = 6, level 3 at about 110 MiB (2.4 GB
+    n = 3, level 5 (512 balls) peaks at about 40 MiB with 2^13 pairs (54
+    MiB with 2^18), and one at n = 6, level 3 at about 65 MiB (2.4 GB
     with no bound).
 
-    The distances sum their squares left to right (``fold_columns``); any
-    order moves them a few ulps, far inside the ``_TIE_REL`` band that
-    ``_decide`` decides again by ``math.fsum``, so no decision changes.
+    The distances sum their squares left to right; any order moves them a
+    few ulps, far inside the ``_TIE_REL`` band that ``_decide`` decides
+    again by ``math.fsum``, so no decision changes.
     """
     n = pack.n
     fan = 2 ** n
     verts = vertices(n)
-    first = np.zeros(len(cover), dtype=np.int64)
-    count = np.zeros(len(cover), dtype=np.int64)
-    inner = np.zeros(len(cover), dtype=np.int64)
+    # coordinate-major: row c holds coordinate c of every ball
+    centers, radius = np.ascontiguousarray(cover.centers.T), cover.radius
+    first, count, inner = np.zeros((3, len(radius)), dtype=np.int64)
     covered = np.zeros(2 ** (n * level), dtype=bool)
-    centers = np.array([b.center for b in cover], dtype=float).reshape(-1, n)
-    radius = np.array([b.radius for b in cover], dtype=float)
     slack = radius * _IN_BALL_SLACK
     # groups of balls still to walk: the next depth, each pair's ball
     # (sorted, since no step reorders pairs: a ball's pairs are one run),
     # the index of its cube at the depth before and that cube's centre
-    groups = [(1, np.arange(len(cover)), np.zeros(len(cover), dtype=np.int64),
-               np.zeros((len(cover), n)))]
+    groups = [(1, np.arange(len(radius)), np.zeros(len(radius), dtype=np.int64),
+               np.zeros((len(radius), n)))]
     while groups:
         start, ball, index, z = groups.pop()
         for d in range(start, level + 1):
@@ -226,28 +242,34 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
                     sel = slice(*np.searchsorted(ball, [part[0], part[-1] + 1]))
                     groups.append((d, ball[sel], index[sel], z[sel]))
                 break
-            r = pack.r[d]
-            z = (z[:, None, :] + (0.5 * pack.r[d - 1]) * verts).reshape(-1, n)
-            ball = np.repeat(ball, fan)
-            index = (index[:, None] * fan + np.arange(fan)).ravel()
-            diff = np.abs(centers[ball] - z)
-            gap = np.maximum(diff - r, 0.0)
-            hit = _decide(np.sqrt(fold_columns(np.add, gap * gap)), radius[ball],
-                          lambda i: _dist_to_cube(cover[ball[i]].center, z[i].tolist(), r)
-                          <= cover[ball[i]].radius)
-            ball, index, z, diff = ball[hit], index[hit], z[hit], diff[hit]
-            far = diff + r
-            inside = _decide(np.sqrt(fold_columns(np.add, far * far)), slack[ball],
-                             lambda i: _cube_in_ball(cover[ball[i]].center, z[i].tolist(),
-                                                     r, cover[ball[i]].radius))
+            r, half, pairs = pack.r[d], 0.5 * pack.r[d - 1], len(ball)
+            # child v's centre is z + half * verts[v]; only the kept are built
+            diff = np.abs(np.take(centers, ball, axis=1)[:, None]
+                          - (z.T[:, None] + [[-half], [half]]))
+            gap, far = np.maximum(diff - r, 0.0), diff + r
+            hit = _decide(np.sqrt(_vertex_sums(gap * gap)), radius[ball], lambda i: (
+                _dist_to_cube(centers[:, ball[i % pairs]].tolist(),
+                              (z[i % pairs] + half * verts[i // pairs]).tolist(), r)
+                <= radius[ball[i % pairs]]))
+            # the kept children in pair order, each pair's in vertex order
+            kept = np.flatnonzero(hit.reshape(fan, pairs).T)
+            parent, vert = kept >> n, kept & fan - 1
+            ball, index = ball[parent], index[parent] * fan + vert
+            z = np.take(z, parent, axis=0) + np.take(half * verts, vert, axis=0)
+            corner = np.take(_vertex_sums(far * far), vert * pairs + parent)
+            inside = _decide(np.sqrt(corner), slack[ball], lambda i: _cube_in_ball(
+                centers[:, ball[i]].tolist(), z[i].tolist(), r, radius[ball[i]]))
+            # the tally reads each ball's run of pairs: its head and length
             span = descendant_count(d, level, n)
-            owners, held = np.unique(ball[inside], return_counts=True)
+            heads = np.flatnonzero(np.diff(ball, prepend=-1))
+            owners, held = ball[heads], np.add.reduceat(inside, heads, dtype=np.int64)
             inner[owners] += held * span
-            new = owners[first[owners] == 0]
-            first[new] = d
-            count[new] = np.searchsorted(ball, new, "right") - np.searchsorted(ball, new)
+            new = (held > 0) & (first[owners] == 0)
+            first[owners[new]] = d
+            count[owners[new]] = np.diff(heads, append=len(ball))[new]
             covered.reshape(-1, span)[index[inside]] = True
-            ball, index, z = ball[~inside], index[~inside], z[~inside]
+            out = ~inside
+            ball, index, z = ball[out], index[out], np.compress(out, z, axis=0)
             if not len(ball):
                 break
     return first, count, inner, covered
@@ -257,22 +279,28 @@ def _probe_walk(pack: SequencePack, cover: Sequence[Ball], level: int):
 ANCHOR_DEPTH = 3
 
 
-def canonical_cover(pack: SequencePack, m: int) -> list[Ball]:
-    """Balls circumscribing every depth-m cube."""
+def canonical_cover(pack: SequencePack, m: int) -> Cover:
+    """Balls circumscribing every depth-m cube, in word order.  The centres
+    are built level by level, adding the levels in the order ``center``
+    adds them, so each equals ``center(word, m, pack)`` bit for bit."""
     if not 1 <= m <= pack.K:
         raise DepthError(f"depth {m} outside 1..{pack.K}")
-    rho = math.sqrt(pack.n) * pack.r[m]
-    return [Ball(word=word_text(word, pack.n, m), radius=rho, center=center(word, m, pack))
-            for word in all_words(pack.n, m).tolist()]
+    n, words = pack.n, all_words(pack.n, m)
+    z = np.zeros((1, n))
+    for d in range(m):
+        z = (z[:, None, :] + (0.5 * pack.r[d]) * vertices(n)).reshape(-1, n)
+    return Cover(words, m, z, np.full(len(words), math.sqrt(n) * pack.r[m]))
 
 
-def random_cover(pack: SequencePack, m: int, rng: np.random.Generator) -> list[Ball]:
+def random_cover(pack: SequencePack, m: int, rng: np.random.Generator) -> Cover:
     """One ball per depth-m cube, anchored at the center of a random cube
     ANCHOR_DEPTH levels deeper.
 
     The radius is the smallest that still contains the depth-m cube, so the
     cover always covers, while staying within twice the circumscribed
     radius; that keeps the per-ball neighbor counts inside the 4^n bound.
+    The ANCHOR_DEPTH vertex draws of each ball, ball after ball, are one
+    ``rng.integers`` call, which draws what a call per vertex draws.
     """
     if not 1 <= m <= pack.K:
         raise DepthError(f"depth {m} outside 1..{pack.K}")
@@ -280,21 +308,23 @@ def random_cover(pack: SequencePack, m: int, rng: np.random.Generator) -> list[B
         raise DepthError(f"anchors {ANCHOR_DEPTH} levels below depth {m} pass the pack "
                          f"depth {pack.K}")
     n = pack.n
-    sqrt_n = math.sqrt(n)
-    out = []
-    for word in all_words(n, m).tolist():
-        anchor = word
-        for _ in range(ANCHOR_DEPTH):
-            anchor = anchor << n | int(rng.integers(2 ** n))
-        c = center(anchor, m + ANCHOR_DEPTH, pack)
-        zu = center(word, m, pack)
-        dist = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(c, zu)))
-        out.append(Ball(word=word_text(anchor, n, m + ANCHOR_DEPTH),
-                        radius=dist + sqrt_n * pack.r[m], center=c))
-    return out
+    canon = canonical_cover(pack, m)
+    draws = rng.integers(2 ** n, size=(len(canon.words), ANCHOR_DEPTH))
+    # anchor words past 62 bits (n >= 16) are built as Python integers
+    words = canon.words.astype(object) if n * (m + ANCHOR_DEPTH) > 62 else canon.words
+    c, verts = canon.centers, vertices(n)
+    for j, v in enumerate(draws.T):
+        words, c = words << n | v, c + (0.5 * pack.r[m + j]) * verts[v]
+    # each distance is math.fsum of its (a - b) ** 2 terms, squared by libm
+    # pow as Python's ** squares; they become Python floats 4,096 balls at a time
+    sq = libm_pow(c - canon.centers, 2.0)
+    sums = (math.fsum(t) for lo in range(0, len(sq), 4096)
+            for t in zip(*sq[lo:lo + 4096].T.tolist()))
+    dist = np.sqrt(np.fromiter(sums, float, len(sq)))
+    return Cover(words, m + ANCHOR_DEPTH, c, dist + math.sqrt(n) * pack.r[m])
 
 
-def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Sequence[Ball],
+def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Cover,
                           level: int) -> LowerProbeReport:
     """Certify a ball cover against the depth-``level`` cube cover.
 
@@ -316,22 +346,24 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Sequence[Ball
         raise DepthError(f"{cubes} depth-{level} cubes exceed the probe cap {WORD_CAP}")
     reference = upper_sum_at_scale(h, level, pack.a[level])
     first, count, inner, covered = _probe_walk(pack, cover, level)
+    total_cubes = covered.size
+    missed = total_cubes - int(np.count_nonzero(covered))
+    if missed:
+        raise CoverageError(f"cover misses {missed} of {total_cubes} depth-{level} cubes")
+    radius = cover.radius.tolist()
     stats = tuple(
         BallProbe(
-            word=ball.word,
-            radius=ball.radius,
+            word=word_text(word, pack.n, cover.depth),
+            radius=rho,
             min_contained_depth=d or None,
             intersecting_count=u,
             contained_count=c,
             dominated_sum=c * reference.per_cube,
         )
-        for ball, d, u, c in zip(cover, first.tolist(), count.tolist(), inner.tolist())
+        for word, rho, d, u, c in zip(cover.words.tolist(), radius, first.tolist(),
+                                      count.tolist(), inner.tolist())
     )
-    total_cubes = covered.size
-    missed = total_cubes - int(np.count_nonzero(covered))
-    if missed:
-        raise CoverageError(f"cover misses {missed} of {total_cubes} depth-{level} cubes")
-    cover_sum = math.fsum(eval_h(h, 2.0 * b.radius) for b in cover)
+    cover_sum = math.fsum(eval_h(h, 2.0 * rho) for rho in radius)
     return LowerProbeReport(
         level=level,
         cover_sum=cover_sum,

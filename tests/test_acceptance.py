@@ -295,10 +295,10 @@ def test_acceptance_08_lower_bound_probe():
             for d in range(1, 8)
         }
 
-        def brute_intersecting(ball, depth):
+        def brute_intersecting(c, rho, depth):
             zs = centers_by_depth[depth]
-            gap = np.maximum(np.abs(np.asarray(ball.center) - zs) - pack.r[depth], 0.0)
-            return int(np.count_nonzero(np.sqrt((gap ** 2).sum(axis=1)) <= ball.radius))
+            gap = np.maximum(np.abs(c - zs) - pack.r[depth], 0.0)
+            return int(np.count_nonzero(np.sqrt((gap ** 2).sum(axis=1)) <= rho))
 
         ratios = []
         for m in range(1, 7):
@@ -307,9 +307,9 @@ def test_acceptance_08_lower_bound_probe():
             rep = hausdorff_lower_probe(gauge, pack, cover, level)
             ratios.append(rep.ratio)
             worst_u = max(worst_u, rep.max_intersecting)
-            for ball, probe in zip(cover, rep.balls):
+            for c, rho, probe in zip(cover.centers, cover.radius, rep.balls):
                 assert probe.intersecting_count == brute_intersecting(
-                    ball, probe.min_contained_depth)
+                    c, rho, probe.min_contained_depth)
                 assert probe.intersecting_count <= 4 ** 2
 
         rng = np.random.default_rng(SEED + 8)
@@ -320,9 +320,9 @@ def test_acceptance_08_lower_bound_probe():
             worst_u = max(worst_u, rep.max_intersecting)
             assert rep.max_intersecting <= 4 ** 2
             if trial % 25 == 0:
-                for ball, probe in zip(cover, rep.balls):
+                for c, rho, probe in zip(cover.centers, cover.radius, rep.balls):
                     assert probe.intersecting_count == brute_intersecting(
-                        ball, probe.min_contained_depth)
+                        c, rho, probe.min_contained_depth)
 
         c_probe = min(ratios)
         assert c_probe > 0.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ponomap import (
-    Ball,
+    Cover,
     CoverageError,
     DepthError,
     GaugeSpec,
@@ -48,6 +48,8 @@ from ponomap.cli import json_data
 from ponomap.errors import ToleranceError
 from reference_packs import pack_from_scales
 from reference_norms import reference_depth_profile, reference_grand_norm_values
+from reference_covers import (cover_rows, join_covers, make_cover, reference_canonical_cover,
+                              reference_random_cover)
 import reference_words
 
 LOG_TAU = TauSpec(family="iterated_log", iterations=1, exponent=1.0, shift=math.e)
@@ -133,12 +135,47 @@ def test_upper_sum_finite_measure_band():
 # lower-bound probe
 
 
+def _same_cover(got, want):
+    assert got.depth == want.depth
+    assert got.words.dtype == np.int64 and np.array_equal(got.words, want.words)
+    for a, b in ((got.centers, want.centers), (got.radius, want.radius)):
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_canonical_cover_matches_per_word_reference(n):
+    pack = SequencePack.from_standard(n, finite_measure_sequence(LOG_TAU, n, 12))
+    for m in (1, 2, 3):
+        _same_cover(canonical_cover(pack, m), reference_canonical_cover(pack, m))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_covers_match_per_word_reference(n):
+    # three covers drawn from one generator, the last two at one depth as
+    # cmd_hausdorff draws them, leave it where the per-vertex draws leave it
+    pack = SequencePack.from_standard(n, finite_measure_sequence(LOG_TAU, n, 12))
+    got, want = np.random.default_rng(n), np.random.default_rng(n)
+    for m in (1, 3, 3):
+        _same_cover(random_cover(pack, m, got), reference_random_cover(pack, m, want))
+    assert got.uniform() == want.uniform()
+
+
+def test_random_cover_words_past_62_bits_are_exact():
+    # at n = 16 an anchor word has 64 bits, past int64
+    pack = SequencePack.from_standard(16, harmonic_sequence(4))
+    cover = random_cover(pack, 1, np.random.default_rng(0))
+    draws = np.random.default_rng(0).integers(2 ** 16, size=(2 ** 16, 3)).tolist()
+    for j in (0, 1, 2 ** 15, 2 ** 16 - 1):
+        a, b, c = draws[j]
+        assert cover.words[j] == ((j << 16 | a) << 16 | b) << 16 | c
+    assert max(cover.words) >= 2 ** 63
+
+
 def test_lower_probe_trivial_cover():
     pack = log_pack()
     word = 2 ** 16 - 1  # ++ at all 8 levels
-    ball = Ball(word=word_text(word, 2, 8), radius=2.0 * math.sqrt(2),
-                center=center(word, 8, pack))
-    rep = hausdorff_lower_probe(LOG_GAUGE, pack, [ball], 4)
+    ball = make_cover(2, 8, [word], [center(word, 8, pack)], [2.0 * math.sqrt(2)])
+    rep = hausdorff_lower_probe(LOG_GAUGE, pack, ball, 4)
     assert rep.ratio >= 1.0
     assert rep.balls[0].min_contained_depth == 1
     assert rep.max_intersecting <= rep.counting_bound
@@ -180,16 +217,16 @@ def test_lower_probe_counts_match_brute_force():
     rng = np.random.default_rng(5)
     cover = random_cover(pack, 2, rng)
     rep = hausdorff_lower_probe(LOG_GAUGE, pack, cover, 4)
-    for ball, probe in zip(cover, rep.balls):
+    for c, rho, probe in zip(cover.centers.tolist(), cover.radius.tolist(), rep.balls):
         m = probe.min_contained_depth
         brute_intersect = sum(
             1 for w in all_words(2, m).tolist()
-            if _dist_to_cube(ball.center, center(w, m, pack), pack.r[m]) <= ball.radius
+            if _dist_to_cube(c, center(w, m, pack), pack.r[m]) <= rho
         )
         assert brute_intersect == probe.intersecting_count
         brute_contained = sum(
             1 for w in all_words(2, 4).tolist()
-            if _cube_in_ball(ball.center, center(w, 4, pack), pack.r[4], ball.radius)
+            if _cube_in_ball(c, center(w, 4, pack), pack.r[4], rho)
         )
         assert brute_contained == probe.contained_count
 
@@ -218,23 +255,22 @@ def test_lower_probe_refuses_levels_past_the_cap(monkeypatch):
     # the walk keeps one coverage flag per depth-level cube
     pack = log_pack()
     word = 2 ** 16 - 1
-    ball = Ball(word=word_text(word, 2, 8), radius=2.0 * math.sqrt(2),
-                center=center(word, 8, pack))
-    rep = hausdorff_lower_probe(LOG_GAUGE, pack, [ball], 10)  # 2^20 cubes, the cap
+    ball = make_cover(2, 8, [word], [center(word, 8, pack)], [2.0 * math.sqrt(2)])
+    rep = hausdorff_lower_probe(LOG_GAUGE, pack, ball, 10)  # 2^20 cubes, the cap
     assert rep.balls[0].contained_count == 2 ** 20
     monkeypatch.setattr(analysis, "_probe_walk", lambda *args: pytest.fail("walked"))
     with pytest.raises(DepthError, match="4194304 depth-11 cubes exceed the probe cap 1048576"):
-        hausdorff_lower_probe(LOG_GAUGE, pack, [ball], 11)
+        hausdorff_lower_probe(LOG_GAUGE, pack, ball, 11)
 
 
 def test_lower_probe_coverage_error():
     pack = log_pack()
     word = 0b11  # ++
-    small = Ball(word=word_text(word, 2, 1), radius=pack.r[1], center=center(word, 1, pack))
+    small = make_cover(2, 1, [word], [center(word, 1, pack)], [pack.r[1]])
     with pytest.raises(CoverageError):
-        hausdorff_lower_probe(LOG_GAUGE, pack, [small], 3)
+        hausdorff_lower_probe(LOG_GAUGE, pack, small, 3)
     with pytest.raises(CoverageError, match="misses 64 of 64 depth-3 cubes"):
-        hausdorff_lower_probe(LOG_GAUGE, pack, [], 3)
+        hausdorff_lower_probe(LOG_GAUGE, pack, make_cover(2, 1, [], [], []), 3)
 
 
 # scalar reference walk for the probe: every ball walked from the root by a
@@ -247,28 +283,29 @@ def _ref_children(pack, zc, depth):
         yield tuple(zc[i] + half * v[i] for i in range(pack.n))
 
 
-def _ref_frontiers(pack, ball, max_depth):
-    """Per-depth lists of the centers of cubes intersecting the ball."""
+def _ref_frontiers(pack, c, rho, max_depth):
+    """Per-depth lists of the centers of cubes intersecting the ball (c, rho)."""
     frontier = [(0.0,) * pack.n]
     for d in range(1, max_depth + 1):
         frontier = [child for zc in frontier for child in _ref_children(pack, zc, d)
-                    if _dist_to_cube(ball.center, child, pack.r[d]) <= ball.radius]
+                    if _dist_to_cube(c, child, pack.r[d]) <= rho]
         yield d, frontier
 
 
-def _ref_contained_blocks(pack, ball, level):
-    """Index blocks [start, stop) of depth-``level`` cubes inside the ball."""
+def _ref_contained_blocks(pack, c, rho, level):
+    """Index blocks [start, stop) of depth-``level`` cubes inside the ball
+    (c, rho)."""
     blocks = []
 
     def visit(zc, depth, index):
-        if depth >= 1 and _cube_in_ball(ball.center, zc, pack.r[depth], ball.radius):
+        if depth >= 1 and _cube_in_ball(c, zc, pack.r[depth], rho):
             span = descendant_count(depth, level, pack.n)
             blocks.append((index * span, index * span + span))
             return
         if depth == level:
             return
         for ci, child in enumerate(_ref_children(pack, zc, depth + 1)):
-            if _dist_to_cube(ball.center, child, pack.r[depth + 1]) <= ball.radius:
+            if _dist_to_cube(c, child, pack.r[depth + 1]) <= rho:
                 visit(child, depth + 1, index * 2 ** pack.n + ci)
 
     visit((0.0,) * pack.n, 0, 0)
@@ -279,18 +316,18 @@ def reference_lower_probe(h, pack, cover, level):
     per_cube = eval_h(h, 2.0 * math.sqrt(pack.n) * pack.r[level])
     covered = set()
     stats = []
-    for ball in cover:
+    for word, c, rho in zip(cover.words.tolist(), cover.centers.tolist(),
+                            cover.radius.tolist()):
         contained = 0
-        for start, stop in _ref_contained_blocks(pack, ball, level):
+        for start, stop in _ref_contained_blocks(pack, c, rho, level):
             contained += stop - start
             covered.update(range(start, stop))
         min_depth, intersecting = None, 0
-        for d, frontier in _ref_frontiers(pack, ball, level):
-            if any(_cube_in_ball(ball.center, zc, pack.r[d], ball.radius)
-                   for zc in frontier):
+        for d, frontier in _ref_frontiers(pack, c, rho, level):
+            if any(_cube_in_ball(c, zc, pack.r[d], rho) for zc in frontier):
                 min_depth, intersecting = d, len(frontier)
                 break
-        stats.append(BallProbe(word=ball.word, radius=ball.radius,
+        stats.append(BallProbe(word=word_text(word, pack.n, cover.depth), radius=rho,
                                min_contained_depth=min_depth,
                                intersecting_count=intersecting,
                                contained_count=contained,
@@ -299,7 +336,7 @@ def reference_lower_probe(h, pack, cover, level):
     if len(covered) != total:
         raise CoverageError(
             f"cover misses {total - len(covered)} of {total} depth-{level} cubes")
-    cover_sum = math.fsum(eval_h(h, 2.0 * b.radius) for b in cover)
+    cover_sum = math.fsum(eval_h(h, 2.0 * rho) for rho in cover.radius.tolist())
     reference = float(2 ** (pack.n * level)) * per_cube
     return LowerProbeReport(
         level=level,
@@ -334,9 +371,8 @@ def test_lower_probe_matches_scalar_reference(n, cases):
         for m, level in cases:
             canon = canonical_cover(pack, m)
             covers = [canon, random_cover(pack, m, rng),
-                      canon[1:],  # drops the first cube's ball
-                      [Ball(word=b.word, radius=pack.r[m], center=b.center)
-                       for b in canon]]
+                      cover_rows(canon, slice(1, None)),  # drops the first cube's ball
+                      Cover(canon.words, m, canon.centers, np.full(len(canon.words), pack.r[m]))]
             got = [_probe_outcome(hausdorff_lower_probe, gauge, pack, c, level)
                    for c in covers]
             assert got == [_probe_outcome(reference_lower_probe, gauge, pack, c, level)
@@ -382,13 +418,13 @@ def _tie_balls(pack, m):
         else:
             raise AssertionError("no rounding difference found")
         ties.append((off, _containment_tie(off, c, r)))
-    word = word_text(0, pack.n, m)
-    return [(Ball(word=word, radius=rho, center=at),
-             Ball(word=word, radius=math.nextafter(rho, 0.0), center=at))
+    return [(make_cover(pack.n, m, [0], [at], [rho]),
+             make_cover(pack.n, m, [0], [at], [math.nextafter(rho, 0.0)]))
             for at, rho in ties]
 
 
-@pytest.mark.parametrize("n", [2, 3])
+# at n = 4 the distance sums run over four coordinates
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_lower_probe_exact_ties(n, monkeypatch):
     tau = TauSpec(family="log", shift=math.e)
     gauge = GaugeSpec(n=n, tau=tau)
@@ -408,8 +444,9 @@ def test_lower_probe_exact_ties(n, monkeypatch):
     for at, below in _tie_balls(pack, m):
         reports = []
         for ball in (at, below):
-            rep = hausdorff_lower_probe(gauge, pack, canon + [ball], level)
-            assert rep == reference_lower_probe(gauge, pack, canon + [ball], level)
+            cover = join_covers(canon, ball)
+            rep = hausdorff_lower_probe(gauge, pack, cover, level)
+            assert rep == reference_lower_probe(gauge, pack, cover, level)
             reports.append(rep.balls[-1])
         # one float of radius flips a decision, so the tie is a real one
         assert reports[0] != reports[1]
