@@ -335,7 +335,8 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Cover,
     the ratio of the cover sum to the upper cube sum at the reference
     level.  Intersection counts are compared against the 4^n counting
     bound.  The walk keeps one coverage flag per depth-``level`` cube, so
-    more than WORD_CAP of them raise DepthError before anything is walked.
+    more than WORD_CAP of them raise DepthError before anything is walked,
+    and a reference sum that underflows to 0 raises GaugeRangeError.
     """
     if h.n != pack.n:
         raise ValueError("gauge dimension does not match the pack")
@@ -345,6 +346,8 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Cover,
     if cubes > WORD_CAP:
         raise DepthError(f"{cubes} depth-{level} cubes exceed the probe cap {WORD_CAP}")
     reference = upper_sum_at_scale(h, level, pack.a[level])
+    if reference.total == 0.0:
+        raise GaugeRangeError(f"upper cube sum at probe level {level} underflows binary64 to 0")
     first, count, inner, covered = _probe_walk(pack, cover, level)
     total_cubes = covered.size
     missed = total_cubes - int(np.count_nonzero(covered))
@@ -606,18 +609,15 @@ def _annulus_table(pack: SequencePack, powers: Sequence[float]) -> Iterator[np.n
     depth-k annulus of (alpha_k + beta_k/t)^power, k = 1..K, as (m, K)
     blocks of m consecutive powers, so only one block is held.
 
-    Raises GaugeRangeError when some depth's 2^(nk) passes binary64, after
-    the first power's shells through that depth, which a loop over the
-    table takes before its count.
+    Raises GaugeRangeError, before any shell is integrated, when some
+    depth's 2^(nk) passes binary64.
     """
     n, K = pack.n, pack.K
-    alpha, beta = np.array(pack.alpha[1:]), np.array(pack.beta[1:])
-    r, R = np.array(pack.r[1:]), np.array(pack.r[:-1]) / 2.0
     k = (sys.float_info.max_exp - 1) // n + 1  # first depth whose 2^(nk) is no float
     if powers and k <= K:
-        first = np.array(powers[:1], dtype=float)
-        next(_shell_table(alpha[:k], beta[:k], r[:k], R[:k], n, [first]))
         raise GaugeRangeError(f"annulus count 2^({n}*{k}) overflows binary64 at depth {k}")
+    alpha, beta = np.array(pack.alpha[1:]), np.array(pack.beta[1:])
+    r, R = np.array(pack.r[1:]), np.array(pack.r[:-1]) / 2.0
     counts = np.ldexp(1.0, n * np.arange(1, K + 1))  # 2^(nk) annuli at depth k
     step = max(1, _TABLE_ROWS // K)
     blocks = (np.array(powers[lo:lo + step], dtype=float) for lo in range(0, len(powers), step))

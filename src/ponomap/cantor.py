@@ -66,9 +66,9 @@ def geometric_sequence(K: int, ratio: float = 0.5) -> tuple[float, ...]:
     return tuple(ratio ** k for k in range(K + 1))
 
 
-def _ulp_close(x: float, y: float, ulps: int = _ULPS) -> bool:
+def _ulp_close(x: float, y: float) -> bool:
     scale = max(abs(x), abs(y))
-    return abs(x - y) <= ulps * math.ulp(scale) if scale > 0.0 else x == y
+    return abs(x - y) <= _ULPS * math.ulp(scale) if scale > 0.0 else x == y
 
 
 def half_edge(x_k: float, k: int) -> float:

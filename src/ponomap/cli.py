@@ -4,8 +4,8 @@ Subcommands: sequence | eval | verify | norms | hausdorff | render.
 Every output artifact embeds the resolved-config digest and the seed, no
 timestamps, so identical config + seed reproduces byte-identical files.
 
-Exit codes: 0 success, 2 verification failure, 3 config error, 4 numeric
-error.
+Exit codes: 0 success, 2 verification failure, 3 config or usage error, 4
+numeric error.
 """
 
 from __future__ import annotations
@@ -207,10 +207,6 @@ def make_pack(cfg: RunConfig) -> SequencePack:
     return SequencePack.from_standard(cfg.gauge.n, make_scales(cfg))
 
 
-def kind_of(cfg: RunConfig) -> str:
-    return {1: "finite_measure", 2: "null_measure"}.get(cfg.theorem, "custom")
-
-
 def provenance(cfg: RunConfig) -> list[str]:
     return [f"config_digest={cfg.digest}", f"seed={cfg.seed}"]
 
@@ -384,7 +380,7 @@ def _error_line(coords: list[str], message: str, n: int) -> str:
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
-    report = run_suite(make_pack(cfg), gauge=cfg.gauge, kind=kind_of(cfg), seed=cfg.seed,
+    report = run_suite(make_pack(cfg), gauge=cfg.gauge, theorem=cfg.theorem, seed=cfg.seed,
                        scale=cfg.verify, safety=cfg.safety)
     write_json(out / "verify.json", report, cfg)
     for c in report.checks:
@@ -469,21 +465,33 @@ def cmd_render(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 3, as a bad config does;
+    ``add_subparsers`` makes its subparsers of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+# each subcommand's help text and function; eval also takes the points file
+COMMANDS = {
+    "sequence": ("emit the scale/coefficient table (CSV + JSON)", cmd_sequence),
+    "eval": ("evaluate the map and its inverse on a points file", cmd_eval),
+    "verify": ("run the full invariant suite; nonzero exit on failure", cmd_verify),
+    "norms": ("grand-norm report and p = n divergence profile", cmd_norms),
+    "hausdorff": ("upper cover sums and the lower-bound ball probe", cmd_hausdorff),
+    "render": ("PGM/PPM renders and CSV grid (n = 2)", cmd_render),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ponomap",
         description="Nested-cube homeomorphisms from gauge functions: "
                     "sequences, evaluation, verification, norms, covers, renders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("sequence", "emit the scale/coefficient table (CSV + JSON)"),
-        ("eval", "evaluate the map and its inverse on a points file"),
-        ("verify", "run the full invariant suite; nonzero exit on failure"),
-        ("norms", "grand-norm report and p = n divergence profile"),
-        ("hausdorff", "upper cover sums and the lower-bound ball probe"),
-        ("render", "PGM/PPM renders and CSV grid (n = 2)"),
-    ]:
+    for name, (helptext, _) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=Path, default=None, help="JSON config path")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -502,26 +510,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    out = args.out
     try:
+        args = build_parser().parse_args(argv)
+        out = args.out
         cfg = resolve_config(args)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create {out}: {exc}") from exc
-        if args.command == "sequence":
-            return cmd_sequence(cfg, out)
-        if args.command == "eval":
-            return cmd_eval(cfg, out, args.points)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        if args.command == "norms":
-            return cmd_norms(cfg, out)
-        if args.command == "hausdorff":
-            return cmd_hausdorff(cfg, out)
-        if args.command == "render":
-            return cmd_render(cfg, out)
+        run = COMMANDS[args.command][1]
+        return run(cfg, out, args.points) if args.command == "eval" else run(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -531,7 +529,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # list grows, carries no text
         print(f"numeric error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERIC
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -113,6 +113,18 @@ class _FamilySpec:
 
     KEYS: dict[str, tuple[str, ...]]
 
+    def _check_family(self) -> None:
+        """Refuse an unknown family, and a field that the family does not
+        read unless it keeps its default: the formula and ``to_dict`` would
+        drop it.  So each field's range check holds for every family."""
+        if self.family not in self.KEYS:
+            raise ValueError(f"unknown {type(self).__name__} family {self.family!r}")
+        unread = [f.name for f in fields(self)
+                  if f.name not in ("family", *self.KEYS[self.family])
+                  and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"the {self.family} family does not read {unread}")
+
     def to_dict(self) -> dict:
         out = {"family": self.family}
         for key in self.KEYS[self.family]:
@@ -136,10 +148,10 @@ class TauSpec(_FamilySpec):
 
     Families:
       constant      tau(t) = value                      (value >= 1)
-      log           tau(t) = log(shift + 1/t)           (shift >= e)
-      log_power     tau(t) = log(shift + 1/t)^exponent
       iterated_log  tau(t) = (log o ... o log(shift + 1/t))^exponent,
-                    with ``iterations`` nested logs
+                    with ``iterations`` nested logs     (shift >= e)
+      log_power     iterated_log with one log
+      log           iterated_log with one log and exponent 1
       composed      product of the factor specs
 
     Values below 1 are clamped to 1 so the factor stays a valid
@@ -162,26 +174,17 @@ class TauSpec(_FamilySpec):
     factors: tuple[TauSpec, ...] = ()
 
     def __post_init__(self):
-        if self.family not in self.KEYS:
-            raise ValueError(f"unknown tau family {self.family!r}")
-        if self.family == "constant" and self.value < 1.0:
+        self._check_family()
+        if self.value < 1.0:
             raise ValueError("constant tau requires value >= 1")
         if self.exponent < 0.0:
             raise ValueError("exponent must be >= 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.family in ("log", "log_power", "iterated_log") and self.shift < math.e:
+        if self.shift < math.e:
             raise ValueError("shift must be >= e")
-        if self.family == "composed":
-            if not self.factors:
-                raise ValueError("composed tau requires a non-empty factors list")
-        elif self.factors:
-            raise ValueError("factors only allowed for the composed family")
-
-    def _log_depth(self) -> int:
-        if self.family == "log" or self.family == "log_power":
-            return 1
-        return self.iterations
+        if self.family == "composed" and not self.factors:
+            raise ValueError("composed tau requires a non-empty factors list")
 
     def raw_value(self, t: float) -> float:
         """Family formula before the clamp at 1."""
@@ -195,14 +198,13 @@ class TauSpec(_FamilySpec):
                 prod *= f(t)
             return prod
         x = _stable_log_arg(self.shift, t)
-        for _ in range(self._log_depth() - 1):
+        for _ in range(self.iterations - 1):
             if x <= 0.0:
                 return 0.0
             x = math.log(x)
         if x <= 0.0:
             return 0.0
-        if self.family == "log":
-            return x
+        # pow(x, 1.0) is x exactly
         return x ** self.exponent
 
     def __call__(self, t: float) -> float:
@@ -224,11 +226,10 @@ class TauSpec(_FamilySpec):
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 x = math.log(self.shift) + np.log1p(1.0 / (self.shift * t))
                 dead = x <= 0.0
-                for _ in range(self._log_depth() - 1):
+                for _ in range(self.iterations - 1):
                     x = np.log(np.where(dead, 1.0, x))
                     dead |= x <= 0.0
-                if self.family != "log":
-                    x = x ** self.exponent
+                x = x ** self.exponent
             raw = np.where(dead, 0.0, x)
         return np.maximum(1.0, raw)
 
@@ -239,7 +240,7 @@ class TauSpec(_FamilySpec):
             return False
         if self.family == "composed":
             return any(f.diverges_at_zero for f in self.factors)
-        return self.exponent > 0.0 or self.family == "log"
+        return self.exponent > 0.0
 
 
 @dataclass(frozen=True)
@@ -265,16 +266,14 @@ class RawGauge(_FamilySpec):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.family not in self.KEYS:
-            raise ValueError(f"unknown raw gauge family {self.family!r}")
-        if self.family in ("power", "log_inverse") and self.alpha <= 0.0:
+        self._check_family()
+        if self.alpha <= 0.0:
             raise ValueError("alpha must be > 0")
-        if self.family == "log_inverse":
-            if self.exponent < 0.0:
-                raise ValueError("exponent must be >= 0")
-            if self.shift < math.e:
-                raise ValueError("shift must be >= e")
-        if self.family == "exp_inverse" and self.scale <= 0.0:
+        if self.exponent < 0.0:
+            raise ValueError("exponent must be >= 0")
+        if self.shift < math.e:
+            raise ValueError("shift must be >= e")
+        if self.scale <= 0.0:
             raise ValueError("scale must be > 0")
 
     def __call__(self, t: float) -> float:

@@ -184,13 +184,11 @@ class PonomarevMap:
         alpha, beta = pack.alpha[k], pack.beta[k]
         return alpha * (alpha + beta / d.m) ** (pack.n - 1)
 
-    def jacobian_det_batch(self, x: np.ndarray,
-                           located: BatchDescent | None = None) -> np.ndarray:
+    def jacobian_det_batch(self, x: np.ndarray) -> np.ndarray:
         """``jacobian_det`` of every row of an (N, n) array, bit for bit, and
-        NaN on the rows where it raises RidgeSetError.  ``located`` is as in
-        ``eval_batch``."""
+        NaN on the rows where it raises RidgeSetError."""
         pack = self.pack
-        d = descend_batch(x, pack, "domain") if located is None else located
+        d = descend_batch(x, pack, "domain")
         det = np.full(len(d.m), (pack.rt[pack.K] / pack.r[pack.K]) ** pack.n)
         ann = np.flatnonzero(~d.core)
         k = d.depth[ann]

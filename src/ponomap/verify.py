@@ -108,8 +108,8 @@ class _Suite:
         self.checks.append(CheckResult(name, float(observed), float(bound),
                                        bool(passed), note))
 
-    def add_le(self, name: str, observed: float, bound: float, note: str = ""):
-        self.add(name, observed, bound, observed <= bound, note)
+    def add_le(self, name: str, observed: float, bound: float):
+        self.add(name, observed, bound, observed <= bound)
 
 
 def _check_pack(s: _Suite, pack: SequencePack):
@@ -363,7 +363,7 @@ def _check_jacobian(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
           note="relative to conditioning-aware tolerance")
 
 
-def _check_measures(s: _Suite, pack: SequencePack, gauge: GaugeSpec, kind: str,
+def _check_measures(s: _Suite, pack: SequencePack, gauge: GaugeSpec, theorem: int | str,
                     safety: float):
     n = pack.n
     domain = analysis.lebesgue_level(pack, pack.K, "domain")
@@ -381,11 +381,11 @@ def _check_measures(s: _Suite, pack: SequencePack, gauge: GaugeSpec, kind: str,
             mism += 1
     s.add("measure.pushforward_failures", mism, 0.0, mism == 0)
 
-    if kind not in ("finite_measure", "null_measure"):
+    if theorem not in (1, 2):
         return
     totals = [analysis.upper_sum_at_scale(gauge, k, pack.a[k]).total
               for k in range(1, pack.K + 1)]
-    if kind == "finite_measure":
+    if theorem == 1:
         # With a_k^n tau(r_k) = 1, total_k = 2^(nk) (2 sqrt(n) r_k)^n tau(2 sqrt(n) r_k)
         # = (2 sqrt(n))^n tau(2 sqrt(n) r_k) / tau(r_k) <= (2 sqrt(n))^n = (4n)^(n/2),
         # as tau is non-increasing.  The band [0.1, 10] was set at n = 2, where
@@ -394,7 +394,7 @@ def _check_measures(s: _Suite, pack: SequencePack, gauge: GaugeSpec, kind: str,
         lo, hi = min(totals), max(totals)
         s.add("measure.upper_sum_band", hi, 10.0 * grow,
               0.1 * grow <= lo and hi <= 10.0 * grow, note=f"min {lo:.6g}")
-    if kind == "null_measure":
+    if theorem == 2:
         ok = all(total <= safety * 2.0 ** (-n * k) for k, total in enumerate(totals, 1))
         s.add("measure.upper_sum_collapse", 0.0 if ok else 1.0, 0.0, ok)
 
@@ -429,7 +429,7 @@ def _check_norms(s: _Suite, pmap: PonomarevMap, rng, scale: VerifyScale):
     s.add_le("norm.shell_mc_sigma", worst_sigma, 3.0)
 
 
-def _check_gauge(s: _Suite, gauge: GaugeSpec, pack: SequencePack, kind: str,
+def _check_gauge(s: _Suite, gauge: GaugeSpec, pack: SequencePack, theorem: int | str,
                  safety: float):
     ok, worst = check_gauge_monotone(gauge, points=4_000)
     s.add("gauge.monotone_worst_drop", worst, 0.0, ok)
@@ -440,18 +440,18 @@ def _check_gauge(s: _Suite, gauge: GaugeSpec, pack: SequencePack, kind: str,
                  obs["worst_monotonicity_violation"], 0.0)
         s.add("tau.ladder_increasing", 1.0 if obs["ladder_increasing"] else 0.0,
               1.0, obs["ladder_increasing"])
-    if kind == "finite_measure" and gauge.tau is not None:
+    if theorem == 1 and gauge.tau is not None:
         worst = max(scale_condition(gauge, 1, k, pack.a[k])[0] for k in range(1, pack.K + 1))
         s.add_le("gauge.sequence_identity", worst, IDENTITY_TOL)
-    if kind == "null_measure":
+    if theorem == 2:
         ok = all(observed <= bound for observed, bound in
                  (scale_condition(gauge, 2, k, pack.a[k], safety) for k in range(1, pack.K + 1)))
         s.add("gauge.sequence_inequality", 0.0 if ok else 1.0, 0.0, ok)
 
 
-def run_suite(pack: SequencePack, gauge: GaugeSpec, kind: str, seed: int,
+def run_suite(pack: SequencePack, gauge: GaugeSpec, theorem: int | str, seed: int,
               scale: VerifyScale, safety: float) -> VerifyReport:
-    """Run every module invariant against one construction."""
+    """Run every module invariant against one construction made under ``theorem``."""
     rng = np.random.default_rng(seed)
     s = _Suite()
     try:
@@ -465,8 +465,8 @@ def run_suite(pack: SequencePack, gauge: GaugeSpec, kind: str, seed: int,
     pmap = build(pack)
     _check_map(s, pmap, rng, scale)
     _check_jacobian(s, pmap, rng, scale)
-    _check_measures(s, pack, gauge, kind, safety)
+    _check_measures(s, pack, gauge, theorem, safety)
     _check_norms(s, pmap, rng, scale)
-    _check_gauge(s, gauge, pack, kind, safety)
+    _check_gauge(s, gauge, pack, theorem, safety)
     return VerifyReport(checks=tuple(s.checks),
                         passed=all(c.passed for c in s.checks), seed=seed)

@@ -45,7 +45,7 @@ from ponomap.analysis import (
 )
 from ponomap.cantor import descendant_count
 from ponomap.cli import json_data
-from ponomap.errors import ToleranceError
+from ponomap.errors import GaugeRangeError, ToleranceError
 from reference_packs import pack_from_scales
 from reference_norms import reference_depth_profile, reference_grand_norm_values
 from reference_covers import (cover_rows, join_covers, make_cover, reference_canonical_cover,
@@ -271,6 +271,17 @@ def test_lower_probe_coverage_error():
         hausdorff_lower_probe(LOG_GAUGE, pack, small, 3)
     with pytest.raises(CoverageError, match="misses 64 of 64 depth-3 cubes"):
         hausdorff_lower_probe(LOG_GAUGE, pack, make_cover(2, 1, [], [], []), 3)
+
+
+def test_lower_probe_refuses_a_reference_sum_that_underflows(monkeypatch):
+    # exp(-500/t) underflows to 0 at the diameter of the level-2 cubes of this
+    # theorem-2 pack, and the ratio to the reference sum would divide by it
+    steep = GaugeSpec(n=2, raw=RawGauge(family="exp_inverse", scale=500.0))
+    pack = SequencePack.from_standard(2, null_measure_sequence(steep, 12))
+    assert upper_sum_at_scale(steep, 2, pack.a[2]).total == 0.0
+    monkeypatch.setattr(analysis, "_probe_walk", lambda *args: pytest.fail("walked"))
+    with pytest.raises(GaugeRangeError, match="probe level 2 underflows"):
+        hausdorff_lower_probe(steep, pack, canonical_cover(pack, 1), 2)
 
 
 # scalar reference walk for the probe: every ball walked from the root by a

@@ -162,8 +162,6 @@ def assert_det_batch_matches_scalar(pmap, xs):
 
     expect = repr([det(x) for x in xs])
     assert repr(pmap.jacobian_det_batch(np.array(xs)).tolist()) == expect
-    loc = descend_batch(np.array(xs), pmap.pack)
-    assert repr(pmap.jacobian_det_batch(loc.x, loc).tolist()) == expect
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

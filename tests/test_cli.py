@@ -715,7 +715,7 @@ def test_allocation_past_the_address_space_exits_4(config_path, tmp_path, capsys
 
 def test_norms_past_binary64_annulus_count_exits_4(tmp_path):
     # the depth-512 annuli number 2^(2*512), past the largest float; the
-    # shells up to that depth are integrated before the count is refused
+    # count is refused before any shell is integrated
     path = tmp_path / "deep.json"
     path.write_text(json.dumps({"gauge": {"n": 2, "tau": LOG_TAU}, "theorem": 1,
                                 "depth": 520, "eps_grid": "1e-3:1:2"}))
@@ -750,6 +750,41 @@ def test_hausdorff_probe_past_the_cap_exits_4(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr == ("numeric error: 1208925819614629174706176 depth-40 cubes exceed "
                            "the probe cap 1048576\n")
+
+
+# exp(-500/t) at the diameter of the level-2 cubes of its theorem-2 pack
+# underflows to 0, so the probe's ratio to that reference sum has no value
+STEEP_HAUSDORFF = {"gauge": {"n": 2, "raw": {"family": "exp_inverse", "scale": 500.0}},
+                   "theorem": 2, "depth": 12,
+                   "hausdorff": {"depths": [0, 1, 2], "probe_depth": 1, "probe_level": 2,
+                                 "random_covers": 1}}
+
+
+def test_hausdorff_reference_sum_underflow_exits_4(tmp_path, capsys):
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(STEEP_HAUSDORFF))
+    argv = ["hausdorff", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err == ("numeric error: upper cube sum at probe level 2 "
+                                       "underflows binary64 to 0\n")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--depth", "x"], ["nope"], [],
+                                  ["norms", "--bogus"], ["eval"]],
+                         ids=["bad-int", "unknown-command", "no-command", "unknown-flag",
+                              "missing-points"])
+def test_usage_error_exits_3(argv, capsys):
+    # argparse fails before any output directory is made
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ponomap") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--depth" in capsys.readouterr().out
 
 
 def test_render_rejects_other_dimensions(tmp_path):
@@ -800,15 +835,25 @@ def key_paths(node, path=()):
 @st.composite
 def cli_inputs(draw):
     """A subcommand, a small config with up to two values spoiled, flag
-    overrides and the bytes of a points file."""
+    overrides and the bytes of a points file.  The gauge is the log tau or
+    a raw gauge, steep ones included, whose sums can underflow to 0."""
     command = draw(st.sampled_from(["sequence", "eval", "verify", "norms", "hausdorff",
                                     "render"]))
     n = draw(st.integers(2, 3))
     depth = draw(st.integers(1, 12))
     small = st.integers(1, 4)
+    gauge = draw(st.sampled_from([
+        {"tau": {"family": "log", "shift": math.e}},
+        {"raw": {"family": "power", "alpha": 2.0}},
+        {"raw": {"family": "log_inverse", "alpha": 2.0, "exponent": 1.0, "shift": math.e}},
+        {"raw": {"family": "exp_inverse", "scale": draw(st.sampled_from([1.0, 50.0, 500.0]))}},
+    ]))
+    # theorem 1 needs a tau gauge: a raw one under it exits 3 at once, and
+    # is left to the --theorem flag and the spoils
+    theorems = [1, 2, "custom"] if "tau" in gauge else [2, "custom"]
     cfg = {
-        "gauge": {"n": n, "tau": {"family": "log", "shift": math.e}},
-        "theorem": draw(st.sampled_from([1, 2, "custom"])),
+        "gauge": {"n": n, **gauge},
+        "theorem": draw(st.sampled_from(theorems)),
         "sequence": {"kind": draw(st.sampled_from(["harmonic", "geometric"]))},
         "depth": depth,
         "seed": draw(st.integers(0, 3)),
@@ -853,6 +898,7 @@ def cli_inputs(draw):
 @example(("hausdorff", {"gauge": {"n": 6, "tau": LOG_TAU}, "depth": 11, "eps_grid": "1e-3:1:2",
                         "hausdorff": {"probe_depth": 1, "probe_level": 11,
                                       "random_covers": 0}}, [], b""))
+@example(("hausdorff", STEEP_HAUSDORFF, [], b""))
 @settings(deadline=None, max_examples=100)
 @given(cli_inputs())
 def test_cli_exits_with_a_code_never_a_traceback(inputs):
@@ -866,9 +912,6 @@ def test_cli_exits_with_a_code_never_a_traceback(inputs):
             argv += ["--points", str(tmp / "pts.csv")]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's usage error, which exits 2
-                code = exc.code
+            code = main(argv)
     assert code in (EXIT_OK, cli.EXIT_VERIFY_FAILED, EXIT_CONFIG, EXIT_NUMERIC), err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -356,6 +356,20 @@ def test_tau_validation():
         TauSpec(family="composed")
 
 
+def test_spec_refuses_fields_its_family_does_not_read():
+    # the log family's formula and to_dict would both drop these
+    with pytest.raises(ValueError, match=r"the log family does not read \['exponent'\]"):
+        TauSpec(family="log", exponent=2.0)
+    with pytest.raises(ValueError, match="does not read"):
+        TauSpec(family="log_power", exponent=2.0, iterations=2)
+    with pytest.raises(ValueError, match="does not read"):
+        TauSpec(family="composed", factors=(LOG_E,), shift=4.0)
+    with pytest.raises(ValueError, match="does not read"):
+        RawGauge(family="exp_inverse", alpha=2.0)
+    # a default given explicitly is no field the family drops
+    assert TauSpec(family="log", exponent=1.0, iterations=1) == LOG_E
+
+
 def test_gauge_spec_validation():
     with pytest.raises(ValueError):
         GaugeSpec(n=1, tau=LOG_E)

@@ -51,7 +51,7 @@ LOG_GAUGE = GaugeSpec(n=2, tau=TauSpec(family="log", shift=math.e))
 def run_custom(pack, seed):
     """The suite on a pack of no theorem, as ``"theorem": "custom"`` runs
     it: the gauge checks read the log gauge, and no sequence check runs."""
-    return run_suite(pack, gauge=LOG_GAUGE, kind="custom", seed=seed, scale=FAST,
+    return run_suite(pack, gauge=LOG_GAUGE, theorem="custom", seed=seed, scale=FAST,
                      safety=0.5)
 
 
@@ -59,7 +59,7 @@ def test_suite_passes_finite_measure():
     tau = TauSpec(family="log", shift=math.e)
     gauge = GaugeSpec(n=2, tau=tau)
     pack = SequencePack.from_standard(2, finite_measure_sequence(tau, 2, 12))
-    rep = run_suite(pack, gauge=gauge, kind="finite_measure", seed=3, scale=FAST, safety=0.5)
+    rep = run_suite(pack, gauge=gauge, theorem=1, seed=3, scale=FAST, safety=0.5)
     failed = [c.name for c in rep.checks if not c.passed]
     assert rep.passed, failed
 
@@ -70,7 +70,7 @@ def test_suite_passes_finite_measure_n3():
     # at FAST, seed 9 draws a Monte Carlo shell estimate past its 3 sigma bound
     tau = TauSpec(family="log", shift=math.e)
     pack = SequencePack.from_standard(3, finite_measure_sequence(tau, 3, 20))
-    rep = run_suite(pack, gauge=GaugeSpec(n=3, tau=tau), kind="finite_measure", seed=9,
+    rep = run_suite(pack, gauge=GaugeSpec(n=3, tau=tau), theorem=1, seed=9,
                     scale=VerifyScale(), safety=0.5)
     band = next(c for c in rep.checks if c.name == "measure.upper_sum_band")
     assert band.bound == 10.0 * 12.0 ** 1.5 / 8.0 and band.observed > 10.0
@@ -84,7 +84,7 @@ def test_upper_sum_band_rejects_sums_outside():
     pack = SequencePack.from_standard(3, finite_measure_sequence(tau, 3, 20))
     heavy = GaugeSpec(n=3, tau=TauSpec(family="constant", value=100.0))
     s = _Suite()
-    _check_measures(s, pack, heavy, "finite_measure", 0.5)
+    _check_measures(s, pack, heavy, 1, 0.5)
     band = next(c for c in s.checks if c.name == "measure.upper_sum_band")
     assert not band.passed and band.observed > band.bound
 
@@ -92,7 +92,7 @@ def test_upper_sum_band_rejects_sums_outside():
 def test_suite_passes_null_measure():
     gauge = GaugeSpec(n=2, raw=RawGauge(family="power", alpha=1.0))
     pack = SequencePack.from_standard(2, null_measure_sequence(gauge, 12))
-    rep = run_suite(pack, gauge=gauge, kind="null_measure", seed=5, scale=FAST, safety=0.5)
+    rep = run_suite(pack, gauge=gauge, theorem=2, seed=5, scale=FAST, safety=0.5)
     failed = [c.name for c in rep.checks if not c.passed]
     assert rep.passed, failed
 
