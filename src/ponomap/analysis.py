@@ -8,7 +8,8 @@ statement:
   diameter convention diam Q(z, r) = 2*sqrt(n)*r.
 * A lower-bound probe that takes a concrete ball cover, certifies that the
   cover dominates the canonical cube covers, and records the counting
-  constants the comparison uses.
+  constants the comparison uses, one dict per ball as the artifact
+  writes it.
 * Exact sup-norm shell integrals (layer-cake identity
   int_{shell} phi(||x||_inf) dx = n 2^n int phi(t) t^(n-1) dt) by adaptive
   quadrature, and a seeded Monte Carlo cross-check that does not use the
@@ -96,22 +97,17 @@ class Cover:
 
 
 @dataclass(frozen=True)
-class BallProbe:
-    word: str
-    radius: float
-    min_contained_depth: int | None
-    intersecting_count: int
-    contained_count: int
-    dominated_sum: float
-
-
-@dataclass(frozen=True)
 class LowerProbeReport:
+    """The probe of one ball cover.  ``balls`` holds one dict per ball, in
+    cover order, with the keys ``hausdorff.json`` writes: ``word``,
+    ``radius``, ``min_contained_depth`` (None where no cube is contained),
+    ``intersecting_count``, ``contained_count`` and ``dominated_sum``."""
+
     level: int
     cover_sum: float
     reference_upper_sum: float
     ratio: float
-    balls: tuple[BallProbe, ...]
+    balls: tuple[dict, ...]
     max_intersecting: int
     counting_bound: int
 
@@ -354,15 +350,10 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Cover,
     if missed:
         raise CoverageError(f"cover misses {missed} of {total_cubes} depth-{level} cubes")
     radius = cover.radius.tolist()
-    stats = tuple(
-        BallProbe(
-            word=word_text(word, pack.n, cover.depth),
-            radius=rho,
-            min_contained_depth=d or None,
-            intersecting_count=u,
-            contained_count=c,
-            dominated_sum=c * reference.per_cube,
-        )
+    balls = tuple(
+        {"word": word_text(word, pack.n, cover.depth), "radius": rho,
+         "min_contained_depth": d or None, "intersecting_count": u, "contained_count": c,
+         "dominated_sum": c * reference.per_cube}
         for word, rho, d, u, c in zip(cover.words.tolist(), radius, first.tolist(),
                                       count.tolist(), inner.tolist())
     )
@@ -372,7 +363,7 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Cover,
         cover_sum=cover_sum,
         reference_upper_sum=reference.total,
         ratio=cover_sum / reference.total,
-        balls=stats,
+        balls=balls,
         max_intersecting=int(count.max(initial=0)),
         counting_bound=4 ** pack.n,
     )

@@ -3,6 +3,9 @@
 Subcommands: sequence | eval | verify | norms | hausdorff | render.
 Every output artifact embeds the resolved-config digest and the seed, no
 timestamps, so identical config + seed reproduces byte-identical files.
+Each JSON artifact is one dict of plain values and report fields, written
+by ``write_json``.  ``hausdorff.json`` always holds the upper cover sums
+and a ``lower_probe`` entry: the probe's reports, or why it was skipped.
 
 Exit codes: 0 success, 2 verification failure, 3 config or usage error, 4
 numeric error.
@@ -27,7 +30,7 @@ import numpy as np
 from . import analysis, render
 from .cantor import (SequencePack, descend_batch, geometric_sequence, harmonic_sequence,
                      in_cube, outside_message, standard_scales)
-from .errors import ConstructionError, PonomapError
+from .errors import ConstructionError, GaugeRangeError, PonomapError
 # eval_h is not called here; perfbench/tracer.py counts its calls at this name
 from .gauge import (GaugeSpec, eval_h, finite_measure_sequence, from_json,  # noqa: F401
                     null_measure_sequence, scale_condition)
@@ -211,28 +214,22 @@ def provenance(cfg: RunConfig) -> list[str]:
     return [f"config_digest={cfg.digest}", f"seed={cfg.seed}"]
 
 
-def json_data(value):
-    """``value`` as JSON data: a report dataclass as the dict of its fields
-    and a tuple as a list, all the way down.  It dispatches on the exact
-    type, which costs least on the thousands of numbers a report holds."""
-    kind = type(value)
-    if kind is float or kind is int or kind is str or kind is bool or value is None:
-        return value
-    if kind is tuple or kind is list:
-        return [json_data(v) for v in value]
-    if kind is dict:
-        return {k: json_data(v) for k, v in value.items()}
-    names = getattr(kind, "__dataclass_fields__", None)
+def fields(report) -> dict:
+    """A report dataclass as the dict of its fields, one level deep.  Each
+    command passes its reports through it, and ``write_json`` makes it the
+    ``default`` of ``json.dumps``, which meets only the reports nested in
+    those (verify's checks); anything else is a TypeError."""
+    names = getattr(type(report), "__dataclass_fields__", None)
     if names is None:
-        return value
-    return {name: json_data(getattr(value, name)) for name in names}
+        raise TypeError(f"{type(report).__name__} is not JSON serializable")
+    return {name: getattr(report, name) for name in names}
 
 
-def write_json(path: Path, payload, cfg: RunConfig) -> None:
-    """The one JSON format of the artifacts: ``json_data(payload)`` with
+def write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
+    """The one JSON format of the artifacts: ``payload`` with
     ``config_digest`` and ``seed`` added, keys sorted, indented by 2."""
-    data = {**json_data(payload), "config_digest": cfg.digest, "seed": cfg.seed}
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    data = {**payload, "config_digest": cfg.digest, "seed": cfg.seed}
+    path.write_text(json.dumps(data, sort_keys=True, indent=2, default=fields) + "\n")
 
 
 def cmd_sequence(cfg: RunConfig, out: Path) -> int:
@@ -382,7 +379,7 @@ def _error_line(coords: list[str], message: str, n: int) -> str:
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
     report = run_suite(make_pack(cfg), gauge=cfg.gauge, theorem=cfg.theorem, seed=cfg.seed,
                        scale=cfg.verify, safety=cfg.safety)
-    write_json(out / "verify.json", report, cfg)
+    write_json(out / "verify.json", fields(report), cfg)
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
         print(f"{status} {c.name}: observed={c.observed:.6g} bound={c.bound:.6g}")
@@ -394,7 +391,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 def cmd_norms(cfg: RunConfig, out: Path) -> int:
     pmap = build(make_pack(cfg))
     rep = analysis.grand_norm_report(pmap, eps_grid=cfg.eps_grid)
-    write_json(out / "norms.json", rep, cfg)
+    write_json(out / "norms.json", fields(rep), cfg)
     partials, core = analysis.sobolev_depth_profile(pmap, float(pmap.n))
     write_json(out / "norms_divergence.json", {
         "p": float(pmap.n),
@@ -407,44 +404,53 @@ def cmd_norms(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_hausdorff(cfg: RunConfig, out: Path) -> int:
-    h = cfg.hausdorff
     a = make_scales(cfg)
     uppers = [analysis.upper_sum_at_scale(cfg.gauge, k, a[k])
-              for k in h.depths if k <= cfg.depth]
-    # "ratio_to_one" is the total again, kept so hausdorff.json keeps its keys
-    payload = {"upper_sums": [{**json_data(u), "ratio_to_one": u.total} for u in uppers],
-               "theorem": cfg.theorem}
+              for k in cfg.hausdorff.depths if k <= cfg.depth]
     try:
-        pack = SequencePack.from_standard(cfg.gauge.n, a)
-    except ConstructionError as exc:
-        payload["lower_probe"] = {"skipped": str(exc)}
-        pack = None
-    if pack is not None and h.probe_level <= pack.K:
-        if h.probe_depth > h.probe_level:
-            raise ConfigError(f"hausdorff probe_depth {h.probe_depth} exceeds probe_level "
-                              f"{h.probe_level}: no depth-{h.probe_level} cube fits its balls")
-        if h.random_covers and h.probe_depth + analysis.ANCHOR_DEPTH > pack.K:
-            raise ConfigError(
-                f"hausdorff probe_depth {h.probe_depth} leaves no room for random_covers: "
-                f"their anchors lie {analysis.ANCHOR_DEPTH} levels deeper, past depth {pack.K}")
-        rng = np.random.default_rng(cfg.seed)
-        canonical = analysis.hausdorff_lower_probe(
-            cfg.gauge, pack, analysis.canonical_cover(pack, h.probe_depth),
-            h.probe_level)
-        randomized = []
-        for _ in range(h.random_covers):
-            cover = analysis.random_cover(pack, h.probe_depth, rng)
-            randomized.append(
-                analysis.hausdorff_lower_probe(cfg.gauge, pack, cover, h.probe_level))
-        payload["lower_probe"] = {
-            "canonical": canonical,
-            "randomized": randomized,
-            "c_probe": min([canonical.ratio] + [r.ratio for r in randomized]),
-        }
-    write_json(out / "hausdorff.json", payload, cfg)
+        lower = lower_probe(cfg, a)
+    except (ConstructionError, GaugeRangeError) as exc:
+        # a pack that does not build, or a reference sum that underflows
+        lower = {"skipped": str(exc)}
+    write_json(out / "hausdorff.json", {
+        # "ratio_to_one" is the total again, kept so hausdorff.json keeps its keys
+        "upper_sums": [{**fields(u), "ratio_to_one": u.total} for u in uppers],
+        "lower_probe": lower,
+        "theorem": cfg.theorem,
+    }, cfg)
     if uppers:
         print(f"upper sum at depth {uppers[-1].depth}: {uppers[-1].total:.6g}")
     return EXIT_OK
+
+
+def lower_probe(cfg: RunConfig, a: Sequence[float]) -> dict:
+    """The ``lower_probe`` entry of hausdorff.json: the probes of the
+    canonical cover and of the seeded random covers and their least ratio,
+    or ``{"skipped": reason}`` where ``probe_level`` passes the depth."""
+    h = cfg.hausdorff
+    pack = SequencePack.from_standard(cfg.gauge.n, a)
+    if h.probe_level > pack.K:
+        return {"skipped": f"probe_level {h.probe_level} exceeds depth {pack.K}"}
+    if h.probe_depth > h.probe_level:
+        raise ConfigError(f"hausdorff probe_depth {h.probe_depth} exceeds probe_level "
+                          f"{h.probe_level}: no depth-{h.probe_level} cube fits its balls")
+    if h.random_covers and h.probe_depth + analysis.ANCHOR_DEPTH > pack.K:
+        raise ConfigError(
+            f"hausdorff probe_depth {h.probe_depth} leaves no room for random_covers: "
+            f"their anchors lie {analysis.ANCHOR_DEPTH} levels deeper, past depth {pack.K}")
+    rng = np.random.default_rng(cfg.seed)
+    canonical = analysis.hausdorff_lower_probe(
+        cfg.gauge, pack, analysis.canonical_cover(pack, h.probe_depth), h.probe_level)
+    randomized = [analysis.hausdorff_lower_probe(
+        cfg.gauge, pack, analysis.random_cover(pack, h.probe_depth, rng), h.probe_level)
+        for _ in range(h.random_covers)]
+    # each report is passed as its fields, not left to write_json's hook,
+    # which would put every chunk of its balls through two more generators
+    return {
+        "canonical": fields(canonical),
+        "randomized": [fields(r) for r in randomized],
+        "c_probe": min([canonical.ratio] + [r.ratio for r in randomized]),
+    }
 
 
 def cmd_render(cfg: RunConfig, out: Path) -> int:

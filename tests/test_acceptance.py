@@ -308,9 +308,9 @@ def test_acceptance_08_lower_bound_probe():
             ratios.append(rep.ratio)
             worst_u = max(worst_u, rep.max_intersecting)
             for c, rho, probe in zip(cover.centers, cover.radius, rep.balls):
-                assert probe.intersecting_count == brute_intersecting(
-                    c, rho, probe.min_contained_depth)
-                assert probe.intersecting_count <= 4 ** 2
+                assert probe["intersecting_count"] == brute_intersecting(
+                    c, rho, probe["min_contained_depth"])
+                assert probe["intersecting_count"] <= 4 ** 2
 
         rng = np.random.default_rng(SEED + 8)
         for trial in range(100):
@@ -321,8 +321,8 @@ def test_acceptance_08_lower_bound_probe():
             assert rep.max_intersecting <= 4 ** 2
             if trial % 25 == 0:
                 for c, rho, probe in zip(cover.centers, cover.radius, rep.balls):
-                    assert probe.intersecting_count == brute_intersecting(
-                        c, rho, probe.min_contained_depth)
+                    assert probe["intersecting_count"] == brute_intersecting(
+                        c, rho, probe["min_contained_depth"])
 
         c_probe = min(ratios)
         assert c_probe > 0.0

@@ -35,7 +35,6 @@ from ponomap import (
 )
 from ponomap import analysis
 from ponomap.analysis import (
-    BallProbe,
     LowerProbeReport,
     _cube_in_ball,
     _dist_to_cube,
@@ -44,8 +43,8 @@ from ponomap.analysis import (
     upper_sum_at_scale,
 )
 from ponomap.cantor import descendant_count
-from ponomap.cli import json_data
 from ponomap.errors import GaugeRangeError, ToleranceError
+from reference_json import reference_json_data
 from reference_packs import pack_from_scales
 from reference_norms import reference_depth_profile, reference_grand_norm_values
 from reference_covers import (cover_rows, join_covers, make_cover, reference_canonical_cover,
@@ -177,7 +176,7 @@ def test_lower_probe_trivial_cover():
     ball = make_cover(2, 8, [word], [center(word, 8, pack)], [2.0 * math.sqrt(2)])
     rep = hausdorff_lower_probe(LOG_GAUGE, pack, ball, 4)
     assert rep.ratio >= 1.0
-    assert rep.balls[0].min_contained_depth == 1
+    assert rep.balls[0]["min_contained_depth"] == 1
     assert rep.max_intersecting <= rep.counting_bound
 
 
@@ -193,10 +192,10 @@ def test_lower_probe_canonical_cover():
         assert rep.ratio == pytest.approx(expected / rep.reference_upper_sum, rel=1e-12)
         assert rep.ratio > 0.5
         for b in rep.balls:
-            assert b.min_contained_depth == m
+            assert b["min_contained_depth"] == m
             # each ball contains at least its own subtree at the probe level
-            assert b.contained_count >= 4 ** (level - m)
-            assert b.intersecting_count <= rep.counting_bound
+            assert b["contained_count"] >= 4 ** (level - m)
+            assert b["intersecting_count"] <= rep.counting_bound
 
 
 def test_lower_probe_randomized_covers():
@@ -218,17 +217,17 @@ def test_lower_probe_counts_match_brute_force():
     cover = random_cover(pack, 2, rng)
     rep = hausdorff_lower_probe(LOG_GAUGE, pack, cover, 4)
     for c, rho, probe in zip(cover.centers.tolist(), cover.radius.tolist(), rep.balls):
-        m = probe.min_contained_depth
+        m = probe["min_contained_depth"]
         brute_intersect = sum(
             1 for w in all_words(2, m).tolist()
             if _dist_to_cube(c, center(w, m, pack), pack.r[m]) <= rho
         )
-        assert brute_intersect == probe.intersecting_count
+        assert brute_intersect == probe["intersecting_count"]
         brute_contained = sum(
             1 for w in all_words(2, 4).tolist()
             if _cube_in_ball(c, center(w, 4, pack), pack.r[4], rho)
         )
-        assert brute_contained == probe.contained_count
+        assert brute_contained == probe["contained_count"]
 
 
 @pytest.mark.parametrize("n, m, level", [(2, 2, 5), (2, 4, 6), (3, 2, 4)])
@@ -257,7 +256,7 @@ def test_lower_probe_refuses_levels_past_the_cap(monkeypatch):
     word = 2 ** 16 - 1
     ball = make_cover(2, 8, [word], [center(word, 8, pack)], [2.0 * math.sqrt(2)])
     rep = hausdorff_lower_probe(LOG_GAUGE, pack, ball, 10)  # 2^20 cubes, the cap
-    assert rep.balls[0].contained_count == 2 ** 20
+    assert rep.balls[0]["contained_count"] == 2 ** 20
     monkeypatch.setattr(analysis, "_probe_walk", lambda *args: pytest.fail("walked"))
     with pytest.raises(DepthError, match="4194304 depth-11 cubes exceed the probe cap 1048576"):
         hausdorff_lower_probe(LOG_GAUGE, pack, ball, 11)
@@ -338,11 +337,11 @@ def reference_lower_probe(h, pack, cover, level):
             if any(_cube_in_ball(c, zc, pack.r[d], rho) for zc in frontier):
                 min_depth, intersecting = d, len(frontier)
                 break
-        stats.append(BallProbe(word=word_text(word, pack.n, cover.depth), radius=rho,
-                               min_contained_depth=min_depth,
-                               intersecting_count=intersecting,
-                               contained_count=contained,
-                               dominated_sum=contained * per_cube))
+        stats.append({"word": word_text(word, pack.n, cover.depth), "radius": rho,
+                      "min_contained_depth": min_depth,
+                      "intersecting_count": intersecting,
+                      "contained_count": contained,
+                      "dominated_sum": contained * per_cube})
     total = 2 ** (pack.n * level)
     if len(covered) != total:
         raise CoverageError(
@@ -355,7 +354,7 @@ def reference_lower_probe(h, pack, cover, level):
         reference_upper_sum=reference,
         ratio=cover_sum / reference,
         balls=tuple(stats),
-        max_intersecting=max((b.intersecting_count for b in stats), default=0),
+        max_intersecting=max((b["intersecting_count"] for b in stats), default=0),
         counting_bound=4 ** pack.n,
     )
 
@@ -540,7 +539,7 @@ def test_grand_norm_values_below_bounds():
 def test_grand_norm_schema():
     m = build(harmonic_pack(10))
     rep = grand_norm_report(m, eps_grid=(0.5, 1.0))
-    d = json_data(rep)
+    d = reference_json_data(rep)
     assert set(d) == {"eps", "values", "bounds", "sup", "convention", "depth"}
     assert d["convention"] == "max_partials"
 

@@ -13,12 +13,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ponomap
-from ponomap import cli
+from ponomap import SequencePack, canonical_cover, cli, hausdorff_lower_probe, random_cover
+from ponomap.analysis import upper_sum_at_scale
 from ponomap.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from reference_json import reference_json_data
 from tie_points import LOG_TAU, log_pack, tie_heavy_points
 
 
@@ -760,13 +763,83 @@ STEEP_HAUSDORFF = {"gauge": {"n": 2, "raw": {"family": "exp_inverse", "scale": 5
                                  "random_covers": 1}}
 
 
-def test_hausdorff_reference_sum_underflow_exits_4(tmp_path, capsys):
-    path = tmp_path / "steep.json"
-    path.write_text(json.dumps(STEEP_HAUSDORFF))
-    argv = ["hausdorff", "--config", str(path), "--out", str(tmp_path / "out")]
-    assert main(argv) == EXIT_NUMERIC
-    assert capsys.readouterr().err == ("numeric error: upper cube sum at probe level 2 "
-                                       "underflows binary64 to 0\n")
+@pytest.mark.parametrize("cfg, depths, reason", [
+    (STEEP_HAUSDORFF, [0, 1, 2], "upper cube sum at probe level 2 underflows binary64 to 0"),
+    # the default section (level 5) under the scale-1 gauge, whose upper
+    # sums stay positive down to depth 4
+    ({"gauge": {"n": 2, "raw": {"family": "exp_inverse", "scale": 1.0}},
+      "theorem": 2, "depth": 20},
+     [0, 1, 2, 4, 8], "upper cube sum at probe level 5 underflows binary64 to 0"),
+    ({"theorem": "custom", "depth": 2,
+      "sequence": {"kind": "harmonic", "values": [1.0, 1.0, 0.5]},
+      "hausdorff": {"depths": [0, 1, 2], "probe_depth": 1, "probe_level": 2,
+                    "random_covers": 0}},
+     [0, 1, 2], "nesting fails on domain side at depth 1"),
+    ({"depth": 4, "hausdorff": {"depths": [0, 1, 2]}}, [0, 1, 2],
+     "probe_level 5 exceeds depth 4"),
+], ids=["reference-sum-underflow", "default-level-underflow", "unbuildable-pack",
+        "level-past-depth"])
+def test_hausdorff_writes_why_the_probe_was_skipped(cfg, depths, reason, tmp_path, capsys):
+    # the run keeps the upper sums it computed and exits 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["hausdorff", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    data = json.loads((tmp_path / "hausdorff.json").read_text())
+    assert [u["depth"] for u in data["upper_sums"]] == depths
+    assert data["upper_sums"][0]["total"] > 0.0
+    assert data["lower_probe"] == {"skipped": reason}
+
+
+def reference_hausdorff_payload(cfg):
+    """hausdorff.json's payload with its reports as objects, probed here
+    in the command's order: the canonical cover, then each random cover."""
+    h = cfg.hausdorff
+    a = cli.make_scales(cfg)
+    pack = SequencePack.from_standard(cfg.gauge.n, a)
+    rng = np.random.default_rng(cfg.seed)
+    canonical = hausdorff_lower_probe(cfg.gauge, pack, canonical_cover(pack, h.probe_depth),
+                                      h.probe_level)
+    randomized = [hausdorff_lower_probe(cfg.gauge, pack,
+                                        random_cover(pack, h.probe_depth, rng), h.probe_level)
+                  for _ in range(h.random_covers)]
+    uppers = [upper_sum_at_scale(cfg.gauge, k, a[k]) for k in h.depths if k <= cfg.depth]
+    return {"upper_sums": [{**reference_json_data(u), "ratio_to_one": u.total}
+                           for u in uppers],
+            "lower_probe": {"canonical": canonical, "randomized": randomized,
+                            "c_probe": min(r.ratio for r in [canonical] + randomized)},
+            "theorem": cfg.theorem}
+
+
+def test_write_json_matches_the_recursive_reference(config_path, tmp_path, monkeypatch):
+    # every JSON artifact is json.dumps of the recursive converter's copy of
+    # its payload: the payload each command passes, and for hausdorff at
+    # n = 2 and n = 3 (two random covers each) also the payload built from
+    # the probe's report objects
+    written = []
+    write = cli.write_json
+    monkeypatch.setattr(cli, "write_json", lambda path, payload, cfg: (
+        written.append((path, payload, cfg)), write(path, payload, cfg)))
+    base = json.loads(config_path.read_text())
+    n3 = tmp_path / "n3.json"
+    n3.write_text(json.dumps({**base, "gauge": {**base["gauge"], "n": 3}, "depth": 8}))
+    for command in ("sequence", "verify", "norms", "hausdorff"):
+        assert main([command, "--config", str(config_path),
+                     "--out", str(tmp_path / "n2")]) == EXIT_OK
+    assert main(["hausdorff", "--config", str(n3), "--out", str(tmp_path / "n3")]) == EXIT_OK
+    names = [f"{path.parent.name}/{path.name}" for path, _, _ in written]
+    assert names == ["n2/sequence.json", "n2/verify.json", "n2/norms.json",
+                     "n2/norms_divergence.json", "n2/hausdorff.json", "n3/hausdorff.json"]
+    for path, payload, cfg in written:
+        stamp = {"config_digest": cfg.digest, "seed": cfg.seed}
+        texts = [reference_json_data({**payload, **stamp})]
+        if path.name == "hausdorff.json":
+            texts.append(reference_json_data({**reference_hausdorff_payload(cfg), **stamp}))
+        for data in texts:
+            assert path.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n", path
+    # the writer's hook turns report dataclasses into their fields, nothing else
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        write(tmp_path / "bad.json", {"x": {1}}, written[0][2])
 
 
 @pytest.mark.parametrize("argv", [["verify", "--depth", "x"], ["nope"], [],
@@ -839,7 +912,9 @@ def cli_inputs(draw):
     a raw gauge, steep ones included, whose sums can underflow to 0."""
     command = draw(st.sampled_from(["sequence", "eval", "verify", "norms", "hausdorff",
                                     "render"]))
-    n = draw(st.integers(2, 3))
+    # n in 4..6 on about one draw in 10, since their probes are slow: at
+    # n = 6, level 3 takes 1.5 s with probe_depth 1 and 6 s with 2
+    n = draw(st.integers(4, 6)) if draw(st.integers(0, 9)) == 9 else draw(st.integers(2, 3))
     depth = draw(st.integers(1, 12))
     small = st.integers(1, 4)
     gauge = draw(st.sampled_from([
@@ -913,5 +988,9 @@ def test_cli_exits_with_a_code_never_a_traceback(inputs):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
+        if command == "hausdorff" and code == EXIT_OK:
+            # the probe's results, or why it was skipped, sit beside the sums
+            data = json.loads((tmp / "out" / "hausdorff.json").read_text())
+            assert "upper_sums" in data and "lower_probe" in data
     assert code in (EXIT_OK, cli.EXIT_VERIFY_FAILED, EXIT_CONFIG, EXIT_NUMERIC), err.getvalue()
     assert "Traceback" not in err.getvalue()

