@@ -16,7 +16,6 @@ from .cantor import (
     dyadic_preimage,
     geometric_sequence,
     harmonic_sequence,
-    word_text,
 )
 from .errors import (
     ConstructionError,
@@ -104,5 +103,4 @@ __all__ = [
     "shell_integral_mc",
     "sobolev_depth_profile",
     "tau_root",
-    "word_text",
 ]

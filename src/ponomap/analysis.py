@@ -8,8 +8,8 @@ statement:
   diameter convention diam Q(z, r) = 2*sqrt(n)*r.
 * A lower-bound probe that takes a concrete ball cover, certifies that the
   cover dominates the canonical cube covers, and records the counting
-  constants the comparison uses, one dict per ball as the artifact
-  writes it.
+  constants the comparison uses as per-ball arrays in cover order, which
+  the CLI streams into ``hausdorff.json``.
 * Exact sup-norm shell integrals (layer-cake identity
   int_{shell} phi(||x||_inf) dx = n 2^n int phi(t) t^(n-1) dt) by adaptive
   quadrature, and a seeded Monte Carlo cross-check that does not use the
@@ -47,7 +47,6 @@ from .cantor import (  # noqa: F401
     fold_columns,
     half_edge,
     vertices,
-    word_text,
 )
 from .errors import CoverageError, DepthError, GaugeRangeError, ToleranceError
 from .gauge import GaugeSpec, eval_h
@@ -87,8 +86,8 @@ class CoverReport:
 class Cover:
     """Closed Euclidean balls, one row each: ball j has centre ``centers[j]``
     (an (N, n) array) and radius ``radius[j]``, and is named by the
-    ``word_text`` of the depth-``depth`` word ``words[j]`` (int64, or Python
-    integers where the words pass 62 bits)."""
+    depth-``depth`` word ``words[j]`` (int64, or Python integers where the
+    words pass 62 bits)."""
 
     words: np.ndarray
     depth: int
@@ -96,20 +95,37 @@ class Cover:
     radius: np.ndarray
 
 
-@dataclass(frozen=True)
+# the fields of a LowerProbeReport that hausdorff.json writes beside its balls
+PROBE_SUMMARY = ("level", "cover_sum", "reference_upper_sum", "ratio", "max_intersecting",
+                 "counting_bound")
+
+
+@dataclass(frozen=True, eq=False)
 class LowerProbeReport:
-    """The probe of one ball cover.  ``balls`` holds one dict per ball, in
-    cover order, with the keys ``hausdorff.json`` writes: ``word``,
-    ``radius``, ``min_contained_depth`` (None where no cube is contained),
-    ``intersecting_count``, ``contained_count`` and ``dominated_sum``."""
+    """The probe of one ball cover: the summary fields ``PROBE_SUMMARY``,
+    then one array entry per ball in cover order.  Ball j is the
+    depth-``word_depth`` word ``words[j]`` over n coordinates (as in
+    ``Cover``) with radius ``radius[j]``; ``min_contained_depth[j]`` is the
+    first depth with a cube inside it (0 where there is none),
+    ``intersecting_count[j]`` the number of cubes it meets at that depth
+    and ``contained_count[j]`` the number of depth-``level`` cubes inside
+    it.  Its dominated sum is ``contained_count[j] * per_cube``, a Python
+    int times a float, taken when it is written."""
 
     level: int
     cover_sum: float
     reference_upper_sum: float
     ratio: float
-    balls: tuple[dict, ...]
     max_intersecting: int
     counting_bound: int
+    n: int
+    word_depth: int
+    per_cube: float
+    words: np.ndarray
+    radius: np.ndarray
+    min_contained_depth: np.ndarray
+    intersecting_count: np.ndarray
+    contained_count: np.ndarray
 
 
 def lebesgue_level(pack: SequencePack, k: int, side: Literal["domain", "target"] = "domain") -> float:
@@ -327,7 +343,7 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Cover,
     Checks that every depth-``level`` cube is contained in some ball (else
     CoverageError), computes the cover sum sum_j h(diam B_j), the per-ball
     counting data (minimal contained depth m_j, number of depth-m_j cubes
-    the ball intersects, dominated cube sums at the reference level), and
+    the ball intersects, number of depth-``level`` cubes it contains), and
     the ratio of the cover sum to the upper cube sum at the reference
     level.  Intersection counts are compared against the 4^n counting
     bound.  The walk keeps one coverage flag per depth-``level`` cube, so
@@ -349,23 +365,27 @@ def hausdorff_lower_probe(h: GaugeSpec, pack: SequencePack, cover: Cover,
     missed = total_cubes - int(np.count_nonzero(covered))
     if missed:
         raise CoverageError(f"cover misses {missed} of {total_cubes} depth-{level} cubes")
+    # h once per distinct radius (a canonical cover has one), in
+    # first-occurrence order, so an overflow raises at the first radius in
+    # cover order whose h overflows
     radius = cover.radius.tolist()
-    balls = tuple(
-        {"word": word_text(word, pack.n, cover.depth), "radius": rho,
-         "min_contained_depth": d or None, "intersecting_count": u, "contained_count": c,
-         "dominated_sum": c * reference.per_cube}
-        for word, rho, d, u, c in zip(cover.words.tolist(), radius, first.tolist(),
-                                      count.tolist(), inner.tolist())
-    )
-    cover_sum = math.fsum(eval_h(h, 2.0 * rho) for rho in radius)
+    h_of = {rho: eval_h(h, 2.0 * rho) for rho in dict.fromkeys(radius)}
+    cover_sum = math.fsum(map(h_of.__getitem__, radius))
     return LowerProbeReport(
         level=level,
         cover_sum=cover_sum,
         reference_upper_sum=reference.total,
         ratio=cover_sum / reference.total,
-        balls=balls,
         max_intersecting=int(count.max(initial=0)),
         counting_bound=4 ** pack.n,
+        n=pack.n,
+        word_depth=cover.depth,
+        per_cube=reference.per_cube,
+        words=cover.words,
+        radius=cover.radius,
+        min_contained_depth=first,
+        intersecting_count=count,
+        contained_count=inner,
     )
 
 

@@ -49,11 +49,16 @@ def vertices(n: int) -> np.ndarray:
     return np.where(bits == 1, 1.0, -1.0)
 
 
-def word_text(word: int, n: int, depth: int) -> str:
-    """The word's signs, one group of n per level: ``"++|-+"``."""
-    bits = n * depth
-    signs = "".join("+" if word >> (bits - 1 - i) & 1 else "-" for i in range(bits))
-    return "|".join(signs[i:i + n] for i in range(0, bits, n))
+def word_texts(words: np.ndarray, n: int, depth: int) -> list[str]:
+    """Each word's signs, one group of n per level: ``"++|-+"``.  Each
+    level's n-bit group indexes a table of the 2^n sign strings, and each
+    word joins its levels with ``|``.  ``words`` is int64, or Python
+    integers where the words pass 62 bits."""
+    table = np.array(["".join("+" if s > 0 else "-" for s in v) for v in vertices(n).tolist()],
+                     dtype=object)
+    levels = [table[(words >> n * (depth - 1 - i) & 2 ** n - 1).astype(np.intp)].tolist()
+              for i in range(depth)]
+    return list(map("|".join, zip(*levels))) if levels else [""] * len(words)
 
 
 def harmonic_sequence(K: int) -> tuple[float, ...]:

@@ -6,6 +6,8 @@ timestamps, so identical config + seed reproduces byte-identical files.
 Each JSON artifact is one dict of plain values and report fields, written
 by ``write_json``.  ``hausdorff.json`` always holds the upper cover sums
 and a ``lower_probe`` entry: the probe's reports, or why it was skipped.
+A probe report keeps its balls as arrays, and ``write_json`` streams them
+into the file in the text ``json.dumps`` would give them.
 
 Exit codes: 0 success, 2 verification failure, 3 config or usage error, 4
 numeric error.
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import analysis, render
 from .cantor import (SequencePack, descend_batch, geometric_sequence, harmonic_sequence,
-                     in_cube, outside_message, standard_scales)
+                     in_cube, outside_message, standard_scales, word_texts)
 from .errors import ConstructionError, GaugeRangeError, PonomapError
 # eval_h is not called here; perfbench/tracer.py counts its calls at this name
 from .gauge import (GaugeSpec, eval_h, finite_measure_sequence, from_json,  # noqa: F401
@@ -216,20 +218,76 @@ def provenance(cfg: RunConfig) -> list[str]:
 
 def fields(report) -> dict:
     """A report dataclass as the dict of its fields, one level deep.  Each
-    command passes its reports through it, and ``write_json`` makes it the
-    ``default`` of ``json.dumps``, which meets only the reports nested in
-    those (verify's checks); anything else is a TypeError."""
+    command passes its reports through it, and ``write_json``'s ``default``
+    of ``json.dumps`` uses it for the reports nested in those (verify's
+    checks); anything else is a TypeError."""
     names = getattr(type(report), "__dataclass_fields__", None)
     if names is None:
         raise TypeError(f"{type(report).__name__} is not JSON serializable")
     return {name: getattr(report, name) for name in names}
 
 
+# stands in json.dumps's text for a probe report's balls until they are streamed
+_BALLS = "\0balls"
+# balls formatted per write
+_BALL_CHUNK = 4096
+
+
 def write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
     """The one JSON format of the artifacts: ``payload`` with
-    ``config_digest`` and ``seed`` added, keys sorted, indented by 2."""
+    ``config_digest`` and ``seed`` added, keys sorted, indented by 2.
+
+    A ``LowerProbeReport`` is written as its ``PROBE_SUMMARY`` fields and a
+    ``balls`` list of one dict per ball.  ``json.dumps`` writes ``_BALLS``
+    in the list's place, and the balls are streamed there by ``_write_balls``
+    at the indent of the line that holds it."""
     data = {**payload, "config_digest": cfg.digest, "seed": cfg.seed}
-    path.write_text(json.dumps(data, sort_keys=True, indent=2, default=fields) + "\n")
+    probes = []
+
+    def default(value):
+        if isinstance(value, analysis.LowerProbeReport):
+            probes.append(value)
+            return {**{k: getattr(value, k) for k in analysis.PROBE_SUMMARY}, "balls": _BALLS}
+        return fields(value)
+
+    *heads, tail = json.dumps(data, sort_keys=True, indent=2,
+                              default=default).split(json.dumps(_BALLS))
+    with open(path, "w") as f:
+        for head, probe in zip(heads, probes, strict=True):
+            f.write(head)
+            line = head[head.rfind("\n") + 1:]  # the indent, then '"balls": '
+            _write_balls(f, probe, line[:line.index('"')])
+        f.write(tail + "\n")
+
+
+def _write_balls(f, rep: analysis.LowerProbeReport, pad: str) -> None:
+    """``rep``'s balls as ``json.dumps(..., sort_keys=True, indent=2)``
+    writes their list of dicts when the list closes at indent ``pad``:
+    ints and words as they are, each float by ``_float_texts`` and a
+    ``min_contained_depth`` of 0 as null, ``_BALL_CHUNK`` balls a write."""
+    if not len(rep.radius):
+        f.write("[]")
+        return
+    at = pad + "    "
+    ball = (f'{pad}  {{\n{at}"contained_count": %s,\n{at}"dominated_sum": %s,\n'
+            f'{at}"intersecting_count": %s,\n{at}"min_contained_depth": %s,\n'
+            f'{at}"radius": %s,\n{at}"word": "%s"\n{pad}  }}')
+    f.write("[\n")
+    for lo in range(0, len(rep.radius), _BALL_CHUNK):
+        part = slice(lo, lo + _BALL_CHUNK)
+        inner = rep.contained_count[part].tolist()
+        rows = zip(inner, _float_texts([c * rep.per_cube for c in inner]),
+                   rep.intersecting_count[part].tolist(),
+                   [d or "null" for d in rep.min_contained_depth[part].tolist()],
+                   _float_texts(rep.radius[part].tolist()),
+                   word_texts(rep.words[part], rep.n, rep.word_depth))
+        f.write((",\n" if lo else "") + ",\n".join(map(ball.__mod__, rows)))
+    f.write(f"\n{pad}]")
+
+
+def _float_texts(values: list[float]) -> list[str]:
+    """json's text of each float: its repr, or Infinity, -Infinity, NaN."""
+    return [repr(v) if math.isfinite(v) else json.dumps(v) for v in values]
 
 
 def cmd_sequence(cfg: RunConfig, out: Path) -> int:
@@ -444,11 +502,9 @@ def lower_probe(cfg: RunConfig, a: Sequence[float]) -> dict:
     randomized = [analysis.hausdorff_lower_probe(
         cfg.gauge, pack, analysis.random_cover(pack, h.probe_depth, rng), h.probe_level)
         for _ in range(h.random_covers)]
-    # each report is passed as its fields, not left to write_json's hook,
-    # which would put every chunk of its balls through two more generators
     return {
-        "canonical": fields(canonical),
-        "randomized": [fields(r) for r in randomized],
+        "canonical": canonical,
+        "randomized": randomized,
         "c_probe": min([canonical.ratio] + [r.ratio for r in randomized]),
     }
 

@@ -1,8 +1,8 @@
 """The per-word forms of the binary coding layer, kept as the oracle of
 ``ponomap.cantor``'s integer words: a ``VertexWord`` holds one sign tuple
-per level, ``all_words`` yields them in lexicographic order, and ``center``,
-``dyadic_cube`` and ``dyadic_preimage`` work one word at a time.  Tests that
-place points by word may use these too."""
+per level, ``all_words`` yields them in lexicographic order, and
+``word_text``, ``center``, ``dyadic_cube`` and ``dyadic_preimage`` work one
+word at a time.  Tests that place points by word may use these too."""
 
 from __future__ import annotations
 
@@ -47,6 +47,13 @@ def all_words(n: int, depth: int) -> Iterator[VertexWord]:
     vertices = list(itertools.product((-1, 1), repeat=n))
     for combo in itertools.product(vertices, repeat=depth):
         yield VertexWord(n, combo)
+
+
+def word_text(word: int, n: int, depth: int) -> str:
+    """The integer word's signs, one group of n per level: ``"++|-+"``."""
+    bits = n * depth
+    signs = "".join("+" if word >> (bits - 1 - i) & 1 else "-" for i in range(bits))
+    return "|".join(signs[i:i + n] for i in range(0, bits, n))
 
 
 def center(word: VertexWord, pack: SequencePack, side: Side = "domain") -> tuple[float, ...]:

@@ -307,10 +307,10 @@ def test_acceptance_08_lower_bound_probe():
             rep = hausdorff_lower_probe(gauge, pack, cover, level)
             ratios.append(rep.ratio)
             worst_u = max(worst_u, rep.max_intersecting)
-            for c, rho, probe in zip(cover.centers, cover.radius, rep.balls):
-                assert probe["intersecting_count"] == brute_intersecting(
-                    c, rho, probe["min_contained_depth"])
-                assert probe["intersecting_count"] <= 4 ** 2
+            for c, rho, u, d in zip(cover.centers, cover.radius, rep.intersecting_count.tolist(),
+                                    rep.min_contained_depth.tolist(), strict=True):
+                assert u == brute_intersecting(c, rho, d)
+                assert u <= 4 ** 2
 
         rng = np.random.default_rng(SEED + 8)
         for trial in range(100):
@@ -320,9 +320,10 @@ def test_acceptance_08_lower_bound_probe():
             worst_u = max(worst_u, rep.max_intersecting)
             assert rep.max_intersecting <= 4 ** 2
             if trial % 25 == 0:
-                for c, rho, probe in zip(cover.centers, cover.radius, rep.balls):
-                    assert probe["intersecting_count"] == brute_intersecting(
-                        c, rho, probe["min_contained_depth"])
+                for c, rho, u, d in zip(cover.centers, cover.radius,
+                                        rep.intersecting_count.tolist(),
+                                        rep.min_contained_depth.tolist(), strict=True):
+                    assert u == brute_intersecting(c, rho, d)
 
         c_probe = min(ratios)
         assert c_probe > 0.0

@@ -31,11 +31,9 @@ from ponomap import (
     shell_integral,
     shell_integral_mc,
     sobolev_depth_profile,
-    word_text,
 )
 from ponomap import analysis
 from ponomap.analysis import (
-    LowerProbeReport,
     _cube_in_ball,
     _dist_to_cube,
     _farthest_corner,
@@ -44,7 +42,7 @@ from ponomap.analysis import (
 )
 from ponomap.cantor import descendant_count
 from ponomap.errors import GaugeRangeError, ToleranceError
-from reference_json import reference_json_data
+from reference_json import reference_json_data, reference_probe_data
 from reference_packs import pack_from_scales
 from reference_norms import reference_depth_profile, reference_grand_norm_values
 from reference_covers import (cover_rows, join_covers, make_cover, reference_canonical_cover,
@@ -176,7 +174,7 @@ def test_lower_probe_trivial_cover():
     ball = make_cover(2, 8, [word], [center(word, 8, pack)], [2.0 * math.sqrt(2)])
     rep = hausdorff_lower_probe(LOG_GAUGE, pack, ball, 4)
     assert rep.ratio >= 1.0
-    assert rep.balls[0]["min_contained_depth"] == 1
+    assert rep.min_contained_depth[0] == 1
     assert rep.max_intersecting <= rep.counting_bound
 
 
@@ -191,11 +189,12 @@ def test_lower_probe_canonical_cover():
         assert rep.cover_sum == pytest.approx(expected, rel=1e-12)
         assert rep.ratio == pytest.approx(expected / rep.reference_upper_sum, rel=1e-12)
         assert rep.ratio > 0.5
-        for b in rep.balls:
-            assert b["min_contained_depth"] == m
+        for d, c, u in zip(rep.min_contained_depth.tolist(), rep.contained_count.tolist(),
+                           rep.intersecting_count.tolist(), strict=True):
+            assert d == m
             # each ball contains at least its own subtree at the probe level
-            assert b["contained_count"] >= 4 ** (level - m)
-            assert b["intersecting_count"] <= rep.counting_bound
+            assert c >= 4 ** (level - m)
+            assert u <= rep.counting_bound
 
 
 def test_lower_probe_randomized_covers():
@@ -216,18 +215,20 @@ def test_lower_probe_counts_match_brute_force():
     rng = np.random.default_rng(5)
     cover = random_cover(pack, 2, rng)
     rep = hausdorff_lower_probe(LOG_GAUGE, pack, cover, 4)
-    for c, rho, probe in zip(cover.centers.tolist(), cover.radius.tolist(), rep.balls):
-        m = probe["min_contained_depth"]
+    for c, rho, m, u, inner in zip(cover.centers.tolist(), cover.radius.tolist(),
+                                   rep.min_contained_depth.tolist(),
+                                   rep.intersecting_count.tolist(),
+                                   rep.contained_count.tolist(), strict=True):
         brute_intersect = sum(
             1 for w in all_words(2, m).tolist()
             if _dist_to_cube(c, center(w, m, pack), pack.r[m]) <= rho
         )
-        assert brute_intersect == probe["intersecting_count"]
+        assert brute_intersect == u
         brute_contained = sum(
             1 for w in all_words(2, 4).tolist()
             if _cube_in_ball(c, center(w, 4, pack), pack.r[4], rho)
         )
-        assert brute_contained == probe["contained_count"]
+        assert brute_contained == inner
 
 
 @pytest.mark.parametrize("n, m, level", [(2, 2, 5), (2, 4, 6), (3, 2, 4)])
@@ -256,7 +257,7 @@ def test_lower_probe_refuses_levels_past_the_cap(monkeypatch):
     word = 2 ** 16 - 1
     ball = make_cover(2, 8, [word], [center(word, 8, pack)], [2.0 * math.sqrt(2)])
     rep = hausdorff_lower_probe(LOG_GAUGE, pack, ball, 10)  # 2^20 cubes, the cap
-    assert rep.balls[0]["contained_count"] == 2 ** 20
+    assert rep.contained_count[0] == 2 ** 20
     monkeypatch.setattr(analysis, "_probe_walk", lambda *args: pytest.fail("walked"))
     with pytest.raises(DepthError, match="4194304 depth-11 cubes exceed the probe cap 1048576"):
         hausdorff_lower_probe(LOG_GAUGE, pack, ball, 11)
@@ -323,6 +324,8 @@ def _ref_contained_blocks(pack, c, rho, level):
 
 
 def reference_lower_probe(h, pack, cover, level):
+    """The probe as hausdorff.json holds it (``reference_probe_data``'s
+    form), walked ball by ball."""
     per_cube = eval_h(h, 2.0 * math.sqrt(pack.n) * pack.r[level])
     covered = set()
     stats = []
@@ -337,7 +340,8 @@ def reference_lower_probe(h, pack, cover, level):
             if any(_cube_in_ball(c, zc, pack.r[d], rho) for zc in frontier):
                 min_depth, intersecting = d, len(frontier)
                 break
-        stats.append({"word": word_text(word, pack.n, cover.depth), "radius": rho,
+        stats.append({"word": reference_words.word_text(word, pack.n, cover.depth),
+                      "radius": rho,
                       "min_contained_depth": min_depth,
                       "intersecting_count": intersecting,
                       "contained_count": contained,
@@ -348,15 +352,14 @@ def reference_lower_probe(h, pack, cover, level):
             f"cover misses {total - len(covered)} of {total} depth-{level} cubes")
     cover_sum = math.fsum(eval_h(h, 2.0 * rho) for rho in cover.radius.tolist())
     reference = float(2 ** (pack.n * level)) * per_cube
-    return LowerProbeReport(
-        level=level,
-        cover_sum=cover_sum,
-        reference_upper_sum=reference,
-        ratio=cover_sum / reference,
-        balls=tuple(stats),
-        max_intersecting=max((b["intersecting_count"] for b in stats), default=0),
-        counting_bound=4 ** pack.n,
-    )
+    return {"level": level, "cover_sum": cover_sum, "reference_upper_sum": reference,
+            "ratio": cover_sum / reference, "balls": stats,
+            "max_intersecting": max((b["intersecting_count"] for b in stats), default=0),
+            "counting_bound": 4 ** pack.n}
+
+
+def probe_data(h, pack, cover, level):
+    return reference_probe_data(hausdorff_lower_probe(h, pack, cover, level))
 
 
 def _probe_outcome(probe, h, pack, cover, level):
@@ -383,8 +386,7 @@ def test_lower_probe_matches_scalar_reference(n, cases):
             covers = [canon, random_cover(pack, m, rng),
                       cover_rows(canon, slice(1, None)),  # drops the first cube's ball
                       Cover(canon.words, m, canon.centers, np.full(len(canon.words), pack.r[m]))]
-            got = [_probe_outcome(hausdorff_lower_probe, gauge, pack, c, level)
-                   for c in covers]
+            got = [_probe_outcome(probe_data, gauge, pack, c, level) for c in covers]
             assert got == [_probe_outcome(reference_lower_probe, gauge, pack, c, level)
                            for c in covers]
             assert got[2].startswith("cover misses")
@@ -455,9 +457,9 @@ def test_lower_probe_exact_ties(n, monkeypatch):
         reports = []
         for ball in (at, below):
             cover = join_covers(canon, ball)
-            rep = hausdorff_lower_probe(gauge, pack, cover, level)
+            rep = probe_data(gauge, pack, cover, level)
             assert rep == reference_lower_probe(gauge, pack, cover, level)
-            reports.append(rep.balls[-1])
+            reports.append(rep["balls"][-1])
         # one float of radius flips a decision, so the tie is a real one
         assert reports[0] != reports[1]
     # the near-tie pairs went to the scalar tests

@@ -21,11 +21,10 @@ from ponomap import (
     dyadic_preimage,
     geometric_sequence,
     harmonic_sequence,
-    word_text,
 )
 from ponomap.cantor import (WORD_CAP, Descent, _radii, _walk, check_point, descend,
                             descend_batch, descendant_count, half_edges, outside_message,
-                            vertices)
+                            vertices, word_texts)
 from ponomap.render import _pixel_points
 from reference_packs import pack_from_scales
 from tie_points import inner_face_points, log_pack, tie_heavy_points
@@ -37,12 +36,24 @@ def std_pack(K=10, n=2):
 
 
 def test_word_format():
+    # the scalar reference and the array form, word by word
     w = 0b1101
-    assert word_text(w, 2, 2) == "++|-+"
-    assert word_text(w << 2 | 0b10, 2, 3) == "++|-+|+-"
-    assert word_text(0, 2, 0) == ""
-    assert word_text(0b011, 3, 1) == "-++"
+    cases = [(w, 2, 2, "++|-+"), (w << 2 | 0b10, 2, 3, "++|-+|+-"), (0, 2, 0, ""),
+             (0b011, 3, 1, "-++")]
+    for word, n, depth, text in cases:
+        assert reference_words.word_text(word, n, depth) == text
+        assert word_texts(np.array([word, word]), n, depth) == [text, text]
+    assert word_texts(np.array([], dtype=np.int64), 2, 3) == []
     assert vertices(2).tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+
+
+def test_word_texts_past_62_bits():
+    # words of Python integers, as random covers build them at n >= 16
+    rng = random.Random(3)
+    for n, depth in ((16, 4), (7, 9)):
+        words = [rng.getrandbits(n * depth) for _ in range(50)] + [0, 2 ** (n * depth) - 1]
+        assert word_texts(np.array(words, dtype=object), n, depth) == \
+            [reference_words.word_text(w, n, depth) for w in words]
 
 
 def test_word_enumeration_cap():
@@ -64,7 +75,8 @@ def test_words_match_reference_words(n):
         step = 1 if n * k <= 12 else 15
         words = all_words(n, k)[::step]
         oracle = list(reference_words.all_words(n, k))[::step]
-        assert [word_text(w, n, k) for w in words.tolist()] == [str(ref) for ref in oracle]
+        assert word_texts(words, n, k) == [str(ref) for ref in oracle] == \
+            [reference_words.word_text(w, n, k) for w in words.tolist()]
         for side in ("domain", "target"):
             assert [repr(center(w, k, pack, side)) for w in words.tolist()] == \
                 [repr(reference_words.center(ref, pack, side)) for ref in oracle]

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ponomap
 from ponomap import SequencePack, canonical_cover, cli, hausdorff_lower_probe, random_cover
-from ponomap.analysis import upper_sum_at_scale
+from ponomap.analysis import LowerProbeReport, upper_sum_at_scale
 from ponomap.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from reference_json import reference_json_data
 from tie_points import LOG_TAU, log_pack, tie_heavy_points
@@ -635,25 +635,40 @@ def run_python(*args):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_hausdorff_probe_memory_is_bounded(tmp_path):
-    # each depth of this n = 6 probe expands a group's pairs 2^6-fold; with
-    # no bound its 64 balls held about 2.4 GB at level 3, and in groups
-    # under the pair budget the run holds about 110 MiB.  The child reads
-    # its own peak, VmHWM: its ru_maxrss would start at this test process's
-    # peak, which a vfork-and-exec child inherits (over 300 MiB once
-    # Hypothesis has built its Unicode tables)
-    cfg = tmp_path / "probe-n6.json"
-    cfg.write_text(json.dumps({
-        "gauge": {"n": 6, "tau": LOG_TAU}, "theorem": 1,
-        "depth": 11, "hausdorff": {"depths": [0, 1], "probe_depth": 1, "probe_level": 3,
-                                   "random_covers": 1}}))
+def hausdorff_peak_kib(tmp_path, config: dict) -> int:
+    """The peak resident set, in KiB, of a fresh ``hausdorff`` run of
+    ``config``.  The child reads its own peak, VmHWM: its ru_maxrss would
+    start at this test process's peak, which a vfork-and-exec child
+    inherits (over 300 MiB once Hypothesis has built its Unicode tables)."""
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(config))
     proc = run_python("-c", "import sys; from ponomap.cli import main; "
                       "code = main(sys.argv[1:]); "
                       "print(*[line.split()[1] for line in open('/proc/self/status') "
                       "if line.startswith('VmHWM:')]); sys.exit(code)",
                       "hausdorff", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.split()[-1]) < 200 * 1024  # KiB
+    return int(proc.stdout.split()[-1])
+
+
+def test_hausdorff_probe_memory_is_bounded(tmp_path):
+    # each depth of this n = 6 probe expands a group's pairs 2^6-fold; with
+    # no bound its 64 balls held about 2.4 GB at level 3, and in groups
+    # under the pair budget the run holds about 110 MiB
+    assert hausdorff_peak_kib(tmp_path, {
+        "gauge": {"n": 6, "tau": LOG_TAU}, "theorem": 1,
+        "depth": 11, "hausdorff": {"depths": [0, 1], "probe_depth": 1, "probe_level": 3,
+                                   "random_covers": 1}}) < 200 * 1024
+
+
+def test_hausdorff_report_memory_is_bounded(tmp_path):
+    # 2^17 balls (2^16 canonical, 2^16 random) and a 36 MB hausdorff.json:
+    # the streamed report peaks at about 50 MiB, where per-ball dicts and
+    # json.dumps's text of the whole file peaked at 295-313 MiB
+    assert hausdorff_peak_kib(tmp_path, {
+        "gauge": {"n": 2, "tau": LOG_TAU}, "theorem": 1,
+        "depth": 20, "hausdorff": {"depths": [0, 1, 2, 4, 8], "probe_depth": 8,
+                                   "probe_level": 10, "random_covers": 1}}) < 120 * 1024
 
 
 def test_readme_example_config_runs_every_command(tmp_path):
@@ -840,6 +855,44 @@ def test_write_json_matches_the_recursive_reference(config_path, tmp_path, monke
     # the writer's hook turns report dataclasses into their fields, nothing else
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         write(tmp_path / "bad.json", {"x": {1}}, written[0][2])
+
+
+def synthetic_probe(balls, per_cube=0.25, word_depth=2):
+    """A probe report of n = 2 whose balls are ``balls``' rows of (word,
+    radius, min_contained_depth, intersecting_count, contained_count)."""
+    words, radius, first, count, inner = list(zip(*balls)) or [()] * 5
+    return LowerProbeReport(
+        level=3, cover_sum=math.inf, reference_upper_sum=1.5, ratio=math.nan,
+        max_intersecting=max(count, default=0), counting_bound=16, n=2,
+        word_depth=word_depth, per_cube=per_cube, words=np.array(words, dtype=np.int64),
+        radius=np.array(radius, dtype=float), min_contained_depth=np.array(first, dtype=np.int64),
+        intersecting_count=np.array(count, dtype=np.int64),
+        contained_count=np.array(inner, dtype=np.int64))
+
+
+def test_write_json_streams_probe_balls_as_json_dumps(tmp_path, monkeypatch):
+    # synthetic reports at three nesting depths: a one-ball cover whose
+    # radius is inf and whose dominated sum is 0 * nan, a ball with no
+    # contained cube (null), -inf and nan radii, an empty cover, and a
+    # cover past one chunk of the writer
+    monkeypatch.setattr(cli, "_BALL_CHUNK", 2)
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["hausdorff"]))
+    one = synthetic_probe([(0b1101, math.inf, 1, 4, 0)], per_cube=math.nan)
+    mixed = synthetic_probe([(0, 0.5, 0, 0, 0), (5, -math.inf, 2, 9, 3), (15, math.nan, 1, 1, 7),
+                             (6, 1e-300, 2, 16, 2 ** 20), (9, 2.0, 1, 3, 1)], per_cube=1e308)
+    payload = {"lower_probe": {"canonical": one, "randomized": [mixed, synthetic_probe([])],
+                               "c_probe": 0.5},
+               "top": synthetic_probe([(3, 0.75, 1, 2, 3)], word_depth=1), "theorem": 1}
+    cli.write_json(tmp_path / "probe.json", payload, cfg)
+    data = reference_json_data({**payload, "config_digest": cfg.digest, "seed": cfg.seed})
+    text = (tmp_path / "probe.json").read_text()
+    assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert [b["word"] for b in data["lower_probe"]["randomized"][0]["balls"]] == \
+        ["--|--", "-+|-+", "++|++", "-+|+-", "+-|-+"]
+    for literal in ('"radius": Infinity', '"radius": -Infinity', '"radius": NaN',
+                    '"dominated_sum": NaN', '"dominated_sum": Infinity',
+                    '"min_contained_depth": null', '"balls": []'):
+        assert literal in text
 
 
 @pytest.mark.parametrize("argv", [["verify", "--depth", "x"], ["nope"], [],
