@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: sequence | eval | verify | norms | hausdorff | render.
+Subcommands: sequence | eval | verify | norms | hausdorff | render, read
+by one parser built once.  The config is read by one ``from_json`` call
+into a ``RunConfig``; a bad key is a ConfigError that names it.
 Every output artifact embeds the resolved-config digest and the seed, no
 timestamps, so identical config + seed reproduces byte-identical files.
 Each JSON artifact is one dict of plain values and report fields, written
@@ -17,13 +19,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -98,46 +101,58 @@ class HausdorffSection:
             raise ValueError("random_covers must be >= 0")
 
 
-SECTIONS = {"sequence": SequenceSection, "hausdorff": HausdorffSection,
-            "verify": VerifyScale}
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    """A whole config, read by ``from_json`` on these type hints; the
+    top-level ranges are checked here.  ``eps`` holds the points of the
+    ``eps_grid`` text, and ``resolve_config`` gives the ``digest``."""
+
     gauge: GaugeSpec
-    theorem: object  # 1, 2 or "custom"
+    theorem: int | str
     sequence: SequenceSection
     depth: int
     seed: int
-    eps_grid: tuple[float, ...]
+    eps_grid: str
     resolution: int
     safety: float
     hausdorff: HausdorffSection
     verify: VerifyScale
     digest: str
+    eps: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        if self.theorem not in (1, 2, "custom"):
+            raise ValueError(f"theorem must be 1, 2 or 'custom', got {self.theorem!r}")
+        for key, low in (("depth", 1), ("seed", 0), ("resolution", 2)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
+        if not 0.0 < self.safety < 1.0:
+            raise ValueError(f"safety must lie in (0, 1), got {self.safety!r}")
+        object.__setattr__(self, "eps", parse_eps_grid(self.eps_grid, self.gauge.n))
 
 
 def parse_eps_grid(text: str, n: int) -> tuple[float, ...]:
-    if not isinstance(text, str):
-        raise ConfigError(f"bad eps grid {text!r}; expected 'lo:hi:count'")
     try:
         lo_s, hi_s, count_s = text.split(":")
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError as exc:
-        raise ConfigError(f"bad eps grid {text!r}; expected 'lo:hi:count'") from exc
+        raise ValueError(f"bad eps grid {text!r}; expected 'lo:hi:count'") from exc
     if count < 1:
-        raise ConfigError(f"eps grid {text!r} has count {count}; need at least 1")
+        raise ValueError(f"eps grid {text!r} has count {count}; need at least 1")
     if lo > hi:
-        raise ConfigError(f"eps grid {text!r} has lo {lo!r} above hi {hi!r}")
+        raise ValueError(f"eps grid {text!r} has lo {lo!r} above hi {hi!r}")
     if not 0.0 < lo <= hi <= n - 1.0:
-        raise ConfigError(f"eps grid {text!r} outside (0, {n - 1}] at n = {n}")
+        raise ValueError(f"eps grid {text!r} outside (0, {n - 1}] at n = {n}")
     if count == 1:
         return (hi,)
     return tuple(float(e) for e in np.geomspace(lo, hi, count))
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    data = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    """The defaults, the ``--config`` file and the flags, merged, read as
+    one ``RunConfig`` with the sha256 of the merged dict as its digest;
+    sections but the gauge keep the defaults of the keys they leave out."""
+    data = dict(DEFAULT_CONFIG)
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -145,50 +160,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(loaded) - set(DEFAULT_CONFIG)
-        if unknown:
-            raise ConfigError(f"unknown config fields {sorted(unknown)}")
         data.update(loaded)
     for key in ("depth", "seed", "eps_grid", "resolution", "theorem"):
         if getattr(args, key, None) is not None:
             data[key] = getattr(args, key)
-
-    gauge = parse_section("gauge", data)
-    sections = {name: parse_section(name, data) for name in SECTIONS}
-    theorem = data["theorem"]
-    if type(theorem) not in (int, str) or theorem not in (1, 2, "custom"):
-        raise ConfigError(f"theorem must be 1, 2 or 'custom', got {theorem!r}")
-    for key, low in (("depth", 1), ("seed", 0), ("resolution", 2)):
-        if type(data[key]) is not int or data[key] < low:
-            raise ConfigError(f"{key} must be a JSON integer >= {low}, got {data[key]!r}")
-    safety = data["safety"]
-    if type(safety) is not float or not 0.0 < safety < 1.0:
-        raise ConfigError(f"safety must be a number in (0, 1), got {safety!r}")
-    eps = parse_eps_grid(data["eps_grid"], gauge.n)
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    return RunConfig(gauge=gauge, theorem=theorem, depth=data["depth"], seed=data["seed"],
-                     eps_grid=eps, resolution=data["resolution"], safety=safety,
-                     digest=digest, **sections)
-
-
-def parse_section(name: str, data: dict):
-    """Section ``name`` of the merged config ``data`` as its typed value.
-
-    The gauge section is read whole; any other section is a dict whose
-    omitted keys take their ``DEFAULT_CONFIG`` values, then the defaults of
-    its dataclass in ``SECTIONS``.  An unknown key or a value of the wrong
-    type or range is a ConfigError that names the key.
-    """
-    section = data[name]
+    sections = {key: {**default, **data[key]} for key, default in DEFAULT_CONFIG.items()
+                if key != "gauge" and isinstance(default, dict) and isinstance(data[key], dict)}
     try:
-        if name == "gauge":
-            return GaugeSpec.from_dict(section)
-        if not isinstance(section, dict):
-            raise ValueError("expected a JSON object")
-        return from_json(SECTIONS[name], {**DEFAULT_CONFIG[name], **section})
+        return from_json(RunConfig, {**data, **sections},
+                         digest=hashlib.sha256(canonical.encode()).hexdigest())
     except ValueError as exc:
-        raise ConfigError(f"bad {name} section: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def make_scales(cfg: RunConfig) -> tuple[float, ...]:
@@ -448,7 +431,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 
 def cmd_norms(cfg: RunConfig, out: Path) -> int:
     pmap = build(make_pack(cfg))
-    rep = analysis.grand_norm_report(pmap, eps_grid=cfg.eps_grid)
+    rep = analysis.grand_norm_report(pmap, eps_grid=cfg.eps)
     write_json(out / "norms.json", fields(rep), cfg)
     partials, core = analysis.sobolev_depth_profile(pmap, float(pmap.n))
     write_json(out / "norms_divergence.json", {
@@ -546,7 +529,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built once: a build costs about 30 parses."""
     parser = _Parser(
         prog="ponomap",
         description="Nested-cube homeomorphisms from gauge functions: "

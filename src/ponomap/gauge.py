@@ -24,7 +24,11 @@ gives the factor before the clamp.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import types
+import typing
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -54,57 +58,64 @@ def _stable_log_arg(shift: float, t: float) -> float:
     return math.log(shift) + math.log1p(1.0 / (shift * t))
 
 
-def from_json(cls, data, keys=None):
-    """``cls(**data)`` for a dataclass ``cls`` and a decoded JSON object.
+def from_json(cls, data, keys=None, **given):
+    """``cls(**data, **given)`` for a dataclass ``cls``, a decoded JSON
+    object ``data`` and field values ``given`` by the caller.
 
-    Every key must be in ``keys`` (default: the fields of ``cls``), and
-    every field without a default must be given.  Each value must match
-    its field's annotation: ``int`` takes a JSON integer and not
-    true/false, ``float`` any finite JSON number (stored as a float),
-    ``str`` a string, ``tuple[X, ...]`` a list of X, and ``TauSpec`` or
-    ``RawGauge`` an object in its ``to_dict`` form.  Every failure is a
+    Every key of ``data`` must be in ``keys`` (default: the fields of
+    ``cls``) and not in ``given``, and every field without a default must
+    be set.  Each value is read on its field's type hint: ``int`` takes a
+    JSON integer and not true/false, ``float`` any finite JSON number
+    (stored as a float), ``str`` a string, ``None`` null, ``tuple[X, ...]``
+    a list of X, ``X | Y`` what X or Y takes, and a dataclass an object,
+    read by its ``from_dict`` or else by ``from_json``.  Every failure is a
     ValueError whose message names the key.
     """
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {data!r}")
-    types = {f.name: f.type for f in fields(cls)}
-    allowed = set(types if keys is None else keys)
+    init = [f for f in fields(cls) if f.init]
+    allowed = ({f.name for f in init} if keys is None else set(keys)) - set(given)
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown fields {sorted(unknown)}, expected some of {sorted(allowed)}")
-    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+    missing = {f.name for f in init if f.default is MISSING} - set(data) - set(given)
     if missing:
         raise ValueError(f"missing fields {sorted(missing)}")
-    kwargs = {}
+    hints = _type_hints(cls)
+    kwargs = dict(given)
     for key, value in data.items():
         try:
-            kwargs[key] = _json_value(types[key], value)
+            kwargs[key] = _json_value(hints[key], value)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from exc
     return cls(**kwargs)
 
 
-_JSON_TYPES = {"int": (int, "integer"), "float": ((int, float), "number"),
-               "str": (str, "string")}
+# resolving a class's hints costs more than reading a config with them
+_type_hints = functools.cache(typing.get_type_hints)
+
+_JSON_TYPES = {int: "integer", float: "number", str: "string", type(None): "null"}
 
 
-def _json_value(kind: str, value):
-    # ``kind`` is a field annotation, a string under ``from __future__
-    # import annotations`` in every module whose dataclasses come here
-    kind = kind.removesuffix(" | None")
-    if kind.startswith("tuple["):  # "tuple[X, ...]"
+def _json_value(kind, value):
+    name = _JSON_TYPES.get(kind)
+    if name is not None:
+        # Python's json reads NaN and Infinity, which JSON itself has not
+        if (isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind)
+                or kind is float and not math.isfinite(value)):
+            raise ValueError(f"expected a JSON {name}, got {value!r}")
+        return float(value) if kind is float else value
+    args = typing.get_args(kind)
+    if isinstance(kind, types.UnionType):  # X | Y: a failure raises the first arm's error
+        for arm in args[1:]:
+            with contextlib.suppress(ValueError):
+                return _json_value(arm, value)
+        return _json_value(args[0], value)
+    if typing.get_origin(kind) is tuple:  # tuple[X, ...]
         if not isinstance(value, list):
             raise ValueError(f"expected a JSON list, got {value!r}")
-        return tuple(_json_value(kind[len("tuple["):-len(", ...]")], v) for v in value)
-    nested = {"TauSpec": TauSpec, "RawGauge": RawGauge}.get(kind)
-    if nested is not None:
-        return nested.from_dict(value)
-    types, name = _JSON_TYPES[kind]
-    # Python's json reads NaN and Infinity, which JSON itself has not
-    if (isinstance(value, bool) or not isinstance(value, types)
-            or kind == "float" and not math.isfinite(value)):
-        raise ValueError(f"expected a JSON {name}, got {value!r}")
-    return float(value) if kind == "float" else value
+        return tuple(_json_value(args[0], v) for v in value)
+    return kind.from_dict(value) if hasattr(kind, "from_dict") else from_json(kind, value)
 
 
 class _FamilySpec:

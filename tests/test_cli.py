@@ -600,6 +600,16 @@ def test_config_errors(tmp_path, capsys):
         # every section is checked under every command
         ("sequence", {"verify": {"nope": 1}}, "nope"),
         ("sequence", {"theorem": 1, "sequence": {"kind": "bogus"}}, "kind"),
+        # the top-level keys are read by the same rule as the sections
+        ("sequence", {"theorem": 3}, "theorem"),
+        ("sequence", {"theorem": "Custom"}, "theorem"),
+        ("sequence", {"theorem": 1.0}, "theorem"),
+        ("sequence", {"depth": 0}, "depth"),
+        ("sequence", {"resolution": 1}, "resolution"),
+        ("sequence", {"safety": 1}, "safety"),
+        ("sequence", {"eps_grid": 5}, "eps_grid"),
+        ("sequence", {"hausdorff": []}, "hausdorff"),
+        ("sequence", {"bogus_key": 1}, "bogus_key"),
     ]
     capsys.readouterr()
     for i, (command, cfg, key) in enumerate(named):
@@ -671,22 +681,28 @@ def test_hausdorff_report_memory_is_bounded(tmp_path):
                                    "probe_level": 10, "random_covers": 1}}) < 120 * 1024
 
 
-def test_readme_example_config_runs_every_command(tmp_path):
+def readme_example() -> dict:
+    """The JSON block under "Example config:" in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.search(r"Example config:\n\n```json\n(.*?)```", text, re.S).group(1))
+
+
+def test_readme_example_config_runs_every_command(tmp_path, capsys):
     # the README's example config (iterated_log gauge, depth 16) builds its
     # map and passes every command; at --depth 40 its seed-7 Monte Carlo
     # shell check reads |z| = 3.41 and verify exits 2, a false alarm
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    [block] = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
     cfg = tmp_path / "example.json"
-    cfg.write_text(block)
+    cfg.write_text(json.dumps(readme_example()))
     pts = tmp_path / "pts.csv"
-    pts.write_text("0.5,0.25\n")
-    for args in (["sequence"], ["eval", "--points", str(pts)], ["verify"], ["norms"],
-                 ["hausdorff"], ["render", "--resolution", "17"]):
-        out = tmp_path / args[0]
-        assert main([*args, "--config", str(cfg), "--out", str(out)]) == EXIT_OK, args
-    [row] = read_rows(tmp_path / "eval" / "eval.csv")
-    assert not row["region"].startswith("error:")
+    pts.write_text("0.5,0.25\n-0.75,0\n")
+    for command in cli.COMMANDS:
+        extra = ["--points", str(pts)] if command == "eval" else []
+        out = tmp_path / command
+        assert main([command, *extra, "--config", str(cfg), "--out", str(out)]) == EXIT_OK, command
+        if command == "verify":
+            assert "verify: pass (32/32 checks)" in capsys.readouterr().out
+    rows = read_rows(tmp_path / "eval" / "eval.csv")
+    assert len(rows) == 2 and not any(row["region"].startswith("error:") for row in rows)
 
 
 def test_import_leaves_scipy_unloaded():
@@ -911,6 +927,41 @@ def test_help_exits_0(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert "--depth" in capsys.readouterr().out
+
+
+def test_parser_is_built_once():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["eval", "--points", "p.csv", "--depth", "3", "--theorem", "2"])
+    second = parser.parse_args(["verify"])
+    assert (first.points, first.depth, first.theorem) == (Path("p.csv"), 3, 2)
+    # the second parse keeps nothing of the first
+    assert vars(second) == {"command": "verify", "config": None, "out": Path("."),
+                            "depth": None, "seed": None, "eps_grid": None,
+                            "resolution": None, "theorem": None}
+
+
+@pytest.mark.parametrize("config, flags, digest", [
+    (None, [], "acdd6956a261fc7de862593e456eca5f0acade1e52e0dda0647e270aa1aef360"),
+    ("readme", [], "9b1ea8a6cc75e948f4268684065445d7cf1789dffea999a1d49715f55cdc474f"),
+    ({"hausdorff": {"probe_level": 4}, "verify": {"mc_samples": 1000}}, [],
+     "f2f09472d641b5aabdaf8d1460846d8fff87a315776d7d4db2db858b2603bc59"),
+    ("readme", ["--depth", "12", "--theorem", "2", "--eps-grid", "1e-3:0.5:8"],
+     "bd21fd4a27c681426da990449c34f6cc3914bc4e4a715db1cb0407b103742377"),
+    ({"theorem": "custom", "sequence": {"kind": "geometric", "ratio": 0.25}, "safety": 0.25},
+     ["--seed", "5", "--resolution", "17"],
+     "c1b11526f48b0f343db369514645ebb34f5d46ee133e16deb65b7752b5d683f5"),
+], ids=["defaults", "readme", "sections", "readme-flags", "custom-flags"])
+def test_config_digest_is_pinned(tmp_path, config, flags, digest):
+    # the digest is the sha256 of the merged config as the file and flags
+    # give it, sections not filled with their defaults; every artifact
+    # embeds it, so its value is pinned
+    argv = ["sequence", *flags]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(readme_example() if config == "readme" else config))
+        argv += ["--config", str(path)]
+    assert cli.resolve_config(cli.build_parser().parse_args(argv)).digest == digest
 
 
 def test_render_rejects_other_dimensions(tmp_path):
