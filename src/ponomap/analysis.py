@@ -463,7 +463,7 @@ _UFLOW = sys.float_info.min
 
 
 def _gk21_table(base: np.ndarray, weight: np.ndarray, hlgth: np.ndarray,
-                valid: np.ndarray, powers: np.ndarray, n: int) -> np.ndarray:
+                powers: np.ndarray, n: int) -> np.ndarray:
     """shell_integral(GradientPower(alpha_k, beta_k, power_i), r_k, R_k, n)
     as an (m, K) table, on every entry settled by its first rule, else NaN.
 
@@ -473,11 +473,10 @@ def _gk21_table(base: np.ndarray, weight: np.ndarray, hlgth: np.ndarray,
     ``base`` = alpha + beta/t and ``weight`` = t^(n-1) as (21, K) arrays,
     and ``hlgth`` = (R - r)/2.  Each power is taken by libm and the sums
     run node by node in dqk21's order, so a settled entry equals the
-    quadrature bit for bit.  Entries of a depth outside 0 < r < R (not
-    ``valid``) or with a non-finite sum stay NaN; so does every entry when
-    math.pow raises, so that the scalar call raises the same error.  A
-    settled entry is finite, so NaN marks only the entries left to the
-    quadrature.
+    quadrature bit for bit.  Entries with a non-finite sum stay NaN; so
+    does every entry when math.pow raises, so that the scalar call raises
+    the same error.  A settled entry is finite, so NaN marks only the
+    entries left to the quadrature.
     """
     with np.errstate(all="ignore"):
         try:
@@ -527,7 +526,7 @@ def _gk21_table(base: np.ndarray, weight: np.ndarray, hlgth: np.ndarray,
         # entry's abserr also passes shell_integral's 1e-10 check.
         bound = _EPSREL * np.abs(result)
         settled = ((abserr <= bound) & (abserr != resasc)) | (abserr == 0.0)
-        settled &= np.isfinite(result) & valid
+        settled &= np.isfinite(result)
         # shell_integral's front * value
         return np.where(settled, n * 2.0 ** n * result, np.nan)
 
@@ -536,7 +535,8 @@ def _shell_table(alpha: np.ndarray, beta: np.ndarray, r: np.ndarray, R: np.ndarr
                  n: int, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
     """Per array of powers in ``blocks``, the (m, K) table of
     shell_integral(GradientPower(alpha_k, beta_k, power_i), r_k, R_k, n),
-    bit for bit and error for error.
+    bit for bit and error for error, on depths with 0 < r_k < R_k as a
+    validated pack gives them.
 
     The nodes are built once for all blocks.  The entries the first rule
     does not settle go to shell_integral in power-major order, so the
@@ -550,9 +550,8 @@ def _shell_table(alpha: np.ndarray, beta: np.ndarray, r: np.ndarray, R: np.ndarr
         base = alpha + beta / t
         # pow(t, 1.0) is t exactly
         weight = t if n == 2 else libm_pow(t, float(n - 1))
-    valid = (0.0 < r) & (r < R)
     for powers in blocks:
-        shells = _gk21_table(base, weight, hlgth, valid, powers, n)
+        shells = _gk21_table(base, weight, hlgth, powers, n)
         for i, k in np.argwhere(np.isnan(shells)).tolist():
             shells[i, k] = shell_integral(
                 GradientPower(float(alpha[k]), float(beta[k]), float(powers[i])),

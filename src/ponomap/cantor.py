@@ -155,9 +155,10 @@ class SequencePack:
             raise ConstructionError("scale and gluing arrays must have equal length")
         if self.a[0] != 1.0 or self.b[0] != 1.0:
             raise ConstructionError("a_0 and b_0 must equal 1")
+        # 2^-k a_k underflows to 0 for a tiny a_k > 0, so the half-edges are tested
         for k in range(self.K + 1):
-            if not (self.a[k] > 0.0 and self.b[k] > 0.0):
-                raise ConstructionError(f"scales must be positive (depth {k})")
+            if not (self.r[k] > 0.0 and self.rt[k] > 0.0):
+                raise ConstructionError(f"half-edges must be positive (depth {k})")
         for k in range(1, self.K + 1):
             if self.a[k] > self.a[k - 1]:
                 raise ConstructionError(f"a must be non-increasing (depth {k})")

@@ -104,7 +104,8 @@ class HausdorffSection:
 @dataclass(frozen=True)
 class RunConfig:
     """A whole config, read by ``from_json`` on these type hints; the
-    top-level ranges are checked here.  ``eps`` holds the points of the
+    top-level ranges, and the rules that tie the theorem to the gauge and
+    the sequence, are checked here.  ``eps`` holds the points of the
     ``eps_grid`` text, and ``resolve_config`` gives the ``digest``."""
 
     gauge: GaugeSpec
@@ -128,6 +129,11 @@ class RunConfig:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
         if not 0.0 < self.safety < 1.0:
             raise ValueError(f"safety must lie in (0, 1), got {self.safety!r}")
+        if self.theorem == 1 and self.gauge.tau is None:
+            raise ValueError("theorem 1 requires a tau-form gauge")
+        values = self.sequence.values
+        if self.theorem == "custom" and values is not None and len(values) != self.depth + 1:
+            raise ValueError("sequence values must have length depth+1")
         object.__setattr__(self, "eps", parse_eps_grid(self.eps_grid, self.gauge.n))
 
 
@@ -176,15 +182,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def make_scales(cfg: RunConfig) -> tuple[float, ...]:
     if cfg.theorem == 1:
-        if cfg.gauge.tau is None:
-            raise ConfigError("theorem 1 requires a tau-form gauge")
         return finite_measure_sequence(cfg.gauge.tau, cfg.gauge.n, cfg.depth)
     if cfg.theorem == 2:
         return null_measure_sequence(cfg.gauge, cfg.depth, safety=cfg.safety)
     seq = cfg.sequence
     if seq.values is not None:
-        if len(seq.values) != cfg.depth + 1:
-            raise ConfigError("sequence values must have length depth+1")
         return seq.values
     if seq.kind == "harmonic":
         return harmonic_sequence(cfg.depth)
@@ -276,38 +278,27 @@ def _float_texts(values: list[float]) -> list[str]:
 def cmd_sequence(cfg: RunConfig, out: Path) -> int:
     a = make_scales(cfg)
     b, r, rt, alpha, beta = standard_scales(a)
-    ks = range(cfg.depth + 1)
     check = [True]
-    for k in ks[1:]:
+    for k in range(1, cfg.depth + 1):
         if cfg.theorem == "custom":
             check.append(a[k] < a[k - 1])
         else:
             observed, bound = scale_condition(cfg.gauge, cfg.theorem, k, a[k], cfg.safety)
             check.append(observed <= bound)
+    # the columns of both files; alpha_0 and beta_0 have no value
+    table = {"k": list(range(cfg.depth + 1)), "a": list(a), "b": list(b), "r": list(r),
+             "rt": list(rt), "alpha": [None if math.isnan(v) else v for v in alpha],
+             "beta": [None if math.isnan(v) else v for v in beta], "check": check}
     with open(out / "sequence.csv", "w", newline="") as f:
         for line in provenance(cfg):
             f.write(f"# {line}\n")
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["k", "a", "b", "r", "rt", "alpha", "beta", "check"])
-        for k in ks:
-            writer.writerow([
-                k, repr(a[k]), repr(b[k]), repr(r[k]), repr(rt[k]),
-                "" if math.isnan(alpha[k]) else repr(alpha[k]),
-                "" if math.isnan(beta[k]) else repr(beta[k]),
-                str(check[k]).lower(),
-            ])
-    write_json(out / "sequence.json", {
-        "k": list(ks),
-        "a": list(a),
-        "b": list(b),
-        "r": list(r),
-        "rt": list(rt),
-        "alpha": [None if math.isnan(v) else v for v in alpha],
-        "beta": [None if math.isnan(v) else v for v in beta],
-        "check": check,
-        "theorem": cfg.theorem,
-        "gauge": cfg.gauge.to_dict(),
-    }, cfg)
+        writer.writerow(table)
+        # a number by its repr, a check as true/false, and null as a blank
+        writer.writerows(["" if v is None else str(v).lower() if isinstance(v, bool)
+                          else repr(v) for v in row] for row in zip(*table.values()))
+    write_json(out / "sequence.json",
+               {**table, "theorem": cfg.theorem, "gauge": cfg.gauge.to_dict()}, cfg)
     return EXIT_OK
 
 
@@ -566,7 +557,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create {out}: {exc}") from exc
         run = COMMANDS[args.command][1]
-        return run(cfg, out, args.points) if args.command == "eval" else run(cfg, out)
+        try:
+            return run(cfg, out, args.points) if args.command == "eval" else run(cfg, out)
+        except OSError as exc:
+            # a points file that cannot be opened is a ConfigError already;
+            # what is left is an artifact that cannot be written
+            raise ConfigError(f"cannot write to {out}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -65,10 +65,6 @@ class PonomarevMap:
     def n(self) -> int:
         return self.pack.n
 
-    @property
-    def K(self) -> int:
-        return self.pack.K
-
     def eval(self, x: Sequence[float],
              located: Descent | None = None) -> tuple[float, ...]:
         """f_K(x) for x in the closed cube; identity on the boundary.

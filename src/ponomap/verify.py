@@ -462,7 +462,7 @@ def run_suite(pack: SequencePack, gauge: GaugeSpec, theorem: int | str, seed: in
         return VerifyReport(checks=tuple(s.checks), passed=False, seed=seed)
     _check_pack(s, pack)
     _check_cantor(s, pack, scale)
-    pmap = build(pack)
+    pmap = PonomarevMap(pack)
     _check_map(s, pmap, rng, scale)
     _check_jacobian(s, pmap, rng, scale)
     _check_measures(s, pack, gauge, theorem, safety)

@@ -130,6 +130,12 @@ def test_pack_rejects_bad_scales():
         SequencePack.from_standard(2, (1.0, 1.0))  # empty annulus
     with pytest.raises(ConstructionError):
         SequencePack.from_standard(2, (1.0, 0.5, 0.6))  # not non-increasing
+    # a_1 = 5e-324 is positive, but r_1 = 2^-1 a_1 rounds to 0
+    with pytest.raises(ConstructionError, match=r"half-edges must be positive \(depth 1\)"):
+        SequencePack.from_standard(2, (1.0, 5e-324))
+    # a free target whose rt_2 = 2^-2 b_2 rounds to 0 under a domain that nests
+    with pytest.raises(ConstructionError, match=r"half-edges must be positive \(depth 2\)"):
+        pack_from_scales(2, (1.0, 0.25, 0.01), (1.0, 0.3, 1e-323))
 
 
 def test_pack_tamper_detected():

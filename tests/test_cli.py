@@ -539,6 +539,24 @@ def test_eps_grid_errors_say_what_is_wrong(tmp_path, capsys, grid, message):
     assert message in capsys.readouterr().err
 
 
+# a config that breaks a rule of its scales, and the rule's text
+SCALE_RULES = [
+    ({"gauge": {"n": 2, "raw": {"family": "power", "alpha": 2.0}}, "theorem": 1},
+     "theorem 1 requires a tau-form gauge"),
+    ({"theorem": "custom", "depth": 3, "sequence": {"kind": "harmonic", "values": [1.0, 0.5]}},
+     "sequence values must have length depth+1"),
+]
+
+
+@pytest.mark.parametrize("cfg, rule", SCALE_RULES)
+def test_scale_rules_are_checked_when_the_config_is_read(cfg, rule, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = cli.build_parser().parse_args(["sequence", "--config", str(path)])
+    with pytest.raises(cli.ConfigError, match=re.escape(rule)):
+        cli.resolve_config(args)
+
+
 def test_config_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["sequence", "--config", str(missing),
@@ -610,13 +628,16 @@ def test_config_errors(tmp_path, capsys):
         ("sequence", {"eps_grid": 5}, "eps_grid"),
         ("sequence", {"hausdorff": []}, "hausdorff"),
         ("sequence", {"bogus_key": 1}, "bogus_key"),
+        # the rules of the scales are read with the config, under every command
+        *[(command, cfg, rule) for command in cli.COMMANDS for cfg, rule in SCALE_RULES],
     ]
     capsys.readouterr()
     for i, (command, cfg, key) in enumerate(named):
         path = tmp_path / f"named{i}.json"
         path.write_text(json.dumps(cfg))
+        points = ["--points", str(missing)] if command == "eval" else []
         assert main([command, "--config", str(path),
-                     "--out", str(tmp_path)]) == EXIT_CONFIG, cfg
+                     "--out", str(tmp_path), *points]) == EXIT_CONFIG, cfg
         assert key in capsys.readouterr().err, cfg
     # a theorem-1 config whose sequence block has only known keys still runs
     path = tmp_path / "ok_sequence.json"
@@ -711,7 +732,14 @@ def test_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+# a_1 = 5e-324 is positive, but the half-edge r_1 = 2^-1 a_1 rounds to 0
+UNDERFLOW = {"theorem": "custom", "depth": 1,
+             "sequence": {"kind": "harmonic", "values": [1.0, 5e-324]}}
+
+
 def test_numeric_error_exit(tmp_path):
+    points = tmp_path / "pts.csv"
+    points.write_text("0.1,0.2\n")
     cases = [
         # a steep raw gauge cannot form a map pack at depth 40: the target
         # scales collapse to exactly 1/2 in binary64
@@ -720,12 +748,19 @@ def test_numeric_error_exit(tmp_path):
         # 2^(2*515) depth-515 cubes: the cover sum's count passes the largest float
         ("hausdorff", {"theorem": 1, "depth": 520,
                        "hausdorff": {"depths": [0, 515], "random_covers": 0}}),
+        # every command that builds the pack refuses its zero half-edge
+        *[(command, UNDERFLOW) for command in ("eval", "verify", "norms", "render")],
     ]
     for i, (command, cfg) in enumerate(cases):
         path = tmp_path / f"deep{i}.json"
         path.write_text(json.dumps(cfg))
+        extra = ["--points", str(points)] if command == "eval" else []
         assert main([command, "--config", str(path),
-                     "--out", str(tmp_path)]) == EXIT_NUMERIC, cfg
+                     "--out", str(tmp_path), *extra]) == EXIT_NUMERIC, cfg
+    # the sequence table is written for scales that form no pack
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(UNDERFLOW))
+    assert main(["sequence", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("stage", ["config", "command"])
@@ -786,6 +821,25 @@ def test_hausdorff_probe_past_the_cap_exits_4(tmp_path):
                            "the probe cap 1048576\n")
 
 
+@pytest.mark.parametrize("command, artifact", [
+    ("sequence", "sequence.csv"), ("eval", "eval.csv"), ("verify", "verify.json"),
+    ("norms", "norms.json"), ("hausdorff", "hausdorff.json"), ("render", "render_grid.csv"),
+])
+def test_artifact_that_cannot_be_written_exits_3(command, artifact, config_path, tmp_path,
+                                                 capsys):
+    # a directory where the command writes its first file
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    points = tmp_path / "pts.csv"
+    points.write_text("0.1,0.2\n")
+    extra = ["--points", str(points)] if command == "eval" else []
+    assert main([command, "--config", str(config_path), "--out", str(out),
+                 *extra]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write to {out}: ")
+    assert "Is a directory" in err and err.count("\n") == 1 and "Traceback" not in err
+
+
 # exp(-500/t) at the diameter of the level-2 cubes of its theorem-2 pack
 # underflows to 0, so the probe's ratio to that reference sum has no value
 STEEP_HAUSDORFF = {"gauge": {"n": 2, "raw": {"family": "exp_inverse", "scale": 500.0}},
@@ -806,10 +860,11 @@ STEEP_HAUSDORFF = {"gauge": {"n": 2, "raw": {"family": "exp_inverse", "scale": 5
       "hausdorff": {"depths": [0, 1, 2], "probe_depth": 1, "probe_level": 2,
                     "random_covers": 0}},
      [0, 1, 2], "nesting fails on domain side at depth 1"),
+    (UNDERFLOW, [0, 1], "half-edges must be positive (depth 1)"),
     ({"depth": 4, "hausdorff": {"depths": [0, 1, 2]}}, [0, 1, 2],
      "probe_level 5 exceeds depth 4"),
 ], ids=["reference-sum-underflow", "default-level-underflow", "unbuildable-pack",
-        "level-past-depth"])
+        "half-edge-underflow", "level-past-depth"])
 def test_hausdorff_writes_why_the_probe_was_skipped(cfg, depths, reason, tmp_path, capsys):
     # the run keeps the upper sums it computed and exits 0
     path = tmp_path / "cfg.json"
@@ -1078,6 +1133,7 @@ def cli_inputs(draw):
                         "hausdorff": {"probe_depth": 1, "probe_level": 11,
                                       "random_covers": 0}}, [], b""))
 @example(("hausdorff", STEEP_HAUSDORFF, [], b""))
+@example(("eval", UNDERFLOW, [], b"0.1,0.2"))
 @settings(deadline=None, max_examples=100)
 @given(cli_inputs())
 def test_cli_exits_with_a_code_never_a_traceback(inputs):
